@@ -7,12 +7,14 @@ threshold for the full iteration budget.  The retained set over the diagonal
 slice is the butterfly picture; the "U2" variant instead quadruples alpha and
 ignores the angle correction.
 
-Two engines produce bit-identical rasters: a pure-Python scalar loop and a
-numpy-vectorized one.  Bit-identity is deliberate and fragile: powers are
-written as explicit multiply chains (libm pow and numpy's integer-power path
-round differently) and atan2 is always evaluated through math.atan2, because
-numpy's vectorized arctan2 is off by an ulp often enough to flip near-threshold
-cells after twenty amplifying iterations.  Keep it that way.
+One engine iterates whole columns of cells through `decimation.u_step`, and
+its rasters equal the published loop (tests/_reference.py) bit for bit.
+Bit-identity is deliberate and fragile: u_step writes powers as explicit
+multiply chains (libm pow and numpy's integer-power path round differently)
+and evaluates atan2 through math.atan2, because numpy's vectorized arctan2 is
+off by an ulp often enough to flip near-threshold cells after twenty
+amplifying iterations.  Keep it that way.  The tests check every cell against
+that loop, extended by the exact-zero policy below and the U2 update.
 
 An exact |Psi| = 0 during iteration divides by zero in the raw update.  At
 exactly-representable half-integer fluxes the singularity is removable and the
@@ -23,17 +25,14 @@ orbit is terminated and the cell marked retained, with the event logged.
 from __future__ import annotations
 
 import logging
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .decimation import OrbitTerminated, apply_U
+from .decimation import OrbitTerminated, apply_U, u_step
 
 log = logging.getLogger(__name__)
-
-TWO_PI = 2 * math.pi
 
 
 @dataclass(frozen=True)
@@ -88,79 +87,18 @@ def _continue_exact_zero(al: float, be: float, lmd: float) -> tuple[float, float
         return None
 
 
-def _orbit_scalar(al: float, be: float, lmd: float, cfg: RasterConfig) -> tuple[bool, int]:
-    """One cell, mirroring the reference loop order; returns (retained, escape_iter)."""
-    th, num_iter, u2 = cfg.threshold, cfg.max_iters, cfg.map == "U2"
-    count = 0
-    while abs(lmd) < th:  # NaN fails this check, like the reference
-        count += 1
-        x = math.cos(TWO_PI * al)
-        xs = math.sin(TWO_PI * al)
-        y = math.cos(TWO_PI * be)
-        ys = math.sin(TWO_PI * be)
-        cab = x * y - xs * ys
-        c2ab = (x * x - xs * xs) * y - 2 * xs * x * ys
-        s2ab = 2 * xs * x * y + ys * (x * x - xs * xs)
-        sab = xs * y + x * ys
-        one_l = 1 - lmd
-        a_val = 16 * lmd * lmd - (32 + 4 * x) * lmd + 15 + 4 * x + cab
-        d_val = -(lmd * lmd * lmd) + 3 * lmd * lmd - 45 / 16 * lmd + 13 / 16 - y / 32
-        re = one_l * one_l - 1 / 16 + one_l / 4 * (2 * x + c2ab) + 1 / 16 * (x * x - xs * xs + 2 * cab)
-        im = -one_l / 4 * (2 * xs + s2ab) - 1 / 16 * (2 * x * xs + 2 * sab)
-        theta = math.atan2(im, re)
-        if count == num_iter:
-            return True, -1
-        den = 16 * math.sqrt(re * re + im * im)
-        if den == 0.0:
-            nxt = _continue_exact_zero(al, be, lmd)
-            if nxt is None:
-                return True, -1
-            if u2:
-                lmd = nxt[2]
-                al = (4 * al) % 1.0
-                if cfg.beta_mode == "diagonal":
-                    be = al
-            else:
-                al, be, lmd = nxt
-            continue
-        num = a_val - 64 * d_val * one_l
-        lmd = 1 + num / den
-        if u2:
-            al = (4 * al) % 1.0
-            if cfg.beta_mode == "diagonal":
-                be = al
-        else:
-            al_d, be_d = al, be
-            al = (3 * al_d + be_d + 3 * theta / 2 / math.pi) % 1.0
-            be = (3 * be_d + al_d - 3 * theta / 2 / math.pi) % 1.0
-    return False, count
+def _next_cells(a, b, l, u2: bool, diagonal: bool):
+    """One orbit step of live cells: (alpha, beta, lambda, exact Psi zero)."""
+    st = u_step(a, b, l)
+    if u2:
+        al_new = (4 * a) % 1.0
+        be_new = al_new if diagonal else b
+    else:
+        al_new, be_new = st.alpha_down, st.beta_down
+    return al_new, be_new, st.R, (st.re == 0.0) & (st.im == 0.0)
 
 
-def _render_scalar(cfg: RasterConfig) -> Raster:
-    alphas = [float(a) for a in cfg.alphas]
-    lambdas = [float(v) for v in cfg.lambdas]
-    beta0 = None if cfg.beta_mode == "diagonal" else float(cfg.beta_mode)
-    retained = np.zeros((cfg.grid_alpha, cfg.grid_lambda), dtype=bool)
-    esc = np.full((cfg.grid_alpha, cfg.grid_lambda), -1, dtype=np.int32)
-    for i, a in enumerate(alphas):
-        b = a if beta0 is None else beta0
-        for j, l in enumerate(lambdas):
-            ok, it = _orbit_scalar(a, b, l, cfg)
-            retained[i, j] = ok
-            esc[i, j] = it
-    return Raster(cfg, retained, esc)
-
-
-def _atan2_exact(im: np.ndarray, re: np.ndarray) -> np.ndarray:
-    # math.atan2 per element: numpy's arctan2 is not bit-identical to libm here
-    out = np.empty_like(im)
-    at = math.atan2
-    for k in range(im.shape[0]):
-        out[k] = at(im[k], re[k])
-    return out
-
-
-def _render_vector_block(cfg: RasterConfig, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _render_block(cfg: RasterConfig, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ga, gl = alphas.shape[0], cfg.grid_lambda
     n = ga * gl
     al = np.repeat(alphas, gl)
@@ -187,45 +125,16 @@ def _render_vector_block(cfg: RasterConfig, alphas: np.ndarray) -> tuple[np.ndar
             a = al[idx]
             b = be[idx]
             l = lmd[idx]
-            x = np.cos(TWO_PI * a)
-            xs = np.sin(TWO_PI * a)
-            y = np.cos(TWO_PI * b)
-            ys = np.sin(TWO_PI * b)
-            cab = x * y - xs * ys
-            c2ab = (x * x - xs * xs) * y - 2 * xs * x * ys
-            s2ab = 2 * xs * x * y + ys * (x * x - xs * xs)
-            sab = xs * y + x * ys
-            one_l = 1 - l
-            a_val = 16 * l * l - (32 + 4 * x) * l + 15 + 4 * x + cab
-            d_val = -(l * l * l) + 3 * l * l - 45 / 16 * l + 13 / 16 - y / 32
-            re = one_l * one_l - 1 / 16 + one_l / 4 * (2 * x + c2ab) + 1 / 16 * (x * x - xs * xs + 2 * cab)
-            im = -one_l / 4 * (2 * xs + s2ab) - 1 / 16 * (2 * x * xs + 2 * sab)
-            den = 16 * np.sqrt(re * re + im * im)
-            num = a_val - 64 * d_val * one_l
-            zero = den == 0.0
-            lmd_new = np.empty_like(l)
-            np.divide(num, den, out=lmd_new, where=~zero)
-            lmd_new[~zero] += 1.0
-            if u2:
-                al_new = (4 * a) % 1.0
-                be_new = al_new if cfg.beta_mode == "diagonal" else b
-            else:
-                theta = _atan2_exact(im, re)
-                al_new = (3 * a + b + 3 * theta / 2 / math.pi) % 1.0
-                be_new = (3 * b + a - 3 * theta / 2 / math.pi) % 1.0
+            al_new, be_new, lmd_new, zero = _next_cells(a, b, l, u2, cfg.beta_mode == "diagonal")
             if zero.any():
                 for pos in np.flatnonzero(zero):
                     nxt = _continue_exact_zero(float(a[pos]), float(b[pos]), float(l[pos]))
                     if nxt is None:
                         term_retained[idx[pos]] = True
-                        lmd_new[pos] = l[pos]
-                        al_new[pos], be_new[pos] = a[pos], b[pos]
+                    elif u2:
+                        lmd_new[pos] = nxt[2]
                     else:
                         al_new[pos], be_new[pos], lmd_new[pos] = nxt
-                        if u2:
-                            al_new[pos] = (4 * a[pos]) % 1.0
-                            if cfg.beta_mode == "diagonal":
-                                be_new[pos] = al_new[pos]
             al[idx] = al_new
             be[idx] = be_new
             lmd[idx] = lmd_new
@@ -235,19 +144,15 @@ def _render_vector_block(cfg: RasterConfig, alphas: np.ndarray) -> tuple[np.ndar
     return retained.reshape(ga, gl), esc.reshape(ga, gl)
 
 
-def render(config: RasterConfig, engine: str = "vector", threads: int = 1) -> Raster:
-    """Rasterize the filled-orbit set; engines and thread counts agree bitwise."""
-    if engine == "scalar":
-        return _render_scalar(config)
-    if engine != "vector":
-        raise ValueError(f"unknown engine {engine!r} (use vector or scalar)")
+def render(config: RasterConfig, threads: int = 1) -> Raster:
+    """Rasterize the filled-orbit set; every thread count gives the same bits."""
     alphas = config.alphas
     if threads <= 1:
-        ret, esc = _render_vector_block(config, alphas)
+        ret, esc = _render_block(config, alphas)
         return Raster(config, ret, esc)
     blocks = np.array_split(np.arange(config.grid_alpha), min(threads, config.grid_alpha))
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda ix: _render_vector_block(config, alphas[ix]), blocks))
+        parts = list(pool.map(lambda ix: _render_block(config, alphas[ix]), blocks))
     ret = np.concatenate([p[0] for p in parts], axis=0)
     esc = np.concatenate([p[1] for p in parts], axis=0)
     return Raster(config, ret, esc)

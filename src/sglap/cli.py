@@ -215,16 +215,10 @@ def kit(alpha, beta, lam):
     show_default=True,
     help="'diag' ties beta to alpha; a number fixes it",
 )
-@click.option(
-    "--engine",
-    type=click.Choice(["vector", "scalar"]),
-    default="vector",
-    show_default=True,
-)
 @click.option("--threads", type=click.IntRange(1), default=1, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True,
               help="raster file, .pgm or .csv")
-def butterfly(map_, grid, lmin, lmax, iters, threshold, beta, engine, threads, out):
+def butterfly(map_, grid, lmin, lmax, iters, threshold, beta, threads, out):
     """Render the flux-energy butterfly (filled non-escaping set of the orbit map)."""
     t0 = time.perf_counter()
     suffix = Path(out).suffix.lower().lstrip(".")
@@ -240,7 +234,7 @@ def butterfly(map_, grid, lmin, lmax, iters, threshold, beta, engine, threads, o
         map=map_,
         beta_mode=beta,
     )
-    raster = _call(bf.render, cfg, engine=engine, threads=threads)
+    raster = _call(bf.render, cfg, threads=threads)
     bf.write_raster(raster, suffix, out)
     _manifest([out], t0)
     click.echo(

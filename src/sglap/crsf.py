@@ -9,7 +9,7 @@ here:
   det of the probabilistic magnetic Laplacian exactly (the matrix-CRSF
   identity).  With the walk conductances c(x,y) = 1/deg(x) the cycle factor
   is the DIRECTED conductance product along the cycle times (1 - holonomy);
-  the symmetrized "semiconductance" form one sometimes sees is equivalent
+  the symmetrized form (c(x,y)+c(y,x))/2 one sometimes sees is equivalent
   only when c(x,y) = c(y,x), which fails here, so it is not used.
 * sample_crsf - experimental cycle-popping sampler (loop-erased walks,
   accept a closed loop with probability 1 - cos(2 pi theta)).  Exact for the
@@ -140,19 +140,11 @@ class CRSFWeightModel:
     conductance product along the cycle times (1 - holonomy).  Because the
     probabilistic conductances are asymmetric, the directed product (which
     is what the determinant expansion produces) differs from the symmetrized
-    semiconductance product (c(x,y)+c(y,x))/2 per edge; the latter is kept
-    only as a descriptive accessor.
+    product of (c(x,y)+c(y,x))/2 per edge.
     """
 
     graph: GasketGraph
     conn: Connection
-
-    def conductance(self, x: int, y: int) -> float:
-        return 1.0 / self.graph.degrees[x]
-
-    def semiconductance(self, x: int, y: int) -> float:
-        deg = self.graph.degrees
-        return 0.5 * (1.0 / deg[x] + 1.0 / deg[y])
 
     def weight(self, ocrsf: OrientedCRSF) -> complex:
         deg = self.graph.degrees

@@ -1,10 +1,15 @@
-"""Scalar machinery of spectral decimation at arbitrary flux.
+"""The decimation step at arbitrary flux.
 
-Everything here is a plain function of (alpha, beta, lambda): the quartic A,
-the cubic D (determinant of one 3x3 cell of the midpoint block), the complex
-coupling Psi, the flux shift theta = arg(Psi)/2pi, the renormalized eigenvalue
-map R, the spectral-similarity prefactor phi, and the one-step flux evolution
-(alpha, beta) -> (3a+b+3theta, 3b+a-3theta).
+`u_step` is the one place the map U(alpha, beta, lambda) = (3a+b+3theta,
+3b+a-3theta, R) is written out, for floats or for arrays of one shape: the
+quartic A, the cubic D (determinant of one 3x3 cell of the midpoint block), the
+complex coupling Psi, its argument, the renormalized eigenvalue R and the
+evolved fluxes.  Its operation order is the butterfly's multiply chain (explicit
+products, 16*sqrt(re*re+im*im), libm atan2), so butterfly rasters stay bitwise
+equal to the published loop; it computes with numpy ufuncs, so escaped orbits
+give inf/NaN rather than math domain errors.  `decimation_kit` is the scalar
+view of one step with the spectral-similarity prefactor phi = |Psi|/4D, and
+`apply_U` the orbit step that continues exactly through the dyadic Psi zeros.
 
 `classify` sorts a triple (alpha, beta, lambda) into the multiplicity-transfer
 case used by the enumerator: which of Psi and D vanish, the root multiplicity
@@ -18,39 +23,29 @@ Conventions: fluxes in turns, reduced mod 1; dyadic means within 1e-12 of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .gauge import FluxPair, circ_dist, mod1
+from .gauge import DYADIC_TOL, FluxPair, circ_dist, dyadic, mod1
 
-DYADIC_TOL = 1e-12
 DEDUP_TOL = 1e-10
+TWO_PI = 2 * math.pi
 
 
 class OrbitTerminated(Exception):
     """Psi = 0: theta and hence the renormalization map are undefined here."""
 
 
-def quartic_a(alpha: float, beta: float, lam: float) -> float:
-    c_a = np.cos(2 * np.pi * alpha)
-    c_ab = np.cos(2 * np.pi * (alpha + beta))
-    return 16 * lam**2 - (32 + 4 * c_a) * lam + 15 + 4 * c_a + c_ab
+def _cubic_d(lam, cos_beta):
+    return -(lam * lam * lam) + 3 * lam * lam - 45 / 16 * lam + 13 / 16 - cos_beta / 32
 
 
 def cell_cubic_d(beta: float, lam: float) -> float:
     """det of one midpoint 3x3 block: (1-lam)^3 - (3/16)(1-lam) - cos(2 pi beta)/32."""
-    return -(lam**3) + 3 * lam**2 - (45 / 16) * lam + 13 / 16 - np.cos(2 * np.pi * beta) / 32
-
-
-def coupling_psi(alpha: float, beta: float, lam: float) -> complex:
-    e = lambda t: np.exp(-2j * np.pi * t)
-    return (
-        (1 - lam) ** 2
-        - 1 / 16
-        + ((1 - lam) / 4) * (2 * e(alpha) + e(2 * alpha + beta))
-        + (1 / 16) * (e(2 * alpha) + 2 * e(alpha + beta))
-    )
+    return _cubic_d(lam, np.cos(TWO_PI * beta))
 
 
 def coupling_psi_dlam(alpha: float, beta: float, lam: float) -> complex:
@@ -58,8 +53,60 @@ def coupling_psi_dlam(alpha: float, beta: float, lam: float) -> complex:
     return -2 * (1 - lam) - (2 * e(alpha) + e(2 * alpha + beta)) / 4
 
 
-def _is_dyadic(x: float, tol: float = DYADIC_TOL) -> bool:
-    return circ_dist(x, 0.0) <= tol or circ_dist(x, 0.5) <= tol
+def _atan2(im, re):
+    # math.atan2 per element: numpy's arctan2 is not bit-identical to libm
+    if np.ndim(im) == 0:
+        return math.atan2(im, re)
+    out = np.fromiter(map(math.atan2, im.ravel().tolist(), re.ravel().tolist()), float, count=im.size)
+    return out.reshape(im.shape)
+
+
+@dataclass(frozen=True)
+class UStep:
+    """One step of U from the fluxes (alpha, beta): A, D, Psi = re + i im and R,
+    which is inf or NaN where re = im = 0.  arg(Psi), in radians, and the
+    evolved fluxes are computed when first read; the U2 map never reads them."""
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    A: np.ndarray
+    D: np.ndarray
+    re: np.ndarray
+    im: np.ndarray
+    R: np.ndarray
+
+    @cached_property
+    def arg(self):
+        return _atan2(self.im, self.re)
+
+    @property
+    def alpha_down(self):
+        return (3 * self.alpha + self.beta + 3 * self.arg / 2 / math.pi) % 1.0
+
+    @property
+    def beta_down(self):
+        return (3 * self.beta + self.alpha - 3 * self.arg / 2 / math.pi) % 1.0
+
+
+def u_step(alpha, beta, lam) -> UStep:
+    """U at (alpha, beta, lambda), elementwise over floats or arrays of one shape."""
+    a, b, l = (np.asarray(v, dtype=float) for v in (alpha, beta, lam))
+    x = np.cos(TWO_PI * a)
+    xs = np.sin(TWO_PI * a)
+    y = np.cos(TWO_PI * b)
+    ys = np.sin(TWO_PI * b)
+    cab = x * y - xs * ys
+    c2ab = (x * x - xs * xs) * y - 2 * xs * x * ys
+    s2ab = 2 * xs * x * y + ys * (x * x - xs * xs)
+    sab = xs * y + x * ys
+    one_l = 1 - l
+    A = 16 * l * l - (32 + 4 * x) * l + 15 + 4 * x + cab
+    D = _cubic_d(l, y)
+    re = one_l * one_l - 1 / 16 + one_l / 4 * (2 * x + c2ab) + 1 / 16 * (x * x - xs * xs + 2 * cab)
+    im = -one_l / 4 * (2 * xs + s2ab) - 1 / 16 * (2 * x * xs + 2 * sab)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        R = 1 + (A - 64 * D * one_l) / (16 * np.sqrt(re * re + im * im))
+    return UStep(a, b, A, D, re, im, R)
 
 
 @dataclass(frozen=True)
@@ -78,46 +125,44 @@ class DecimationStep:
 
 
 def decimation_kit(flux: FluxPair, lam: float) -> DecimationStep:
-    a, b = flux.alpha, flux.beta
-    A = quartic_a(a, b, lam)
-    D = cell_cubic_d(b, lam)
-    Psi = coupling_psi(a, b, lam)
+    st = u_step(flux.alpha, flux.beta, lam)
+    Psi = complex(st.re, st.im)
     absPsi = abs(Psi)
-    theta = mod1(np.angle(Psi) / (2 * np.pi))
-
-    R = 1 + (A - 64 * D * (1 - lam)) / (16 * absPsi) if absPsi > 0 else None
-    if D != 0:
-        if _is_dyadic(a) and _is_dyadic(b):
-            phi = float(Psi.real) / (4 * D)
-        else:
-            phi = absPsi / (4 * D)
-    else:
-        phi = None
-
+    D = float(st.D)
     return DecimationStep(
         flux=flux,
         lam=lam,
-        A=A,
+        A=float(st.A),
         D=D,
         Psi=Psi,
         absPsi=absPsi,
-        theta=theta,
-        R=R,
-        phi=phi,
-        alpha_down=mod1(3 * a + b + 3 * theta),
-        beta_down=mod1(3 * b + a - 3 * theta),
+        theta=mod1(st.arg / TWO_PI),
+        R=float(st.R) if absPsi > 0 else None,
+        phi=absPsi / (4 * D) if D != 0 else None,
+        alpha_down=float(st.alpha_down),
+        beta_down=float(st.beta_down),
     )
 
 
-# At the four flux pairs with both entries in {0, 1/2}, Psi is a real quadratic
-# in eta = 1 - lambda and R folds to a real quadratic in lambda; coefficients
-# are dyadic rationals, so these evaluate exactly in binary floating point.
-_DYADIC_REAL = {
-    (False, False): (lambda e: e * e + 0.75 * e + 0.125, lambda l: l * (5 - 4 * l)),
-    (True, True): (lambda e: e * e - 0.75 * e + 0.125, lambda l: -(l - 2) * (4 * l - 3)),
-    (True, False): (lambda e: e * e - 0.25 * e - 0.125, lambda l: -4 * l * l + 9 * l - 3),
-    (False, True): (lambda e: e * e + 0.25 * e - 0.125, lambda l: -4 * l * l + 7 * l - 1),
+# The four flux pairs with alpha, beta in {0, 1/2}.  There Psi is the real
+# quadratic eta^2 + p eta + q in eta = 1 - lambda, and R folds to the real
+# quadratic -4 lambda^2 + b lambda + c; the coefficients are dyadic rationals,
+# so both evaluate exactly at dyadic lambda.
+QUADRATICS = {  # name: ((alpha, beta), (p, q), (b, c))
+    "R00": ((0.0, 0.0), (0.75, 0.125), (5.0, 0.0)),
+    "Rhh": ((0.5, 0.5), (-0.75, 0.125), (11.0, -6.0)),
+    "Rh0": ((0.5, 0.0), (-0.25, -0.125), (9.0, -3.0)),
+    "R0h": ((0.0, 0.5), (0.25, -0.125), (7.0, -1.0)),
 }
+
+
+def _dyadic_name(a0: float, b0: float) -> str:
+    return next(n for n, (f, _, _) in QUADRATICS.items() if f == (a0, b0))
+
+
+def quadratic_r(name: str, lam: float) -> float:
+    _, _, (b, c) = QUADRATICS[name]
+    return -4 * lam * lam + b * lam + c
 
 
 def _dyadic_step(alpha: float, beta: float, lam: float) -> tuple[float, float, float]:
@@ -127,13 +172,13 @@ def _dyadic_step(alpha: float, beta: float, lam: float) -> tuple[float, float, f
     removable singularity of the composed map: continue with theta = 0 and
     the signed quadratic (this is what makes e.g. (1/2,1/2,3/4) -> (0,0,0)).
     """
-    key = (circ_dist(alpha, 0.5) <= DYADIC_TOL, circ_dist(beta, 0.5) <= DYADIC_TOL)
-    psi_fn, r_fn = _DYADIC_REAL[key]
-    psi = psi_fn(1 - lam)
-    a0, b0 = (0.5 if key[0] else 0.0), (0.5 if key[1] else 0.0)
-    if psi < 0:  # theta = 1/2: half-turn twist, R in the |Psi| convention
-        return mod1(3 * a0 + b0 + 0.5), mod1(3 * b0 + a0 + 0.5), 2 - r_fn(lam)
-    return mod1(3 * a0 + b0), mod1(3 * b0 + a0), r_fn(lam)
+    a0, b0 = dyadic(alpha), dyadic(beta)
+    name = _dyadic_name(a0, b0)
+    (p, q), eta = QUADRATICS[name][1], 1 - lam
+    r = quadratic_r(name, lam)
+    if eta * eta + p * eta + q < 0:  # theta = 1/2: half-turn twist, R in the |Psi| convention
+        return mod1(3 * a0 + b0 + 0.5), mod1(3 * b0 + a0 + 0.5), 2 - r
+    return mod1(3 * a0 + b0), mod1(3 * b0 + a0), r
 
 
 def apply_U(alpha: float, beta: float, lam: float) -> tuple[float, float, float]:
@@ -146,16 +191,6 @@ def apply_U(alpha: float, beta: float, lam: float) -> tuple[float, float, float]
     return step.alpha_down, step.beta_down, step.R
 
 
-def apply_U2(alpha: float, lam: float) -> tuple[float, float]:
-    flux = FluxPair(alpha, alpha)
-    if flux.is_dyadic():
-        return mod1(4 * flux.alpha), _dyadic_step(flux.alpha, flux.alpha, lam)[2]
-    step = decimation_kit(flux, lam)
-    if step.R is None:
-        raise OrbitTerminated(f"Psi = 0 at (alpha={alpha}, lambda={lam})")
-    return mod1(4 * alpha), step.R
-
-
 def zeros_of_D(beta: float) -> list[tuple[float, int]]:
     """Roots of D(beta, .) with multiplicities, ascending.
 
@@ -164,9 +199,10 @@ def zeros_of_D(beta: float) -> list[tuple[float, int]]:
     sit in [1/2,3/4], [3/4,5/4], [5/4,3/2]; doubles occur only at beta in
     {0, 1/2} and are returned exactly.
     """
-    if circ_dist(beta, 0.0) <= DYADIC_TOL:
+    db = dyadic(beta)
+    if db == 0.0:
         return [(0.5, 1), (1.25, 2)]
-    if circ_dist(beta, 0.5) <= DYADIC_TOL:
+    if db == 0.5:
         return [(0.75, 2), (1.5, 1)]
     c = np.cos(2 * np.pi * beta)
     t = np.arccos(np.clip(c, -1.0, 1.0))
@@ -182,23 +218,15 @@ def psi_real_zeros(flux: FluxPair) -> list[float]:
     Case IV: Psi never vanishes on the real line.
     """
     a, b = flux.alpha, flux.beta
-    da, db = _is_dyadic(a), _is_dyadic(b)
-    if da and db:
-        a_half = circ_dist(a, 0.5) <= DYADIC_TOL
-        b_half = circ_dist(b, 0.5) <= DYADIC_TOL
-        # zeros by pair: (0,0)->{5/4,3/2}, (1/2,1/2)->{1/2,3/4},
-        #                (1/2,0)->{1/2,5/4}, (0,1/2)->{3/4,3/2}
-        if not a_half and not b_half:
-            return [1.25, 1.5]
-        if a_half and b_half:
-            return [0.5, 0.75]
-        if a_half:
-            return [0.5, 1.25]
-        return [0.75, 1.5]
-    if da:
-        return [1.5 if circ_dist(a, 0.0) <= DYADIC_TOL else 0.5]
-    if db:
-        return [1.25 if circ_dist(b, 0.0) <= DYADIC_TOL else 0.75]
+    da, db = dyadic(a), dyadic(b)
+    if da is not None and db is not None:
+        p, q = QUADRATICS[_dyadic_name(da, db)][1]
+        s = math.sqrt(p * p - 4 * q)  # eta = 1 - lambda solves eta^2 + p eta + q = 0
+        return [1 - (s - p) / 2, 1 + (s + p) / 2]
+    if da is not None:
+        return [1.5 if da == 0.0 else 0.5]
+    if db is not None:
+        return [1.25 if db == 0.0 else 0.75]
     if circ_dist(3 * a + b, 0.5) <= DYADIC_TOL:
         return [float(1 + np.cos(2 * np.pi * a) / 2)]
     return []
@@ -299,7 +327,7 @@ def classify(flux: FluxPair, lam: float, tol: float = 1e-9) -> ClassificationTag
     diag["root_mult"] = rm
 
     if psi_zero and d_zero:
-        alpha_dyadic = _is_dyadic(a)
+        alpha_dyadic = dyadic(a) is not None
         if rm == 1:
             if alpha_dyadic:
                 return ClassificationTag("DNotSingular", 1, diagnostics=diag)

@@ -2,7 +2,7 @@
 
 The four flux pairs with alpha, beta in {0, 1/2} have completely explicit
 spectra: a handful of fixed eigenvalues plus backward-iterate series built
-from the four real quadratics
+from the four real quadratics of `decimation.QUADRATICS`
 
     R00 = lam(5-4 lam)        Rhh = -(lam-2)(4 lam-3)
     Rh0 = -4 lam^2+9 lam-3    R0h = -4 lam^2+7 lam-1
@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decimation import (
+    QUADRATICS,
     ClassificationTag,
     OrbitTerminated,
     apply_U,
@@ -35,23 +36,16 @@ from .decimation import (
     zeros_of_D,
 )
 from .gasket import build_gasket, dim_n
-from .gauge import FluxPair, build_connection, circ_dist
+from .gauge import FluxPair, build_connection, circ_dist, dyadic
 from .operator import Spectrum, assemble, eigenvalues, spectrum
-
-QUADRATICS = {
-    "R00": (lambda l: l * (5 - 4 * l), 5.0, 25.0),
-    "Rhh": (lambda l: -(l - 2) * (4 * l - 3), 11.0, 25.0),
-    "Rh0": (lambda l: -4 * l * l + 9 * l - 3, 9.0, 33.0),
-    "R0h": (lambda l: -4 * l * l + 7 * l - 1, 7.0, 33.0),
-}
 
 MAX_SERIES_DEPTH = 20  # 2^k values per series; desk levels use k <= 6
 
 
 def quadratic_preimages(map_id: str, value: float) -> tuple[float, float]:
     """The two real solutions of R(x) = value for one of the named quadratics."""
-    _, b, disc0 = QUADRATICS[map_id]
-    disc = disc0 - 16 * value
+    _, _, (b, c) = QUADRATICS[map_id]
+    disc = b * b + 16 * c - 16 * value
     if disc < -1e-12:
         raise ValueError(f"no real preimages: {map_id}^(-1)({value}), discriminant {disc}")
     s = math.sqrt(max(disc, 0.0))
@@ -127,8 +121,7 @@ def spectrum_closed_form(flux: FluxPair, level: int) -> Spectrum:
             "closed-form spectra exist only for fluxes in {0, 1/2}; "
             "use decimation_verify for general fluxes"
         )
-    a_half = circ_dist(flux.alpha, 0.5) <= 1e-12
-    b_half = circ_dist(flux.beta, 0.5) <= 1e-12
+    a_half, b_half = dyadic(flux.alpha) == 0.5, dyadic(flux.beta) == 0.5
     if level == 0:
         # single triangle: separate table (0 and 3/2 at flux 0; the twisted
         # triangle has eigenvalues 1 -+ cos/2 shifts handled by the dense path)
@@ -257,9 +250,7 @@ def decimation_verify(flux: FluxPair, level: int, tol: float = 1e-7) -> Verifica
     exceptional = exceptional_set(flux)
     d_roots = zeros_of_D(flux.beta)
 
-    alpha_dyadic0 = circ_dist(flux.alpha, 0.0) <= 1e-12
-    alpha_dyadic_h = circ_dist(flux.alpha, 0.5) <= 1e-12
-    s3_value = 1.5 if alpha_dyadic0 else 0.5 if alpha_dyadic_h else None
+    s3_value = {0.0: 1.5, 0.5: 0.5}.get(dyadic(flux.alpha))
 
     reduced_graph = build_gasket(level - 1)
 

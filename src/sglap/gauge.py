@@ -24,6 +24,7 @@ import scipy.sparse.linalg as spla
 from .gasket import GasketGraph, UnitCell, build_gasket
 
 HOLONOMY_TOL = 1e-12
+DYADIC_TOL = 1e-12
 
 
 class InvalidCycleError(ValueError):
@@ -42,6 +43,14 @@ def circ_dist(x: float, y: float) -> float:
     return min(d, 1.0 - d)
 
 
+def dyadic(x: float, tol: float = DYADIC_TOL) -> float | None:
+    """The point of {0, 1/2} within tol of x on the circle, or None."""
+    for v in (0.0, 0.5):
+        if circ_dist(x, v) <= tol:
+            return v
+    return None
+
+
 def hole_flux(side: int, alpha: float, beta: float) -> float:
     return mod1(side * (side - 1) / 2 * alpha + side * (side + 1) / 2 * beta)
 
@@ -55,11 +64,8 @@ class FluxPair:
         object.__setattr__(self, "alpha", mod1(self.alpha))
         object.__setattr__(self, "beta", mod1(self.beta))
 
-    def is_dyadic(self, tol: float = 1e-12) -> bool:
-        return all(
-            circ_dist(v, 0.0) <= tol or circ_dist(v, 0.5) <= tol
-            for v in (self.alpha, self.beta)
-        )
+    def is_dyadic(self, tol: float = DYADIC_TOL) -> bool:
+        return dyadic(self.alpha, tol) is not None and dyadic(self.beta, tol) is not None
 
 
 @dataclass
@@ -85,10 +91,6 @@ class Connection:
         return json.dumps(
             {f"{u},{v}": p for (u, v), p in sorted(self.phase.items())}, indent=1
         )
-
-
-def holonomy(conn: Connection, cycle: list[int]) -> float:
-    return conn.holonomy(cycle)
 
 
 def _face_targets(graph: GasketGraph, flux: FluxPair) -> list[tuple[UnitCell, float]]:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from sglap.decimation import cell_cubic_d, coupling_psi, coupling_psi_dlam, exceptional_set
+from sglap.decimation import coupling_psi_dlam, exceptional_set, u_step
 from sglap.gauge import Connection, mod1
 
 
@@ -34,12 +34,13 @@ def case_iii_limit(flux, lam, side=1):
     The derivatives are the analytic ones, not finite differences.
     """
     a, b = flux.alpha, flux.beta
-    if abs(coupling_psi(a, b, lam)) > 1e-12 or abs(cell_cubic_d(b, lam)) > 1e-12:
+    st = u_step(a, b, lam)
+    if abs(complex(st.re, st.im)) > 1e-12 or abs(st.D) > 1e-12:
         raise ValueError(f"Psi and D do not both vanish at lambda = {lam}")
     dpsi = coupling_psi_dlam(a, b, lam)
     d_a = 32 * lam - (32 + 4 * math.cos(2 * math.pi * a))  # dA/dlambda
     d_d = -3 * lam**2 + 6 * lam - 45 / 16  # dD/dlambda
-    d_n = d_a - 64 * d_d * (1 - lam) + 64 * cell_cubic_d(b, lam)
+    d_n = d_a - 64 * d_d * (1 - lam) + 64 * st.D
     r = 1 + d_n / (16 * abs(dpsi))
     theta = mod1(np.angle(dpsi) / (2 * np.pi))
     if side < 0:

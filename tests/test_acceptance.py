@@ -20,7 +20,7 @@ from _reference import reference_cell
 from sglap import determinants as D
 from sglap.butterfly import RasterConfig, render
 from sglap.crsf import brute_force_partition
-from sglap.decimation import coupling_psi, decimation_kit
+from sglap.decimation import decimation_kit, u_step
 from sglap.enumerator import decimation_verify, spectrum_closed_form
 from sglap.gasket import build_gasket, dim_n
 from sglap.gauge import (
@@ -200,7 +200,7 @@ def test_criterion_05_butterfly_raster_reproduction():
     assert (cfg.grid_alpha, cfg.grid_lambda) == (301, 301)
     assert cfg.threshold == 10.0 and cfg.max_iters == 20
     t0 = time.monotonic()
-    raster = render(cfg, engine="vector", threads=1)
+    raster = render(cfg, threads=1)
     assert time.monotonic() - t0 < 30
     idx = range(0, 301, 6)
     for i in idx:
@@ -312,4 +312,4 @@ def test_criterion_10_property_suite():
     for a in (0.0, 0.5):
         for b in (0.0, 0.5):
             for lam in np.linspace(0.0, 2.0, 201):
-                assert abs(coupling_psi(a, b, float(lam)).imag) <= 1e-14
+                assert abs(u_step(a, b, float(lam)).im) <= 1e-14

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sglap.butterfly import RasterConfig, Raster, render, write_raster
+from sglap.decimation import OrbitTerminated, apply_U
 
 from _reference import reference_cell
 
@@ -24,13 +25,10 @@ def _compare_with_reference(raster, beta_of):
 
 def test_engines_bitwise_identical():
     cfg = RasterConfig(grid_alpha=41, grid_lambda=41, max_iters=14)
-    vec = render(cfg, engine="vector")
-    sca = render(cfg, engine="scalar")
-    assert np.array_equal(vec.retained, sca.retained)
-    assert np.array_equal(vec.escape_iter, sca.escape_iter)
-    threaded = render(cfg, engine="vector", threads=3)
-    assert np.array_equal(vec.retained, threaded.retained)
-    assert np.array_equal(vec.escape_iter, threaded.escape_iter)
+    one = render(cfg)
+    threaded = render(cfg, threads=3)
+    assert np.array_equal(one.retained, threaded.retained)
+    assert np.array_equal(one.escape_iter, threaded.escape_iter)
 
 
 def test_diagonal_grid_matches_transliteration():
@@ -43,16 +41,18 @@ def test_fixed_beta_grid_matches_transliteration():
     _compare_with_reference(render(cfg), lambda a: 0.3)
 
 
-def _reference_zero_step(al, be, lmd, th=10.0, num_iter=20):
-    """First iteration (1-based) at which the reference loop hits den == 0.
+def _policy_cell(al, be, lmd, th=10.0, num_iter=20, u2=False, diagonal=True):
+    """The reference loop with the package's orbit policy: (retained, escape_iter, zero_hits).
 
-    Line-for-line copy of reference_cell's arithmetic with one inserted
-    return; None if the orbit never touches an exact |Psi| = 0 before the
-    iteration cap.  Used to separate cells where the engines must equal the
-    reference bit-for-bit from cells where the deliberate exact-zero policy
-    applies.
+    Line-for-line copy of reference_cell's arithmetic with two changes.  At an
+    exact |Psi| = 0 (den == 0) the orbit continues through apply_U, which is
+    exact at the dyadic flux pairs, and is retained where apply_U reports the
+    map undefined.  With u2 the flux update is alpha <- 4 alpha mod 1, beta
+    following alpha on the diagonal and staying fixed otherwise.  zero_hits
+    counts the den == 0 steps, the cells where the reference itself is not
+    the oracle.
     """
-    count = 0
+    count = zero_hits = 0
     while abs(lmd) < th:
         count += 1
         x = math.cos(2 * math.pi * al)
@@ -76,54 +76,72 @@ def _reference_zero_step(al, be, lmd, th=10.0, num_iter=20):
         )
         theta = math.atan2(im_psi, re_psi)
         if count == num_iter:
-            return None
+            return True, -1, zero_hits
         den = 16 * math.sqrt(re_psi * re_psi + im_psi * im_psi)
         num = A - 64 * D * (1 - lmd)
         if den == 0.0:
-            return count
-        lmd = 1 + num / den
-        al_dummy = al
-        be_dummy = be
-        al = (3 * al_dummy + be_dummy + 3 * theta / 2 / math.pi) % 1.0
-        be = (3 * be_dummy + al_dummy - 3 * theta / 2 / math.pi) % 1.0
-    return None
+            zero_hits += 1
+            try:
+                al_next, be_next, lmd = apply_U(al, be, lmd)
+            except OrbitTerminated:
+                return True, -1, zero_hits
+        else:
+            lmd = 1 + num / den
+            al_dummy = al
+            be_dummy = be
+            al_next = (3 * al_dummy + be_dummy + 3 * theta / 2 / math.pi) % 1.0
+            be_next = (3 * be_dummy + al_dummy - 3 * theta / 2 / math.pi) % 1.0
+        if u2:
+            al = (4 * al) % 1.0
+            be = al if diagonal else be
+        else:
+            al, be = al_next, be_next
+    return False, count, zero_hits
+
+
+def _compare_with_policy(raster):
+    """Every cell equals _policy_cell; returns the number of den == 0 cells."""
+    cfg = raster.config
+    diagonal = cfg.beta_mode == "diagonal"
+    zero_cells = 0
+    for i, a in enumerate(cfg.alphas):
+        a = float(a)
+        for j, l in enumerate(cfg.lambdas):
+            b = a if diagonal else float(cfg.beta_mode)
+            ret, it, hits = _policy_cell(
+                a, b, float(l), cfg.threshold, cfg.max_iters, cfg.map == "U2", diagonal
+            )
+            assert ret == bool(raster.retained[i, j]), (a, float(l))
+            assert it == int(raster.escape_iter[i, j]), (a, float(l))
+            zero_cells += hits > 0
+    return zero_cells
 
 
 def test_exact_psi_zero_policy_diverges_from_reference_deliberately():
     # beta = 0, lambda = 5/4 makes |Psi| exactly 0.0 in floats.  The reference
     # poisons lambda with nan/inf, so those cells escape at the current count.
-    # The engines instead treat an exact Psi zero as orbit data: continue
+    # The engine instead treats an exact Psi zero as orbit data: continue
     # through the removable singularity when the flux pair is dyadic, retain
-    # the cell when the map is genuinely undefined there.  Both engines must
-    # implement that policy identically; wherever the reference orbit never
-    # touches den == 0 they must equal the reference bit-for-bit.
-    cfg = RasterConfig(
-        grid_alpha=11, grid_lambda=9, lambda_min=0.0, lambda_max=2.0, beta_mode=0.0
-    )
-    assert 1.25 in cfg.lambdas
-    vec, sca = render(cfg), render(cfg, engine="scalar")
-    assert np.array_equal(vec.retained, sca.retained)
-    assert np.array_equal(vec.escape_iter, sca.escape_iter)
-    j = list(cfg.lambdas).index(1.25)
-    policy_cells = 0
-    for i, a in enumerate(cfg.alphas):
-        a = float(a)
-        for j2, l in enumerate(cfg.lambdas):
-            l = float(l)
-            zero_at = _reference_zero_step(a, 0.0, l)
-            ret, it = reference_cell(a, 0.0, l)
-            if zero_at is None:
-                assert ret == bool(vec.retained[i, j2]), (a, l)
-                assert it == int(vec.escape_iter[i, j2]), (a, l)
-            else:
-                policy_cells += 1
-                assert not ret  # the reference escaped through its nan/inf
-    assert policy_cells > 0  # the lambda = 5/4 column must exercise the policy
-    # non-dyadic alpha on that column: map undefined at the zero, cell retained
-    for i, a in enumerate(cfg.alphas):
-        if float(a) not in (0.0, 0.5, 1.0) and _reference_zero_step(float(a), 0.0, 1.25) == 1:
-            assert bool(vec.retained[i, j])
-            assert int(vec.escape_iter[i, j]) == -1
+    # the cell when the map is genuinely undefined there.  Every cell must
+    # equal the policy oracle, which is the reference loop wherever the orbit
+    # never touches den == 0, under both maps.
+    for map_ in ("U", "U2"):
+        cfg = RasterConfig(
+            grid_alpha=11, grid_lambda=9, lambda_min=0.0, lambda_max=2.0, beta_mode=0.0, map=map_
+        )
+        assert 1.25 in cfg.lambdas
+        r = render(cfg)
+        assert _compare_with_policy(r) > 0  # the lambda = 5/4 column must exercise the policy
+        j = list(cfg.lambdas).index(1.25)
+        for i, a in enumerate(cfg.alphas):
+            a = float(a)
+            if map_ == "U":
+                for l in cfg.lambdas:
+                    if _policy_cell(a, 0.0, float(l), diagonal=False)[2]:
+                        assert not reference_cell(a, 0.0, float(l))[0]  # escaped via nan/inf
+            # non-dyadic alpha with a zero at the first step: map undefined, cell retained
+            if a not in (0.0, 0.5, 1.0) and _policy_cell(a, 0.0, 1.25, num_iter=2)[2]:
+                assert bool(r.retained[i, j]) and int(r.escape_iter[i, j]) == -1
 
 
 def test_u2_map_renders_and_differs_from_u():
@@ -131,9 +149,7 @@ def test_u2_map_renders_and_differs_from_u():
     cfg_u2 = RasterConfig(grid_alpha=61, grid_lambda=61, map="U2")
     r_u, r_u2 = render(cfg_u), render(cfg_u2)
     assert r_u.retained_count != r_u2.retained_count
-    assert np.array_equal(
-        r_u2.retained, render(cfg_u2, engine="scalar").retained
-    )
+    _compare_with_policy(r_u2)
 
 
 def test_config_validation():
@@ -147,8 +163,6 @@ def test_config_validation():
         RasterConfig(map="V")
     with pytest.raises(ValueError, match="beta_mode"):
         RasterConfig(beta_mode="perpendicular")
-    with pytest.raises(ValueError, match="engine"):
-        render(RasterConfig(grid_alpha=4, grid_lambda=4), engine="gpu")
 
 
 def test_pgm_export(tmp_path):

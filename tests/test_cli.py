@@ -136,6 +136,13 @@ def test_butterfly_rejects_unknown_suffix(capsys, tmp_path):
     assert ".pgm or .csv" in err
 
 
+def test_butterfly_has_one_engine(capsys, tmp_path):
+    code, _, err = run(capsys, "butterfly", "--grid", "11", "--iters", "4",
+                       "--engine", "scalar", "--out", str(tmp_path / "x.pgm"))
+    assert code == 2
+    assert "--engine" in err
+
+
 def test_det_trees_and_small_level_guard(capsys):
     payload = run_json(capsys, "det", "--case", "trees", "--level", "1")
     assert payload["tree_count"] == "54"

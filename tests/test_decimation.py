@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 from sglap.decimation import (
     OrbitTerminated,
     apply_U,
-    apply_U2,
     cell_cubic_d,
     classify,
-    coupling_psi,
     decimation_kit,
     exceptional_set,
     psi_real_zeros,
-    quartic_a,
+    u_step,
     zeros_of_D,
 )
 from sglap.gauge import FluxPair, circ_dist, mod1
@@ -49,10 +47,34 @@ def _longhand(al, be, lmd):
 @given(al=unit, be=unit, lam=lams)
 def test_kit_matches_longhand_formulas(al, be, lam):
     A, D, Psi = _longhand(al, be, lam)
-    assert math.isclose(quartic_a(al, be, lam), A, rel_tol=0, abs_tol=1e-10)
+    st = u_step(al, be, lam)
+    assert math.isclose(st.A, A, rel_tol=0, abs_tol=1e-10)
+    assert math.isclose(st.D, D, rel_tol=0, abs_tol=1e-12)
     assert math.isclose(cell_cubic_d(be, lam), D, rel_tol=0, abs_tol=1e-12)
-    got = coupling_psi(al, be, lam)
-    assert abs(got - Psi) <= 1e-10
+    assert abs(complex(st.re, st.im) - Psi) <= 1e-10
+
+
+def test_kit_equals_kernel_on_arrays_bitwise():
+    # decimation_kit takes every field from u_step on floats; the same points
+    # run as one array must give the same bits
+    rng = random.Random(17)
+    pts = [(rng.random(), rng.random(), rng.uniform(-0.5, 2.5)) for _ in range(200)]
+    pts += [(a, b, lam) for a in (0.0, 0.5) for b in (0.0, 0.5) for lam in (0.1, 0.6, 1.1, 1.4, 1.9)]
+    pts.append((0.3, 0.0, 1.25))  # Psi is exactly 0 here
+    al, be, lm = (np.array(c) for c in zip(*pts))
+    st = u_step(al, be, lm)
+    same = lambda x, y: np.float64(x).tobytes() == np.float64(y).tobytes()
+    for k, (a, b, lam) in enumerate(pts):
+        kit = decimation_kit(FluxPair(a, b), lam)
+        assert same(kit.A, st.A[k]) and same(kit.D, st.D[k]), (a, b, lam)
+        assert same(kit.Psi.real, st.re[k]) and same(kit.Psi.imag, st.im[k]), (a, b, lam)
+        assert same(kit.alpha_down, st.alpha_down[k]) and same(kit.beta_down, st.beta_down[k]), (a, b, lam)
+        if kit.R is None:
+            assert st.re[k] == 0 and st.im[k] == 0
+        else:
+            assert same(kit.R, st.R[k]), (a, b, lam)
+        assert kit.phi == (kit.absPsi / (4 * kit.D) if kit.D != 0 else None)
+    assert decimation_kit(FluxPair(0.3, 0.0), 1.25).R is None
 
 
 def test_kit_internal_identities():
@@ -107,28 +129,12 @@ def test_dyadic_orbit_steps_are_exact():
     assert (a1, b1) == (0.5, 0.5)
 
 
-def test_apply_U2_diagonal_consistency():
-    rng = random.Random(3)
-    for _ in range(20):
-        a, lam = rng.random(), rng.uniform(0.0, 2.0)
-        try:
-            s, r2 = apply_U2(a, lam)
-        except OrbitTerminated:
-            continue
-        _, _, r = apply_U(a, a, lam)
-        assert r2 == r
-        assert circ_dist(s, 4 * a) <= 1e-12
-
-
 def test_orbit_terminates_on_exact_psi_zero():
     # beta = 0 makes Psi a real polynomial with a float-exact root at 5/4
-    assert coupling_psi(0.3, 0.0, 1.25) == 0
+    st = u_step(0.3, 0.0, 1.25)
+    assert st.re == 0 and st.im == 0
     with pytest.raises(OrbitTerminated):
         apply_U(0.3, 0.0, 1.25)
-    with pytest.raises(OrbitTerminated):
-        apply_U2(0.3, 1.25) if coupling_psi(0.3, 0.3, 1.25) == 0 else (_ for _ in ()).throw(
-            OrbitTerminated("diagonal flux has no exact zero here")
-        )
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.5, 0.23, 0.77])
@@ -157,7 +163,7 @@ def test_exceptional_set_members_are_exceptional():
     flux = FluxPair(0.3, 0.7)
     for lam in exceptional_set(flux):
         d = abs(cell_cubic_d(flux.beta, lam))
-        p = abs(coupling_psi(flux.alpha, flux.beta, lam))
+        p = decimation_kit(flux, lam).absPsi
         assert min(d, p) <= 1e-8
 
 

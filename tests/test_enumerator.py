@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sglap.decimation import classify
+from sglap.decimation import QUADRATICS, classify, quadratic_r
 from sglap.enumerator import (
-    QUADRATICS,
     decimation_verify,
     multiplicity_transfer,
     quadratic_preimages,
@@ -26,7 +25,9 @@ DYADIC_PAIRS = [(0.0, 0.0), (0.5, 0.5), (0.5, 0.0), (0.0, 0.5)]
 @settings(max_examples=40, deadline=None)
 @given(lam=st.floats(min_value=-1.0, max_value=2.5))
 def test_preimages_invert_the_quadratic(map_id, lam):
-    fn, _, disc0 = QUADRATICS[map_id]
+    fn = lambda x: quadratic_r(map_id, x)
+    _, _, (b, c) = QUADRATICS[map_id]
+    disc0 = b * b + 16 * c
     y = fn(lam)
     if disc0 - 16 * y < -1e-12:
         return

@@ -13,6 +13,7 @@ from sglap.gauge import (
     cell_holonomies,
     circ_dist,
     landau_connection,
+    restrict_connection,
 )
 from sglap.operator import (
     assemble,
@@ -142,6 +143,29 @@ def test_schur_complement_is_scaled_coarse_laplacian(seed):
                 assert circ_dist(h, step.alpha_down) <= 1e-10
             elif cell.side == 1:
                 assert circ_dist(h, step.beta_down) <= 1e-10
+
+
+@pytest.mark.parametrize("flux", [(0.0, 0.0), (0.5, 0.5), (0.5, 0.0), (0.0, 0.5)])
+def test_schur_identity_at_dyadic_flux(flux):
+    # S = phi (L' - R I) with phi = |Psi|/4D holds at the dyadic pairs too,
+    # where Psi is real and negative on part of the lambda range
+    fp = FluxPair(*flux)
+    excl = exceptional_set(fp)
+    lams = [float(l) for l in np.linspace(0.05, 1.95, 20) if min(abs(l - e) for e in excl) >= 1e-3]
+    negative = 0
+    for n in (1, 2, 3):
+        g = build_gasket(n)
+        conn = build_connection(g, fp)
+        op = assemble(g, conn)
+        for lam in lams:
+            S = schur_complement(op, lam)
+            step = decimation_kit(fp, lam)
+            red = restrict_connection(conn, step.theta)
+            L1 = assemble(red.graph, red).entries
+            resid = np.max(np.abs(S - step.phi * (L1 - step.R * np.eye(dim_n(n - 1)))))
+            assert resid <= 1e-9 * max(1.0, np.max(np.abs(S))), (n, flux, lam, resid)
+            negative += step.Psi.real < 0
+    assert negative > 0
 
 
 def test_schur_refuses_midpoint_roots():
