@@ -138,7 +138,11 @@ def _match_report(cf: operator.Spectrum, dn: operator.Spectrum, tol: float = 1e-
 )
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def spectrum(alpha, beta, level, method, out):
-    """Eigenvalues with multiplicities, by decimation closed form and/or dense solve."""
+    """Eigenvalues with multiplicities, by decimation closed form and/or the operator.
+
+    The operator path ("dense") solves densely below level 6, and by
+    decimation counting from level 6 on at Case I and Case IV fluxes.
+    """
     t0 = time.perf_counter()
     flux = FluxPair(alpha, beta)
     payload = {"alpha": flux.alpha, "beta": flux.beta, "level": level, "method": method}
@@ -163,7 +167,7 @@ def spectrum(alpha, beta, level, method, out):
 @click.option("--tol", type=float, default=1e-7, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def verify(alpha, beta, level, tol, out):
-    """Check the decimation forward map against a dense spectrum; exit 1 on failure."""
+    """Check the decimation forward map against the level-N spectrum; exit 1 on failure."""
     t0 = time.perf_counter()
     report = _call(enumerator.decimation_verify, FluxPair(alpha, beta), level, tol=tol)
     _emit(json.loads(report.to_json()), out, t0)

@@ -11,6 +11,11 @@ give inf/NaN rather than math domain errors.  `decimation_kit` is the scalar
 view of one step with the spectral-similarity prefactor phi = |Psi|/4D, and
 `apply_U` the orbit step that continues exactly through the dyadic Psi zeros.
 
+`decimation_count` turns the spectral similarity S_N = phi (L_{N-1}' - R I)
+into an exact integer recursion for #{eigenvalues of L_N < lambda} at a
+uniform Case I or Case IV flux, vectorised over lambda; `decimation_eigenvalues`
+bisects it over all eigenvalue indices at once, in O(dim N) work per sweep.
+
 `classify` sorts a triple (alpha, beta, lambda) into the multiplicity-transfer
 case used by the enumerator: which of Psi and D vanish, the root multiplicity
 of D, and — for simple D roots with Psi != 0 — whether the decimation limit
@@ -29,10 +34,13 @@ from functools import cached_property
 
 import numpy as np
 
+from .gasket import dim_n
 from .gauge import DYADIC_TOL, FluxPair, circ_dist, dyadic, mod1
 
 DEDUP_TOL = 1e-10
 TWO_PI = 2 * math.pi
+# pi in each precision `u_step` and `zeros_of_D` compute in
+_PI = {np.dtype(float): math.pi, np.dtype(np.longdouble): np.arccos(np.longdouble(-1))}
 
 
 class OrbitTerminated(Exception):
@@ -55,6 +63,8 @@ def coupling_psi_dlam(alpha: float, beta: float, lam: float) -> complex:
 
 def _atan2(im, re):
     # math.atan2 per element: numpy's arctan2 is not bit-identical to libm
+    if im.dtype == np.longdouble:
+        return np.arctan2(im, re)
     if np.ndim(im) == 0:
         return math.atan2(im, re)
     out = np.fromiter(map(math.atan2, im.ravel().tolist(), re.ravel().tolist()), float, count=im.size)
@@ -81,20 +91,23 @@ class UStep:
 
     @property
     def alpha_down(self):
-        return (3 * self.alpha + self.beta + 3 * self.arg / 2 / math.pi) % 1.0
+        return (3 * self.alpha + self.beta + 3 * self.arg / 2 / _PI[self.alpha.dtype]) % 1.0
 
     @property
     def beta_down(self):
-        return (3 * self.beta + self.alpha - 3 * self.arg / 2 / math.pi) % 1.0
+        return (3 * self.beta + self.alpha - 3 * self.arg / 2 / _PI[self.alpha.dtype]) % 1.0
 
 
 def u_step(alpha, beta, lam) -> UStep:
-    """U at (alpha, beta, lambda), elementwise over floats or arrays of one shape."""
-    a, b, l = (np.asarray(v, dtype=float) for v in (alpha, beta, lam))
-    x = np.cos(TWO_PI * a)
-    xs = np.sin(TWO_PI * a)
-    y = np.cos(TWO_PI * b)
-    ys = np.sin(TWO_PI * b)
+    """U at (alpha, beta, lambda), elementwise over floats or arrays of one shape,
+    in double precision, or in long double when an input is long double."""
+    dtype = np.result_type(alpha, beta, lam, float)
+    a, b, l = (np.asarray(v, dtype=dtype) for v in (alpha, beta, lam))
+    two_pi = 2 * _PI[dtype]
+    x = np.cos(two_pi * a)
+    xs = np.sin(two_pi * a)
+    y = np.cos(two_pi * b)
+    ys = np.sin(two_pi * b)
     cab = x * y - xs * ys
     c2ab = (x * x - xs * xs) * y - 2 * xs * x * ys
     s2ab = 2 * xs * x * y + ys * (x * x - xs * xs)
@@ -191,23 +204,36 @@ def apply_U(alpha: float, beta: float, lam: float) -> tuple[float, float, float]
     return step.alpha_down, step.beta_down, step.R
 
 
-def zeros_of_D(beta: float) -> list[tuple[float, int]]:
-    """Roots of D(beta, .) with multiplicities, ascending.
+# Viete's roots of D(beta, .), one in each of [1/2, 3/4], [3/4, 5/4], [5/4, 3/2]
+D_ROOT_BOUNDS = np.array([0.5, 0.75, 1.25, 1.5])
+
+
+def zeros_of_D(beta):
+    """Roots of D(beta, .), ascending: a list of (root, multiplicity) for a float
+    beta, an array of shape beta.shape + (3,) repeating double roots for an array.
 
     Viete's trigonometric solution of the depressed cubic in eta = 1 - lambda:
     eta^3 - (3/16) eta - cos(2 pi beta)/32, all roots real.  The three roots
-    sit in [1/2,3/4], [3/4,5/4], [5/4,3/2]; doubles occur only at beta in
-    {0, 1/2} and are returned exactly.
+    sit in [1/2,3/4], [3/4,5/4], [5/4,3/2]; doubles occur only at beta within
+    DYADIC_TOL of {0, 1/2} and are returned exactly.
     """
-    db = dyadic(beta)
-    if db == 0.0:
-        return [(0.5, 1), (1.25, 2)]
-    if db == 0.5:
-        return [(0.75, 2), (1.5, 1)]
-    c = np.cos(2 * np.pi * beta)
-    t = np.arccos(np.clip(c, -1.0, 1.0))
-    lams = sorted(1 - 0.5 * np.cos((t - 2 * np.pi * k) / 3) for k in range(3))
-    return [(float(l), 1) for l in lams]
+    b = np.asarray(beta, dtype=np.result_type(beta, float))
+    two_pi = 2 * _PI[b.dtype]
+    t = np.arccos(np.clip(np.cos(two_pi * b), -1.0, 1.0))[..., None]
+    roots = np.sort(1 - 0.5 * np.cos((t - two_pi * np.arange(3)) / 3), axis=-1)
+    halves = np.round(2 * b)  # the nearest point of {0, 1/2} + Z, doubled
+    on_grid = np.abs(b - halves / 2) <= DYADIC_TOL
+    roots[on_grid & (halves % 2 == 0)] = (0.5, 1.25, 1.25)
+    roots[on_grid & (halves % 2 == 1)] = (0.75, 0.75, 1.5)
+    if b.ndim:
+        return roots
+    out: list[tuple[float, int]] = []
+    for r in roots.tolist():
+        if out and out[-1][0] == r:
+            out[-1] = (r, out[-1][1] + 1)
+        else:
+            out.append((r, 1))
+    return out
 
 
 def psi_real_zeros(flux: FluxPair) -> list[float]:
@@ -239,6 +265,111 @@ def exceptional_set(flux: FluxPair) -> list[float]:
         if not out or v - out[-1] > DEDUP_TOL:
             out.append(v)
     return out
+
+
+# The bisection bracket of `decimation_eigenvalues`.  The spectrum lies in
+# [0, 2]; endpoints off the dyadic grid keep every midpoint off the exact D
+# roots, Psi zeros and eigenvalues of the dyadic pairs (0.5, 0.75, 1.25, 1.5,
+# ...), where Haynsworth's additivity does not apply and the count is wrong.
+BRACKET = (-math.pi / 1000, 2 + math.e / 1000)
+BISECT_WIDTH = 4 * np.finfo(float).eps
+PSI_FRAGILE = 1e-3
+
+
+def _triangle_count(alpha, lam):
+    """#{eigenvalues 1 - cos(2 pi (alpha + m)/3) of the level-0 triangle < lam}."""
+    two_pi = 2 * _PI[lam.dtype]
+    return sum(1 - np.cos(two_pi * (alpha + m) / 3) < lam for m in range(3))
+
+
+def _count(flux: FluxPair, level: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The recursion of `decimation_count` in the precision of x, and which
+    probes met |Psi| < PSI_FRAGILE on the way."""
+    total = np.zeros(x.size, dtype=np.int64)
+    fragile = np.zeros(x.size, dtype=bool)
+    idx = np.arange(x.size)
+    sgn = np.ones(x.size, dtype=np.int64)
+    pair = (dyadic(flux.alpha), dyadic(flux.beta)) if flux.is_dyadic() else None
+    a, b = np.full(x.size, flux.alpha, x.dtype), np.full(x.size, flux.beta, x.dtype)
+    for n in range(level, 0, -1):
+        high = x > 2
+        total[idx[high]] += sgn[high] * dim_n(n)
+        keep = (x > 0) & ~high
+        idx, x, sgn, a, b = idx[keep], x[keep], sgn[keep], a[keep], b[keep]
+        if pair is not None:
+            a0, b0 = pair
+            k = sum(m * (x > r) for r, m in zeros_of_D(b0))
+            j = sum(x > z for z in psi_real_zeros(FluxPair(a0, b0)))
+            R = quadratic_r(_dyadic_name(a0, b0), x)
+            pair = (mod1(3 * a0 + b0), mod1(3 * b0 + a0))
+        else:
+            st = u_step(a, b, x)
+            if not np.isfinite(st.R).all():
+                raise OrbitTerminated(f"Psi = 0 at level {n} on the orbit of flux {flux}")
+            fragile[idx[np.hypot(st.re, st.im) < PSI_FRAGILE]] = True
+            # the q-th D root lies in (bounds[q-1], bounds[q]], so below x lie
+            # q of them or q-1, whichever matches sign D = (-1)^k
+            q = np.searchsorted(D_ROOT_BOUNDS, x)
+            k = np.clip(q - ((-1.0) ** q * st.D <= 0), 0, 3)
+            j = 0
+            R, a, b = st.R, st.alpha_down, st.beta_down
+        odd = (k + j) % 2 == 1
+        total[idx] += sgn * (3 ** (n - 1) * k + np.where(odd, dim_n(n - 1), 0))
+        sgn = np.where(odd, -sgn, sgn)
+        x = R
+    total[idx] += sgn * _triangle_count(a if pair is None else pair[0], x)
+    return total, fragile
+
+
+def decimation_count(flux: FluxPair, level: int, lam) -> np.ndarray:
+    """#{eigenvalues of L_level < lam} at the uniform flux pair `flux`, per entry of lam.
+
+    Haynsworth inertia additivity over the midpoint block and the Schur
+    identity S = phi (L' - R I) give the integer recursion
+    count_n(lam) = 3^(n-1) k + (k + j even ? c : dim_(n-1) - c) with
+    c = count_(n-1)(alpha', beta', R): k D roots lie below lam (sign D = (-1)^k)
+    and sign phi = (-1)^(k+j).  At the dyadic pairs j counts the real Psi
+    zeros below lam and R is the signed quadratic with fluxes (3a+b, 3b+a),
+    which has no 0/0 at those zeros; elsewhere j = 0 and R, alpha', beta' come
+    from `u_step`.  The recursion ends at the level-0 triangle, and a probe
+    stops early once its R leaves (0, 2], where its count saturates to 0 or
+    the full dimension, before an escaping orbit can overflow.
+
+    Where |Psi| is small, theta and R lose digits to cancellation, and U maps
+    every D root onto a Psi zero of the next level, so orbits near D roots
+    meet this.  Probes whose orbit meets |Psi| < PSI_FRAGILE are counted again
+    in long double.  Exact for Case I and Case IV fluxes away from the points
+    where a D root, Psi zero or eigenvalue is hit exactly; Case II and III put
+    real Psi zeros on the generic path.
+    """
+    x = np.array(lam, dtype=float).ravel()
+    total, fragile = _count(flux, level, x)
+    if fragile.any():
+        total[fragile] = _count(flux, level, x[fragile].astype(np.longdouble))[0]
+    return total.reshape(np.shape(lam))
+
+
+def decimation_eigenvalues(flux: FluxPair, level: int) -> np.ndarray:
+    """Sorted eigenvalues of L_level at a uniform Case I or Case IV flux pair.
+
+    Bisection of `decimation_count` in lockstep over all dim_N indices: index
+    i keeps a bracket [lo, hi) with count(lo) <= i < count(hi), starting from
+    BRACKET, and halves it until it is at most BISECT_WIDTH wide.  Indices
+    whose midpoints coincide (a multiple eigenvalue, or one not yet split off
+    its neighbours) share a single count.
+    """
+    dim = dim_n(level)
+    index = np.arange(dim)
+    lo, hi = np.full(dim, BRACKET[0]), np.full(dim, BRACKET[1])
+    while True:
+        wide = np.flatnonzero(hi - lo > BISECT_WIDTH)
+        if not wide.size:
+            return np.sort(0.5 * (lo + hi))
+        mid = 0.5 * (lo[wide] + hi[wide])
+        points, where = np.unique(mid, return_inverse=True)
+        above = decimation_count(flux, level, points)[where] > index[wide]
+        hi[wide[above]] = mid[above]
+        lo[wide[~above]] = mid[~above]
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,12 @@ from the four real quadratics of `decimation.QUADRATICS`
 
 Each series is "anchor -> k-fold R00 preimages -> one inversion per prefix
 map"; k = 0 means the anchor itself.  For general fluxes no such enumeration
-exists, so `decimation_verify` instead walks the dense spectrum at level N
-and checks each eigenvalue forward.  Regular ones are judged one raw
-eigenvalue at a time: each is mapped by U to its own evolved fluxes and R
-value, and each run of agreeing images must be matched by as many raw
-eigenvalues of the reduced operator at its fluxes.  Special ones must obey the
-multiplicity-transfer bookkeeping.
+exists, so `decimation_verify` instead walks the level-N spectrum (from
+`operator.eigenvalues`) and checks each eigenvalue forward.  Regular ones are
+judged one raw eigenvalue at a time: each is mapped by U to its own evolved
+fluxes and R value, and each run of agreeing images must be matched by as many
+raw eigenvalues of the reduced operator at its fluxes.  Special ones must obey
+the multiplicity-transfer bookkeeping.
 """
 
 from __future__ import annotations
@@ -232,7 +232,11 @@ def _image_runs(images: list[tuple[float, float, float]], tol: float) -> list[li
 
 
 def decimation_verify(flux: FluxPair, level: int, tol: float = 1e-7) -> VerificationReport:
-    """Check every dense level-N eigenvalue against the one-step reduction.
+    """Check every level-N eigenvalue against the one-step reduction.
+
+    The level-N and reduced spectra come from `operator.eigenvalues`: the
+    dense oracle below level 6, decimation counting from there on for Case I
+    and Case IV fluxes.
 
     A regular (non-exceptional) cluster of the level-N spectrum is judged one
     raw eigenvalue at a time, on the reduced operator at each one's own

@@ -103,6 +103,30 @@ def _face_targets(graph: GasketGraph, flux: FluxPair) -> list[tuple[UnitCell, fl
     return out
 
 
+def uniform_flux(conn: Connection) -> FluxPair | None:
+    """The flux pair (alpha, beta) whose completed targets every face of conn carries.
+
+    alpha is read off an upright cell and beta off a side-1 hole, then every
+    face is checked against `_face_targets` within HOLONOMY_TOL; None when some
+    face disagrees, or at level 0, where no hole fixes beta.
+    """
+    cells = conn.graph.cells
+    hole = next((c for c in cells if c.orientation == "downright" and c.side == 1), None)
+    if hole is None:
+        return None
+    up = next(c for c in cells if c.orientation == "upright")
+    flux = FluxPair(conn.holonomy(list(up.vertices)), conn.holonomy(list(hole.vertices)))
+    return flux if _misfit_face(conn, _face_targets(conn.graph, flux)) is None else None
+
+
+def _misfit_face(conn: Connection, faces: list[tuple[UnitCell, float]]) -> UnitCell | None:
+    """The first face whose holonomy misses its target by more than HOLONOMY_TOL."""
+    for cell, target in faces:
+        if circ_dist(conn.holonomy(list(cell.vertices)), target) > HOLONOMY_TOL:
+            return cell
+    return None
+
+
 def _antisymmetrize(phase_fwd: dict[tuple[int, int], float]) -> dict[tuple[int, int], float]:
     full = {}
     for (u, v), p in phase_fwd.items():
@@ -163,9 +187,9 @@ def build_connection(graph: GasketGraph, flux: FluxPair) -> Connection:
     phase_fwd.update({e: float(x[k]) for e, k in col.items()})
     conn = Connection(graph, _antisymmetrize(phase_fwd))
 
-    for cell, target in faces:
-        if circ_dist(conn.holonomy(list(cell.vertices)), target) > HOLONOMY_TOL:
-            raise RuntimeError(f"holonomy verification failed on cell {cell}")
+    cell = _misfit_face(conn, faces)
+    if cell is not None:
+        raise RuntimeError(f"holonomy verification failed on cell {cell}")
     return conn
 
 

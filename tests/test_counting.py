@@ -1,0 +1,179 @@
+"""Decimation counting engine: against the dense oracle, the dyadic closed
+forms, and the dispatch in `operator.eigenvalues`."""
+
+import random
+import warnings
+
+import numpy as np
+import pytest
+
+from sglap import decimation
+from sglap.decimation import decimation_count, decimation_eigenvalues, zeros_of_D
+from sglap.enumerator import spectrum_closed_form
+from sglap.gasket import build_gasket, dim_n
+from sglap.gauge import (
+    Connection,
+    FluxPair,
+    build_connection,
+    circ_dist,
+    landau_connection,
+    uniform_flux,
+)
+from sglap.operator import (
+    ENGINE_MIN_LEVEL,
+    assemble,
+    cluster,
+    dense_eigenvalues,
+    eigenvalues,
+    schur_complement,
+)
+
+DYADIC = [(0.0, 0.0), (0.5, 0.5), (0.5, 0.0), (0.0, 0.5)]
+_rng = random.Random(2024)
+RANDOM = [(_rng.random(), _rng.random()) for _ in range(3)]
+
+
+def _op(flux, level, builder=build_connection):
+    g = build_gasket(level)
+    return assemble(g, builder(g, FluxPair(*flux)))
+
+
+def _multiplicities(evs):
+    return [m for _, m in cluster(evs).pairs]
+
+
+def _assert_matches_dense(flux, level):
+    got = decimation_eigenvalues(FluxPair(*flux), level)
+    want = dense_eigenvalues(_op(flux, level))
+    err = float(np.max(np.abs(got - want)))
+    assert err <= 1e-9, (flux, level, err)
+    assert _multiplicities(got) == _multiplicities(want), (flux, level)
+
+
+@pytest.mark.parametrize("level", range(0, 7))
+def test_engine_matches_dense_oracle(level):
+    for flux in DYADIC + RANDOM:
+        _assert_matches_dense(flux, level)
+
+
+def test_fragile_orbits_are_recounted_in_long_double(monkeypatch):
+    # an eigenvalue whose orbit passes near a D root meets |Psi| ~ 1e-6 one
+    # level down; counted in double only it lands 2.95e-9 off the oracle
+    flux = (0.44819248318227456, 0.6377998063140823)
+    _assert_matches_dense(flux, 5)
+    monkeypatch.setattr(decimation, "PSI_FRAGILE", 0.0)
+    got = decimation_eigenvalues(FluxPair(*flux), 5)
+    assert np.max(np.abs(got - dense_eigenvalues(_op(flux, 5)))) > 1e-9
+
+
+def test_counts_match_dense_counts():
+    rng = random.Random(17)
+    for level in (1, 2, 3, 4):
+        for flux in DYADIC + RANDOM:
+            dense = dense_eigenvalues(_op(flux, level))
+            lams = [rng.uniform(-0.1, 2.1) for _ in range(40)]
+            lams = [x for x in lams if np.min(np.abs(dense - x)) > 1e-9]
+            got = decimation_count(FluxPair(*flux), level, lams)
+            want = [int(np.sum(dense < x)) for x in lams]
+            assert got.tolist() == want, (flux, level)
+
+
+def test_bracket_stays_off_the_dyadic_grid(monkeypatch):
+    # from [0, 2] or [-1/3, 2 + 1/7] bisection lands exactly on 0.75 at
+    # (1/2, 0), where the count is off by one: 0.6743 x2 becomes 0.6743, 0.75
+    flux = FluxPair(0.5, 0.0)
+    want = _multiplicities(dense_eigenvalues(_op((0.5, 0.0), 2)))
+    assert _multiplicities(decimation_eigenvalues(flux, 2)) == want
+    for bracket in ((0.0, 2.0), (-1 / 3, 2 + 1 / 7)):
+        monkeypatch.setattr(decimation, "BRACKET", bracket)
+        got = decimation_eigenvalues(flux, 2)
+        assert _multiplicities(got) != want
+        assert np.any(np.abs(got - 0.75) < 1e-12)
+
+
+@pytest.mark.parametrize("flux", DYADIC)
+def test_engine_matches_closed_form_to_level_10(flux):
+    # raw values, not clusters: at level 10 closed-form values sit 4.6e-7
+    # apart, below the 1e-6 cluster tolerance
+    fp = FluxPair(*flux)
+    for level in range(1, 11):
+        cf = spectrum_closed_form(fp, level)
+        want = np.repeat([v for v, _ in cf.pairs], [m for _, m in cf.pairs])
+        got = decimation_eigenvalues(fp, level)
+        assert got.size == want.size == dim_n(level)
+        assert np.max(np.abs(got - want)) <= 1e-12, (flux, level)
+
+
+@pytest.mark.parametrize("flux", [(0.5, 0.0), RANDOM[0]])
+def test_engine_saturates_before_overflow(flux):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        evs = decimation_eigenvalues(FluxPair(*flux), 8)
+    assert evs.size == dim_n(8)
+    assert 0.0 <= evs[0] and evs[-1] <= 2.0
+    # the diagonal is all ones
+    assert abs(float(np.sum(evs)) - dim_n(8)) <= 1e-8 * dim_n(8)
+
+
+@pytest.mark.parametrize("flux", [(0.5, 0.0), RANDOM[0]])
+def test_count_saturates_outside_the_spectrum(flux):
+    # unsaturated, an orbit from lambda > 2 squares each level and overflows
+    # within 10 of them
+    lams = np.linspace(-1.0, 3.0, 41)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts = decimation_count(FluxPair(*flux), 12, lams)
+    assert np.all(counts[lams <= 0] == 0)
+    assert np.all(counts[lams > 2] == dim_n(12))
+    assert np.all(np.diff(counts) >= 0)
+
+
+@pytest.mark.parametrize(
+    "flux, level, engine",
+    [
+        ((1 / 6, 0.0), ENGINE_MIN_LEVEL, False),  # Case II: one dyadic flux
+        ((1 / 8, 1 / 8), ENGINE_MIN_LEVEL, False),  # Case III: 3 alpha + beta = 1/2
+        ((0.5, 0.0), ENGINE_MIN_LEVEL, True),  # Case I
+        (RANDOM[1], ENGINE_MIN_LEVEL, True),  # Case IV
+        (RANDOM[1], ENGINE_MIN_LEVEL - 1, False),
+    ],
+)
+def test_eigenvalues_dispatch(flux, level, engine):
+    op = _op(flux, level)
+    if engine:  # the pair as read off the faces, within 1e-12 of the one built
+        want = decimation_eigenvalues(uniform_flux(op.conn), level)
+    else:
+        want = dense_eigenvalues(op)
+    assert np.array_equal(eigenvalues(op), want)
+
+
+@pytest.mark.parametrize("builder", [build_connection, landau_connection])
+def test_uniform_flux_reads_the_pair_off_every_face(builder):
+    for level in (1, 2, 3):
+        for a, b in DYADIC + RANDOM:
+            flux = uniform_flux(_op((a, b), level, builder).conn)
+            assert circ_dist(flux.alpha, a) <= 1e-12 and circ_dist(flux.beta, b) <= 1e-12
+    assert uniform_flux(_op(RANDOM[0], 0, builder).conn) is None
+
+
+def test_uniform_flux_rejects_a_nonuniform_connection():
+    op = _op(RANDOM[0], 2)
+    phase = dict(op.conn.phase)
+    u, v = next(iter(phase))
+    phase[(u, v)] += 0.1
+    phase[(v, u)] -= 0.1
+    bent = assemble(op.graph, Connection(op.graph, phase))
+    assert uniform_flux(bent.conn) is None
+    with pytest.raises(ValueError, match="uniform flux"):
+        schur_complement(bent, 0.3)
+
+
+def test_zeros_of_D_on_arrays():
+    betas = np.array([0.0, 0.5, 0.23, 0.77, 1e-13, 0.5 + 1e-13, 0.9])
+    roots = zeros_of_D(betas)
+    assert roots.shape == (len(betas), 3)
+    for b, row in zip(betas, roots):
+        want = [r for r, m in zeros_of_D(float(b)) for _ in range(m)]
+        assert np.max(np.abs(row - want)) <= 1e-15
+    assert roots[0].tolist() == [0.5, 1.25, 1.25]
+    assert roots[5].tolist() == [0.75, 0.75, 1.5]
