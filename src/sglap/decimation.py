@@ -19,8 +19,12 @@ bisects it over all eigenvalue indices at once, in O(dim N) work per sweep.
 `classify` sorts a triple (alpha, beta, lambda) into the multiplicity-transfer
 case used by the enumerator: which of Psi and D vanish, the root multiplicity
 of D, and — for simple D roots with Psi != 0 — whether the decimation limit
-(1/|Psi(x)|) * D(x) (lambda-x)/(R(lambda)-R(x)) vanishes or cancels.  The
-actual multiplicity bookkeeping lives in the enumerator module.
+(1/|Psi(x)|) * D(x) (lambda-x)/(R(lambda)-R(x)) vanishes.  It is nonzero
+exactly when R'(lambda) = 0, which `r_dlam` decides from the exact
+derivatives N' and Psi' of `numerator_psi_dlam` (N = A - 64 D (1-lambda),
+R - 1 = N / 16|Psi|): DZeroMixed when the two terms in the numerator of R'
+cancel to within tol relative, DZeroVanishing otherwise.  The actual
+multiplicity bookkeeping lives in the enumerator module.
 
 Conventions: fluxes in turns, reduced mod 1; dyadic means within 1e-12 of
 {0, 1/2}.  R and phi are carried as None (never NaN) when undefined.
@@ -28,6 +32,7 @@ Conventions: fluxes in turns, reduced mod 1; dyadic means within 1e-12 of
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -54,11 +59,6 @@ def _cubic_d(lam, cos_beta):
 def cell_cubic_d(beta: float, lam: float) -> float:
     """det of one midpoint 3x3 block: (1-lam)^3 - (3/16)(1-lam) - cos(2 pi beta)/32."""
     return _cubic_d(lam, np.cos(TWO_PI * beta))
-
-
-def coupling_psi_dlam(alpha: float, beta: float, lam: float) -> complex:
-    e = lambda t: np.exp(-2j * np.pi * t)
-    return -2 * (1 - lam) - (2 * e(alpha) + e(2 * alpha + beta)) / 4
 
 
 def _atan2(im, re):
@@ -122,6 +122,16 @@ def u_step(alpha, beta, lam) -> UStep:
     return UStep(a, b, A, D, re, im, R)
 
 
+def numerator_psi_dlam(alpha: float, beta: float, lam: float) -> tuple[float, complex]:
+    """(N', Psi') at lambda: the lambda-derivatives of the numerator
+    N = A - 64 D (1 - lambda) of R - 1 = N / (16 |Psi|), and of Psi."""
+    e = lambda t: cmath.exp(-2j * math.pi * t)
+    d_a = 32 * lam - 32 - 4 * math.cos(TWO_PI * alpha)
+    d_d = -3 * lam * lam + 6 * lam - 45 / 16
+    d_n = d_a - 64 * d_d * (1 - lam) + 64 * cell_cubic_d(beta, lam)
+    return float(d_n), -2 * (1 - lam) - (2 * e(alpha) + e(2 * alpha + beta)) / 4
+
+
 @dataclass(frozen=True)
 class DecimationStep:
     flux: FluxPair
@@ -155,6 +165,20 @@ def decimation_kit(flux: FluxPair, lam: float) -> DecimationStep:
         alpha_down=float(st.alpha_down),
         beta_down=float(st.beta_down),
     )
+
+
+def r_dlam(step: DecimationStep) -> tuple[float, float]:
+    """R' at a step with Psi != 0, and how far the two terms of its numerator cancel.
+
+    R' = (N'|Psi|^2 - N Re(conj(Psi) Psi')) / (16 |Psi|^3).  The second value
+    is |N'|Psi|^2 - N Re(conj(Psi) Psi')| relative to the larger term: a few
+    ulps where R' = 0.
+    """
+    d_n, d_psi = numerator_psi_dlam(step.flux.alpha, step.flux.beta, step.lam)
+    p = d_n * step.absPsi**2
+    q = (step.A - 64 * step.D * (1 - step.lam)) * (step.Psi.conjugate() * d_psi).real
+    scale = max(abs(p), abs(q))
+    return (p - q) / (16 * step.absPsi**3), abs(p - q) / scale if scale else 0.0
 
 
 # The four flux pairs with alpha, beta in {0, 1/2}.  There Psi is the real
@@ -388,55 +412,6 @@ def _root_mult_at(beta: float, lam: float, tol: float) -> int:
     return 0
 
 
-def _vanishing_limit(flux: FluxPair, lam: float) -> tuple[float | None, dict]:
-    """One-sided limits of (1/|Psi(x)|) D(x) (lam-x) / (R(lam)-R(x)).
-
-    Step refinement 1e-4 -> 1e-5 -> 1e-6 on both sides; returns (limit, info)
-    with limit None when the refinements never stabilize.
-    """
-    R_lam = decimation_kit(flux, lam).R
-    assert R_lam is not None
-
-    def probe(x: float) -> float:
-        k = decimation_kit(flux, x)
-        if k.R is None or k.absPsi == 0:
-            return np.nan
-        denom = R_lam - k.R
-        if denom == 0:
-            return np.nan
-        return (1.0 / k.absPsi) * k.D * (lam - x) / denom
-
-    steps = (1e-4, 1e-5, 1e-6)
-    seq = [0.5 * (probe(lam + h) + probe(lam - h)) for h in steps]
-    info = {"limit_sequence": seq}
-    if any(not np.isfinite(v) for v in seq):
-        return None, info
-    # decaying toward zero: each refinement shrinks with the step
-    mags = [abs(v) for v in seq]
-    if mags[1] < 0.5 * mags[0] and mags[2] < 0.5 * mags[1] and mags[2] < 1e-4:
-        return 0.0, info
-    # stabilized nonzero limit: adjacent refinements agree to relative 1e-5
-    # (the finest step can be the noisiest — roundoff in R(lam)-R(x) grows
-    # as the step shrinks — so accept the best-agreeing adjacent pair)
-    best = min(range(1, len(seq)), key=lambda i: abs(seq[i] - seq[i - 1]))
-    if abs(seq[best] - seq[best - 1]) <= 1e-5 * max(abs(seq[best]), 1e-2):
-        return float(seq[best]), info
-    return None, info
-
-
-def h_multiple_zero_criterion(flux: FluxPair, lam: float) -> bool:
-    """At a D root, whether lambda is a multiple zero of the spectral numerator.
-
-    True iff 8(lam-1)(1 - 2(lam^2 - 2 lam(3-lam) + 45/16)) = cos(2 pi alpha);
-    the quadratic in the inner parenthesis is (lam-a)(lam-b) for the other two
-    D roots, by Vieta on the cell cubic.
-    """
-    if abs(cell_cubic_d(flux.beta, lam)) > 1e-10:
-        raise ValueError("lambda is not a root of D(beta, .) within 1e-10")
-    lhs = 8 * (lam - 1) * (1 - 2 * (lam**2 - 2 * lam * (3 - lam) + 45 / 16))
-    return bool(abs(lhs - np.cos(2 * np.pi * flux.alpha)) <= 1e-9)
-
-
 def classify(flux: FluxPair, lam: float, tol: float = 1e-9) -> ClassificationTag:
     a, b = flux.alpha, flux.beta
     step = decimation_kit(flux, lam)
@@ -477,16 +452,10 @@ def classify(flux: FluxPair, lam: float, tol: float = 1e-9) -> ClassificationTag
         return ClassificationTag("DDoubleZero", rm, exceptional, diagnostics=diag)
 
     # D root with Psi != 0: always a simple root (a double root of D at
-    # beta in {0,1/2} forces Psi(alpha, beta, lam) = 0 for every alpha)
-    limit, info = _vanishing_limit(flux, lam)
-    diag.update(info)
-    diag["dpsi_sq_dlam"] = 2 * (np.conj(step.Psi) * coupling_psi_dlam(a, b, lam)).real
-    try:
-        diag["h_multiple_zero"] = h_multiple_zero_criterion(flux, lam)
-    except ValueError:
-        diag["h_multiple_zero"] = None
-    if limit is None:
-        return ClassificationTag("Indeterminate", rm or 1, diagnostics=diag)
-    if limit == 0.0:
-        return ClassificationTag("DZeroVanishing", rm or 1, diagnostics=diag)
-    return ClassificationTag("DZeroMixed", rm or 1, diagnostics=diag)
+    # beta in {0,1/2} forces Psi(alpha, beta, lam) = 0 for every alpha).  Near
+    # it D(x)(lam-x)/(R(lam)-R(x)) ~ D'(lam)(x-lam)/R'(lam), so the decimation
+    # limit vanishes exactly when R'(lam) != 0; the tag reads the exact R'.
+    d_r, cancellation = r_dlam(step)
+    diag.update(dR_dlam=d_r, cancellation=cancellation)
+    case = "DZeroMixed" if cancellation <= tol else "DZeroVanishing"
+    return ClassificationTag(case, rm or 1, diagnostics=diag)

@@ -9,7 +9,8 @@ downright unit cells).  For s = 1 this is just beta.
 Two independent constructions are kept deliberately: ``build_connection`` fixes a
 BFS spanning tree and solves the face-flux system for the non-tree edges, and
 ``landau_connection`` writes the phases in closed form.  They differ by a gauge
-transformation; tests check both give identical holonomies and spectra.
+transformation; tests check both give identical holonomies and spectra.  Both
+record the flux pair on the `Connection`, where the spectrum dispatch reads it.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ def circ_dist(x: float, y: float) -> float:
     return min(d, 1.0 - d)
 
 
-def dyadic(x: float, tol: float = DYADIC_TOL) -> float | None:
-    """The point of {0, 1/2} within tol of x on the circle, or None."""
+def dyadic(x: float) -> float | None:
+    """The point of {0, 1/2} within DYADIC_TOL of x on the circle, or None."""
     for v in (0.0, 0.5):
-        if circ_dist(x, v) <= tol:
+        if circ_dist(x, v) <= DYADIC_TOL:
             return v
     return None
 
@@ -64,14 +65,19 @@ class FluxPair:
         object.__setattr__(self, "alpha", mod1(self.alpha))
         object.__setattr__(self, "beta", mod1(self.beta))
 
-    def is_dyadic(self, tol: float = DYADIC_TOL) -> bool:
-        return dyadic(self.alpha, tol) is not None and dyadic(self.beta, tol) is not None
+    def is_dyadic(self) -> bool:
+        return dyadic(self.alpha) is not None and dyadic(self.beta) is not None
 
 
 @dataclass
 class Connection:
+    """Edge phases on a graph.  `flux` is the uniform pair whose completed face
+    targets the phases were built to carry; None when no such pair is known
+    (a reduced connection, or phases written by hand)."""
+
     graph: GasketGraph
     phase: dict[tuple[int, int], float] = field(repr=False)
+    flux: FluxPair | None = None
 
     def omega(self, x: int, y: int) -> complex:
         return np.exp(2j * np.pi * self.phase[(x, y)])
@@ -101,30 +107,6 @@ def _face_targets(graph: GasketGraph, flux: FluxPair) -> list[tuple[UnitCell, fl
         else:
             out.append((cell, hole_flux(cell.side, flux.alpha, flux.beta)))
     return out
-
-
-def uniform_flux(conn: Connection) -> FluxPair | None:
-    """The flux pair (alpha, beta) whose completed targets every face of conn carries.
-
-    alpha is read off an upright cell and beta off a side-1 hole, then every
-    face is checked against `_face_targets` within HOLONOMY_TOL; None when some
-    face disagrees, or at level 0, where no hole fixes beta.
-    """
-    cells = conn.graph.cells
-    hole = next((c for c in cells if c.orientation == "downright" and c.side == 1), None)
-    if hole is None:
-        return None
-    up = next(c for c in cells if c.orientation == "upright")
-    flux = FluxPair(conn.holonomy(list(up.vertices)), conn.holonomy(list(hole.vertices)))
-    return flux if _misfit_face(conn, _face_targets(conn.graph, flux)) is None else None
-
-
-def _misfit_face(conn: Connection, faces: list[tuple[UnitCell, float]]) -> UnitCell | None:
-    """The first face whose holonomy misses its target by more than HOLONOMY_TOL."""
-    for cell, target in faces:
-        if circ_dist(conn.holonomy(list(cell.vertices)), target) > HOLONOMY_TOL:
-            return cell
-    return None
 
 
 def _antisymmetrize(phase_fwd: dict[tuple[int, int], float]) -> dict[tuple[int, int], float]:
@@ -185,11 +167,11 @@ def build_connection(graph: GasketGraph, flux: FluxPair) -> Connection:
 
     phase_fwd = {e: 0.0 for e in tree}
     phase_fwd.update({e: float(x[k]) for e, k in col.items()})
-    conn = Connection(graph, _antisymmetrize(phase_fwd))
+    conn = Connection(graph, _antisymmetrize(phase_fwd), flux)
 
-    cell = _misfit_face(conn, faces)
-    if cell is not None:
-        raise RuntimeError(f"holonomy verification failed on cell {cell}")
+    for cell, target in faces:
+        if circ_dist(conn.holonomy(list(cell.vertices)), target) > HOLONOMY_TOL:
+            raise RuntimeError(f"holonomy verification failed on cell {cell}")
     return conn
 
 
@@ -216,7 +198,7 @@ def landau_connection(graph: GasketGraph, flux: FluxPair) -> Connection:
         else:
             raise RuntimeError(f"unexpected edge direction {d}")
         phase_fwd[(u, v)] = p
-    return Connection(graph, _antisymmetrize(phase_fwd))
+    return Connection(graph, _antisymmetrize(phase_fwd), flux)
 
 
 def restrict_connection(conn: Connection, theta: float) -> Connection:

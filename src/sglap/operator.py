@@ -23,10 +23,14 @@ import numpy as np
 
 from .decimation import cell_cubic_d, decimation_eigenvalues, psi_real_zeros, zeros_of_D
 from .gasket import GasketGraph, build_gasket
-from .gauge import Connection, uniform_flux
+from .gauge import Connection
 
 SPECTRUM_DIM_CAP = 4000
 ZERO_EIG_TOL = 1e-9
+# eigenvalues closer than this are one cluster
+CLUSTER_TOL = 1e-6
+# `schur_complement` refuses lambda within this of a midpoint-block root
+D_ROOT_TOL = 1e-9
 # Below this level a dense solve is as fast as decimation counting (level 5 on
 # a 2-vCPU host: 15 ms dense; 12 ms counting at dyadic flux, 57 ms at generic).
 ENGINE_MIN_LEVEL = 6
@@ -91,36 +95,33 @@ def eigenvalues(op: MagneticOperator) -> np.ndarray:
     """Raw sorted eigenvalues of the Hermitian symmetrization.
 
     Decimation counting from ENGINE_MIN_LEVEL on when the connection carries a
-    uniform flux pair in Case I or Case IV; the dense oracle otherwise.  Case
-    II and III fluxes have real Psi zeros off the dyadic grid, which the
-    counting recursion does not continue through, so they stay dense.
+    uniform flux pair (`Connection.flux`) in Case I or Case IV; the dense
+    oracle otherwise.  Case II and III fluxes have real Psi zeros off the
+    dyadic grid, which the counting recursion does not continue through, so
+    they stay dense.
     """
     if op.graph.level >= ENGINE_MIN_LEVEL:
-        flux = uniform_flux(op.conn)
+        flux = op.conn.flux
         if flux is not None and (flux.is_dyadic() or not psi_real_zeros(flux)):
             return decimation_eigenvalues(flux, op.graph.level)
     return dense_eigenvalues(op)
 
 
-def cluster(evs: np.ndarray, cluster_tol: float = 1e-6) -> Spectrum:
-    """Sorted eigenvalues as (mean, multiplicity) pairs: a gap of cluster_tol splits."""
+def cluster(evs: np.ndarray) -> Spectrum:
+    """Sorted eigenvalues as (mean, multiplicity) pairs: a gap of CLUSTER_TOL splits."""
     pairs: list[tuple[float, int]] = []
     start = 0
     for i in range(1, len(evs) + 1):
-        if i == len(evs) or evs[i] - evs[i - 1] >= cluster_tol:
+        if i == len(evs) or evs[i] - evs[i - 1] >= CLUSTER_TOL:
             pairs.append((float(np.mean(evs[start:i])), i - start))
             start = i
     return Spectrum(pairs, evs)
 
 
-def spectrum(
-    op: MagneticOperator,
-    cluster_tol: float = 1e-6,
-    max_dim: int = SPECTRUM_DIM_CAP,
-) -> Spectrum:
+def spectrum(op: MagneticOperator, max_dim: int = SPECTRUM_DIM_CAP) -> Spectrum:
     if op.dimension > max_dim:
         raise ValueError(f"dimension {op.dimension} exceeds the configured cap {max_dim}")
-    return cluster(eigenvalues(op), cluster_tol)
+    return cluster(eigenvalues(op))
 
 
 def _cell_groups(graph: GasketGraph) -> list[tuple[tuple[int, int, int], tuple[int, int, int]]]:
@@ -139,7 +140,7 @@ def _cell_groups(graph: GasketGraph) -> list[tuple[tuple[int, int, int], tuple[i
     return groups
 
 
-def schur_complement(op: MagneticOperator, lam: float, tol: float = 1e-9) -> np.ndarray:
+def schur_complement(op: MagneticOperator, lam: float) -> np.ndarray:
     """Eliminate the midpoint block at spectral parameter lam.
 
     Returns the matrix (A - lam I) - B (D - lam I)^{-1} C indexed by
@@ -150,15 +151,15 @@ def schur_complement(op: MagneticOperator, lam: float, tol: float = 1e-9) -> np.
     graph = op.graph
     if graph.level == 0:
         raise ValueError("level 0 has no previous level to reduce to")
-    flux = uniform_flux(op.conn)
+    flux = op.conn.flux
     if flux is None:
         raise ValueError("the connection carries no uniform flux pair")
     beta = flux.beta
     dval = cell_cubic_d(beta, lam)
-    if abs(dval) <= tol:
+    if abs(dval) <= D_ROOT_TOL:
         root = min((r for r, _ in zeros_of_D(beta)), key=lambda r: abs(r - lam))
         raise ValueError(
-            f"lambda = {lam} is within {tol} of the midpoint-block root {root} "
+            f"lambda = {lam} is within {D_ROOT_TOL} of the midpoint-block root {root} "
             f"(D(beta={beta}, lambda) = {dval})"
         )
 

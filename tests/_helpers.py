@@ -1,10 +1,8 @@
 """Shared test utilities (not collected by pytest)."""
 
-import math
-
 import numpy as np
 
-from sglap.decimation import coupling_psi_dlam, exceptional_set, u_step
+from sglap.decimation import exceptional_set, numerator_psi_dlam, u_step
 from sglap.gauge import Connection, mod1
 
 
@@ -31,16 +29,14 @@ def case_iii_limit(flux, lam, side=1):
     of R - 1 = N / (16 |Psi|) vanishes as well, so from above
     R* = 1 + N'(lam) / (16 |Psi'(lam)|) and theta* = arg Psi'(lam) / 2 pi;
     from below both |Psi| and Psi change sign, giving (2 - R*, theta* + 1/2).
-    The derivatives are the analytic ones, not finite differences.
+    The derivatives are the analytic ones of `numerator_psi_dlam`, not finite
+    differences.
     """
     a, b = flux.alpha, flux.beta
     st = u_step(a, b, lam)
     if abs(complex(st.re, st.im)) > 1e-12 or abs(st.D) > 1e-12:
         raise ValueError(f"Psi and D do not both vanish at lambda = {lam}")
-    dpsi = coupling_psi_dlam(a, b, lam)
-    d_a = 32 * lam - (32 + 4 * math.cos(2 * math.pi * a))  # dA/dlambda
-    d_d = -3 * lam**2 + 6 * lam - 45 / 16  # dD/dlambda
-    d_n = d_a - 64 * d_d * (1 - lam) + 64 * st.D
+    d_n, dpsi = numerator_psi_dlam(a, b, lam)
     r = 1 + d_n / (16 * abs(dpsi))
     theta = mod1(np.angle(dpsi) / (2 * np.pi))
     if side < 0:

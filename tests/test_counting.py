@@ -11,14 +11,7 @@ from sglap import decimation
 from sglap.decimation import decimation_count, decimation_eigenvalues, zeros_of_D
 from sglap.enumerator import spectrum_closed_form
 from sglap.gasket import build_gasket, dim_n
-from sglap.gauge import (
-    Connection,
-    FluxPair,
-    build_connection,
-    circ_dist,
-    landau_connection,
-    uniform_flux,
-)
+from sglap.gauge import Connection, FluxPair, build_connection, landau_connection
 from sglap.operator import (
     ENGINE_MIN_LEVEL,
     assemble,
@@ -140,30 +133,30 @@ def test_count_saturates_outside_the_spectrum(flux):
 )
 def test_eigenvalues_dispatch(flux, level, engine):
     op = _op(flux, level)
-    if engine:  # the pair as read off the faces, within 1e-12 of the one built
-        want = decimation_eigenvalues(uniform_flux(op.conn), level)
+    if engine:
+        want = decimation_eigenvalues(FluxPair(*flux), level)
     else:
         want = dense_eigenvalues(op)
     assert np.array_equal(eigenvalues(op), want)
 
 
-@pytest.mark.parametrize("builder", [build_connection, landau_connection])
-def test_uniform_flux_reads_the_pair_off_every_face(builder):
-    for level in (1, 2, 3):
-        for a, b in DYADIC + RANDOM:
-            flux = uniform_flux(_op((a, b), level, builder).conn)
-            assert circ_dist(flux.alpha, a) <= 1e-12 and circ_dist(flux.beta, b) <= 1e-12
-    assert uniform_flux(_op(RANDOM[0], 0, builder).conn) is None
+def test_landau_operator_at_level_7_goes_to_the_engine():
+    # the landau phases reach |x| ~ 100 at level 7, so the pair read back off
+    # the side-64 holes misses its targets by more than 1e-12; the connection
+    # carries the pair it was built from instead
+    flux = (0.37, 0.71)
+    op = _op(flux, 7, landau_connection)
+    assert np.array_equal(eigenvalues(op), decimation_eigenvalues(FluxPair(*flux), 7))
 
 
 def test_uniform_flux_rejects_a_nonuniform_connection():
+    # a connection with hand-written phases carries no flux pair
     op = _op(RANDOM[0], 2)
     phase = dict(op.conn.phase)
     u, v = next(iter(phase))
     phase[(u, v)] += 0.1
     phase[(v, u)] -= 0.1
     bent = assemble(op.graph, Connection(op.graph, phase))
-    assert uniform_flux(bent.conn) is None
     with pytest.raises(ValueError, match="uniform flux"):
         schur_complement(bent, 0.3)
 

@@ -15,6 +15,7 @@ from sglap.decimation import (
     decimation_kit,
     exceptional_set,
     psi_real_zeros,
+    r_dlam,
     u_step,
     zeros_of_D,
 )
@@ -189,3 +190,37 @@ def test_classify_taxonomy():
     flux = FluxPair(0.3, 0.7)
     cases = {classify(flux, r).case for r, _ in zeros_of_D(flux.beta)}
     assert cases == {"DZeroVanishing"}
+    # ... unless R'(lambda) = 0 there
+    for flux, k, lam in (((1 / 12, 0.25), 0, 0.5669873), ((5 / 12, 0.25), 2, 1.4330127)):
+        root = zeros_of_D(0.25)[k][0]
+        assert abs(root - lam) <= 1e-7
+        tag = classify(FluxPair(*flux), root)
+        assert (tag.case, tag.root_mult) == ("DZeroMixed", 1), flux
+
+
+def test_steep_d_root_is_vanishing():
+    # |Psi| ~ 8e-7 at this D root and R' ~ -5.5e5: the exact slope is far
+    # from 0, where finite differences of R never settled on a limit
+    flux = FluxPair(0.3033685109329176, 0.5875806061435594)
+    tag = classify(flux, 0.8331761416536679)
+    assert (tag.case, tag.root_mult) == ("DZeroVanishing", 1)
+    assert math.isclose(tag.diagnostics["dR_dlam"], -5.5e5, rel_tol=0.01)
+
+
+def test_r_dlam_matches_central_differences():
+    # five-point central differences of R, step 5e-5; near a Psi zero R varies
+    # on the scale |Psi| and rounds off as 1/|Psi|, so points keep |Psi| >= 1e-2
+    R = lambda flux, lam: float(u_step(flux.alpha, flux.beta, lam).R)
+    rng = random.Random(29)
+    h = 5e-5
+    checked = 0
+    while checked < 200:
+        flux, lam = FluxPair(rng.random(), rng.random()), rng.uniform(0.0, 2.0)
+        step = decimation_kit(flux, lam)
+        if step.absPsi < 1e-2:
+            continue
+        diff = lambda k: R(flux, lam + k * h) - R(flux, lam - k * h)
+        fd = (8 * diff(1) - diff(2)) / (12 * h)
+        exact, _ = r_dlam(step)
+        assert math.isclose(exact, fd, rel_tol=1e-6), (flux, lam, exact, fd)
+        checked += 1

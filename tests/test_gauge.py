@@ -62,6 +62,7 @@ def test_hole_flux_small_sides():
 def test_every_face_carries_its_flux(builder, flux):
     g = build_gasket(3)
     conn = builder(g, FluxPair(*flux))
+    assert conn.flux == FluxPair(*flux)
     for cell, h in cell_holonomies(conn):
         if cell.orientation == "upright":
             want = flux[0]
@@ -114,7 +115,7 @@ def test_restrict_connection_reduces_faces():
     conn = build_connection(g, FluxPair(a, b))
     for theta in (0.0, 0.11):
         red = restrict_connection(conn, theta)
-        assert red.graph.level == 1
+        assert red.graph.level == 1 and red.flux is None
         ups = [h for c, h in cell_holonomies(red) if c.orientation == "upright"]
         assert len(ups) == 3
         for h in ups:
