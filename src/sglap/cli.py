@@ -167,7 +167,9 @@ def spectrum(alpha, beta, level, method, out):
 @click.option("--tol", type=float, default=1e-7, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def verify(alpha, beta, level, tol, out):
-    """Check the decimation forward map against the level-N spectrum; exit 1 on failure."""
+    """Check the level-N spectrum cluster by cluster against the eigenvalue counts
+    one decimation step predicts from level N-1; exit 1 on failure.  --tol only
+    picks which clusters are labelled d-root or psi-zero."""
     t0 = time.perf_counter()
     report = _call(enumerator.decimation_verify, FluxPair(alpha, beta), level, tol=tol)
     _emit(json.loads(report.to_json()), out, t0)

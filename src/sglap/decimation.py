@@ -16,15 +16,17 @@ into an exact integer recursion for #{eigenvalues of L_N < lambda} at a
 uniform Case I or Case IV flux, vectorised over lambda; `decimation_eigenvalues`
 bisects it over all eigenvalue indices at once, in O(dim N) work per sweep.
 
-`classify` sorts a triple (alpha, beta, lambda) into the multiplicity-transfer
-case used by the enumerator: which of Psi and D vanish, the root multiplicity
-of D, and — for simple D roots with Psi != 0 — whether the decimation limit
+`classify` sorts a triple (alpha, beta, lambda) into the paper's cases of
+exceptional values: which of Psi and D vanish, the root multiplicity of D,
+and — for simple D roots with Psi != 0 — whether the decimation limit
 (1/|Psi(x)|) * D(x) (lambda-x)/(R(lambda)-R(x)) vanishes.  It is nonzero
 exactly when R'(lambda) = 0, which `r_dlam` decides from the exact
 derivatives N' and Psi' of `numerator_psi_dlam` (N = A - 64 D (1-lambda),
 R - 1 = N / 16|Psi|): DZeroMixed when the two terms in the numerator of R'
-cancel to within tol relative, DZeroVanishing otherwise.  The actual
-multiplicity bookkeeping lives in the enumerator module.
+cancel to within tol relative, DZeroVanishing otherwise.  The tag is a label
+for `sg kit` and for the verifier's report; no multiplicity is read off it,
+since `enumerator.decimation_verify` judges exceptional values by the
+one-step counts on either side of them.
 
 Conventions: fluxes in turns, reduced mod 1; dyadic means within 1e-12 of
 {0, 1/2}.  R and phi are carried as None (never NaN) when undefined.
@@ -401,7 +403,6 @@ class ClassificationTag:
     case: str  # Regular | PhiZero | PsiZeroEscape | DZeroVanishing |
     #            DNotSingular | DZeroMixed | DDoubleZero | Indeterminate
     root_mult: int = 0
-    exceptional: bool = False
     diagnostics: dict = field(default_factory=dict, compare=False)
 
 
@@ -442,14 +443,7 @@ def classify(flux: FluxPair, lam: float, tol: float = 1e-9) -> ClassificationTag
             return ClassificationTag("Indeterminate", 1, diagnostics=diag)
         if alpha_dyadic:
             return ClassificationTag("DZeroVanishing", rm, diagnostics=diag)
-        exceptional = (
-            circ_dist(b, 0.0) <= tol
-            and min(circ_dist(a, 1 / 6), circ_dist(a, 5 / 6)) <= 1e-9
-        ) or (
-            circ_dist(b, 0.5) <= tol
-            and min(circ_dist(a, 1 / 3), circ_dist(a, 2 / 3)) <= 1e-9
-        )
-        return ClassificationTag("DDoubleZero", rm, exceptional, diagnostics=diag)
+        return ClassificationTag("DDoubleZero", rm, diagnostics=diag)
 
     # D root with Psi != 0: always a simple root (a double root of D at
     # beta in {0,1/2} forces Psi(alpha, beta, lam) = 0 for every alpha).  Near

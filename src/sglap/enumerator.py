@@ -1,4 +1,4 @@
-"""Closed-form spectra at half-integer flux and the forward verifier.
+"""Closed-form spectra at half-integer flux and the one-step verifier.
 
 The four flux pairs with alpha, beta in {0, 1/2} have completely explicit
 spectra: a handful of fixed eigenvalues plus backward-iterate series built
@@ -9,12 +9,12 @@ from the four real quadratics of `decimation.QUADRATICS`
 
 Each series is "anchor -> k-fold R00 preimages -> one inversion per prefix
 map"; k = 0 means the anchor itself.  For general fluxes no such enumeration
-exists, so `decimation_verify` instead walks the level-N spectrum (from
-`operator.eigenvalues`) and checks each eigenvalue forward.  Regular ones are
-judged one raw eigenvalue at a time: each is mapped by U to its own evolved
-fluxes and R value, and each run of agreeing images must be matched by as many
-raw eigenvalues of the reduced operator at its fluxes.  Special ones must obey
-the multiplicity-transfer bookkeeping.
+exists, so `decimation_verify` checks the level-N spectrum (from
+`operator.eigenvalues`) against one step of the decimation theorem instead:
+below each cut between clusters it compares the observed eigenvalue count with
+the count Haynsworth inertia additivity predicts from the level-(N-1) operator
+at the evolved fluxes.  Exceptional values need no case of their own; the
+counts on either side of them fix their multiplicities.
 """
 
 from __future__ import annotations
@@ -26,17 +26,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decimation import (
+    BRACKET,
     QUADRATICS,
-    ClassificationTag,
     OrbitTerminated,
     apply_U,
     classify,
-    exceptional_set,
     psi_real_zeros,
     zeros_of_D,
 )
 from .gasket import build_gasket, dim_n
-from .gauge import FluxPair, build_connection, circ_dist, dyadic
+from .gauge import FluxPair, build_connection, dyadic
 from .operator import Spectrum, assemble, eigenvalues, spectrum
 
 MAX_SERIES_DEPTH = 20  # 2^k values per series; desk levels use k <= 6
@@ -150,32 +149,11 @@ def spectrum_closed_form(flux: FluxPair, level: int) -> Spectrum:
     return Spectrum(pairs)
 
 
-def multiplicity_transfer(
-    tag: ClassificationTag, mult_L_at_R: int, level: int, root_mult: int
-) -> int:
-    if tag.case == "Indeterminate":
-        raise ValueError("cannot transfer multiplicity through an unresolved classification")
-    prev = dim_n(level - 1)
-    block = 3 ** (level - 1) * root_mult
-    out = {
-        "Regular": mult_L_at_R,
-        "PhiZero": prev,
-        "DZeroVanishing": block - prev + mult_L_at_R,
-        "DNotSingular": block + mult_L_at_R,
-        "DZeroMixed": block - prev + 2 * mult_L_at_R,
-        "PsiZeroEscape": 0,
-        "DDoubleZero": block - prev + 2 * mult_L_at_R,
-    }[tag.case]
-    if out < 0:
-        raise ValueError(f"negative transferred multiplicity {out} for {tag.case}")
-    return out
-
-
 @dataclass(frozen=True)
 class VerificationEntry:
     lam: float
     mult: int
-    kind: str  # regular | s3 | d-root | psi-zero | absent-check | informational
+    kind: str  # regular | d-root | psi-zero | informational
     ok: bool | None  # None = informational only
     note: str = ""
 
@@ -214,142 +192,61 @@ class VerificationReport:
         )
 
 
-def _count_near(evs: np.ndarray, value: float, tol: float) -> int:
-    return int(np.count_nonzero(np.abs(evs - value) <= tol))
-
-
-def _image_runs(images: list[tuple[float, float, float]], tol: float) -> list[list]:
-    """Split images (alpha', beta', R) of sorted eigenvalues into runs of
-    consecutive ones that agree with their predecessor within tol."""
-    runs = [[images[0]]]
-    for (a0, b0, r0), img in zip(images, images[1:]):
-        a, b, r = img
-        if circ_dist(a0, a) <= tol and circ_dist(b0, b) <= tol and abs(r0 - r) <= tol:
-            runs[-1].append(img)
-        else:
-            runs.append([img])
-    return runs
-
-
 def decimation_verify(flux: FluxPair, level: int, tol: float = 1e-7) -> VerificationReport:
-    """Check every level-N eigenvalue against the one-step reduction.
+    """Check the level-N spectrum against one step of the decimation theorem.
 
-    The level-N and reduced spectra come from `operator.eigenvalues`: the
-    dense oracle below level 6, decimation counting from there on for Case I
-    and Case IV fluxes.
+    U maps the spectrum of L_N onto that of L_(N-1), and Haynsworth inertia
+    additivity over the midpoint block turns that into a count: below a cut x,
 
-    A regular (non-exceptional) cluster of the level-N spectrum is judged one
-    raw eigenvalue at a time, on the reduced operator at each one's own
-    evolved fluxes: next to a D root R and theta are steep, so eigenvalues
-    that `spectrum` merges can map to different level-(N-1) operators.  The
-    images of a cluster's sorted members split into runs, each image agreeing
-    in (alpha', beta', R) within tol with the one before; a run must be
-    matched by exactly as many raw eigenvalues of the reduced operator at its
-    middle image's fluxes, within tol of that image's R.
+        #{eig L_N < x} = 3^(N-1) k + (k odd ? dim_(N-1) - c : c),
+
+    where k D roots lie below x and c = #{eig L_(N-1)(alpha', beta') < R} with
+    (alpha', beta', R) = U(alpha, beta, x).  R and theta follow the |Psi|
+    convention of `apply_U`, so the sign of phi = |Psi|/4D is (-1)^k at every
+    flux.  The cuts are BRACKET's ends and the midpoint of every gap between
+    adjacent clusters of `spectrum`; the level-N and reduced spectra come from
+    `operator.eigenvalues`.
+
+    Each cluster gets one entry, judged by the agreement at the two cuts
+    around it; its note gives the predicted and observed count at both.
+    Clusters within tol of a D root or a real Psi zero are labelled d-root or
+    psi-zero and carry their `classify` tag.  A cut where Psi vanishes
+    exactly has no R, and the clusters beside it are informational.
     """
     if level < 1:
         raise ValueError("verification needs a previous level")
     graph = build_gasket(level)
     sp = spectrum(assemble(graph, build_connection(graph, flux)))
-    exceptional = exceptional_set(flux)
+    reduced = build_gasket(level - 1)
     d_roots = zeros_of_D(flux.beta)
 
-    s3_value = {0.0: 1.5, 0.5: 0.5}.get(dyadic(flux.alpha))
+    def judge(x: float) -> tuple[bool | None, str]:
+        try:
+            ad, bd, r = apply_U(flux.alpha, flux.beta, x)
+        except OrbitTerminated as exc:
+            return None, f"below {x:.10g}: {exc}"
+        k = sum(m for root, m in d_roots if root < x)
+        evs = eigenvalues(assemble(reduced, build_connection(reduced, FluxPair(ad, bd))))
+        c = int(np.searchsorted(evs, r))
+        want = 3 ** (level - 1) * k + (dim_n(level - 1) - c if k % 2 else c)
+        got = int(np.searchsorted(sp.raw, x))
+        return want == got, f"below {x:.10g}: predicted {want} (k={k}, c={c}), observed {got}"
 
-    reduced_graph = build_gasket(level - 1)
-
-    def reduced_eigenvalues(a: float, b: float) -> np.ndarray:
-        g = reduced_graph
-        return eigenvalues(assemble(g, build_connection(g, FluxPair(a, b))))
+    ends = np.cumsum([m for _, m in sp.pairs])[:-1]
+    cuts = [BRACKET[0], *((sp.raw[ends - 1] + sp.raw[ends]) / 2), BRACKET[1]]
+    verdicts = [judge(float(x)) for x in cuts]
+    special = [(r, "d-root") for r, _ in d_roots] + [(z, "psi-zero") for z in psi_real_zeros(flux)]
 
     entries: list[VerificationEntry] = []
-    end = 0
-    for lam, mult in sp.pairs:
-        members, end = sp.raw[end : end + mult], end + mult
-        dist_ex = min(abs(lam - e) for e in exceptional)
-        if dist_ex > tol:
-            try:
-                images = [apply_U(flux.alpha, flux.beta, float(x)) for x in members]
-            except OrbitTerminated:
-                entries.append(
-                    VerificationEntry(lam, mult, "informational", None, "Psi vanished off-grid")
-                )
-                continue
-            ok, notes = True, []
-            for run in _image_runs(images, tol):
-                ad, bd, rv = run[len(run) // 2]
-                got = _count_near(reduced_eigenvalues(ad, bd), rv, tol)
-                ok = ok and got == len(run)
-                notes.append(
-                    f"R={rv:.12g} at ({ad:.12g}, {bd:.12g}) has reduced multiplicity "
-                    f"{got}, images {len(run)}"
-                )
-            entries.append(VerificationEntry(lam, mult, "regular", ok, "; ".join(notes)))
+    for (lam, mult), (ok_lo, lo), (ok_hi, hi) in zip(sp.pairs, verdicts, verdicts[1:]):
+        note = f"{lo}; {hi}"
+        if ok_lo is None or ok_hi is None:
+            entries.append(VerificationEntry(lam, mult, "informational", None, note))
             continue
-
-        if s3_value is not None and abs(lam - s3_value) <= tol:
-            want = (3**level + 3) // 2
-            entries.append(
-                VerificationEntry(lam, mult, "s3", mult == want, f"expected {want}")
-            )
-
-        near_root = [(r, m) for r, m in d_roots if abs(lam - r) <= tol]
-        if near_root:
-            root, rm = near_root[0]
-            tag = classify(flux, root)
-            if tag.case == "Indeterminate" or (tag.case == "DDoubleZero" and tag.exceptional):
-                entries.append(
-                    VerificationEntry(lam, mult, "informational", None, f"tag={tag.case}")
-                )
-            else:
-                try:
-                    ad, bd, rv = apply_U(flux.alpha, flux.beta, root)
-                    mult_l = _count_near(reduced_eigenvalues(ad, bd), rv, tol)
-                    want = multiplicity_transfer(tag, mult_l, level, tag.root_mult or rm)
-                    entries.append(
-                        VerificationEntry(
-                            lam, mult, "d-root", mult == want, f"tag={tag.case} expected {want}"
-                        )
-                    )
-                except (OrbitTerminated, ValueError) as exc:
-                    entries.append(
-                        VerificationEntry(lam, mult, "informational", None, str(exc))
-                    )
-        elif s3_value is None or abs(lam - s3_value) > tol:
-            # exceptional but neither S3 nor a D root: a Psi zero in the spectrum
-            tag = classify(flux, lam)
-            if tag.case == "PhiZero":
-                want = dim_n(level - 1)
-                entries.append(
-                    VerificationEntry(lam, mult, "psi-zero", mult == want, f"expected {want}")
-                )
-            elif tag.case == "PsiZeroEscape":
-                entries.append(
-                    VerificationEntry(lam, mult, "psi-zero", False, "should be absent")
-                )
-            else:
-                entries.append(
-                    VerificationEntry(lam, mult, "informational", None, f"tag={tag.case}")
-                )
-
-    # values that must be present (S3) or absent (escape-type Psi zeros)
-    if s3_value is not None:
-        present = any(abs(lam - s3_value) <= tol for lam, _ in sp.pairs)
-        if not present:
-            entries.append(
-                VerificationEntry(s3_value, 0, "s3", False, "S3 eigenvalue missing")
-            )
-    for z in psi_real_zeros(flux):
-        tag = classify(flux, z)
-        got = sum(m for lam, m in sp.pairs if abs(lam - z) <= tol)
-        if tag.case == "PsiZeroEscape":
-            note = f"escape-type Psi zero at {z:.12g}: observed multiplicity {got}"
-            entries.append(VerificationEntry(z, got, "absent-check", got == 0, note))
-        elif tag.case == "Indeterminate":
-            # simple D zero coinciding with the Psi zero (the half-flux
-            # side-2-triangle line): outside the resolved case table, so the
-            # observed multiplicity is recorded without a verdict
-            note = f"unresolved Psi/D double vanishing at {z:.12g}: multiplicity {got}"
-            entries.append(VerificationEntry(z, got, "informational", None, note))
-
+        kind = "regular"
+        for value, label in special:
+            if abs(lam - value) <= tol:
+                kind, note = label, f"tag={classify(flux, value).case}; {note}"
+                break
+        entries.append(VerificationEntry(lam, mult, kind, ok_lo and ok_hi, note))
     return VerificationReport(flux, level, tol, entries)

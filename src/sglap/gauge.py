@@ -117,11 +117,25 @@ def _antisymmetrize(phase_fwd: dict[tuple[int, int], float]) -> dict[tuple[int, 
     return full
 
 
+def _solve_mod1(mat: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
+    """x in [0, 1) with mat @ x = rhs mod 1.
+
+    Phases matter only mod 1, but the solved ones grow with the hole sides
+    (|x| ~ 1.5e3 at level 8) and keep too few digits of their fractions, so
+    they are reduced and corrected once against the residual, itself mod 1.
+    """
+    lu = spla.splu(mat)
+    x = np.mod(lu.solve(rhs), 1.0)
+    resid = rhs - mat @ x
+    return np.mod(x + lu.solve(resid - np.rint(resid)), 1.0)
+
+
 def build_connection(graph: GasketGraph, flux: FluxPair) -> Connection:
     """Spanning-tree gauge: tree edges phase 0, faces pin the rest.
 
     The face/non-tree-edge incidence system is square (cells form a cycle
-    basis) and unimodular; solved in double precision and post-verified.
+    basis) and unimodular; solved in double precision with the phases reduced
+    mod 1 and one correction step, then post-verified.
     """
     n = len(graph.vertices)
     adj: dict[int, list[int]] = {i: [] for i in range(n)}
@@ -161,7 +175,7 @@ def build_connection(graph: GasketGraph, flux: FluxPair) -> Connection:
         rhs[r] = target
 
     mat = sp.csc_matrix((vals, (rows, cols)), shape=(len(faces), len(nontree)))
-    x = spla.spsolve(mat, rhs)
+    x = _solve_mod1(mat, rhs)
     if not np.all(np.isfinite(x)):
         raise RuntimeError("face-flux system singular")
 

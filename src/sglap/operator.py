@@ -118,9 +118,9 @@ def cluster(evs: np.ndarray) -> Spectrum:
     return Spectrum(pairs, evs)
 
 
-def spectrum(op: MagneticOperator, max_dim: int = SPECTRUM_DIM_CAP) -> Spectrum:
-    if op.dimension > max_dim:
-        raise ValueError(f"dimension {op.dimension} exceeds the configured cap {max_dim}")
+def spectrum(op: MagneticOperator) -> Spectrum:
+    if op.dimension > SPECTRUM_DIM_CAP:
+        raise ValueError(f"dimension {op.dimension} exceeds the cap {SPECTRUM_DIM_CAP}")
     return cluster(eigenvalues(op))
 
 

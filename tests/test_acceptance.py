@@ -89,9 +89,11 @@ def test_criterion_02_schur_similarity_identity():
 
 
 def test_criterion_03a_forward_map_on_spectra():
-    # 20 random non-dyadic pairs at level 2 plus 5 at level 3: every
-    # non-exceptional eigenvalue maps by R onto the coarse spectrum within
-    # 1e-7 with matching multiplicity
+    # 20 random non-dyadic pairs at level 2 plus 5 at level 3: below the cut
+    # between every two adjacent clusters, the eigenvalue count equals the one
+    # step of decimation predicts from the coarse spectrum at the evolved
+    # fluxes, so every cluster, exceptional ones included, has the right
+    # multiplicity
     rng = random.Random(314159)
     jobs = [(2, FluxPair(rng.random(), rng.random())) for _ in range(20)]
     jobs += [(3, FluxPair(rng.random(), rng.random())) for _ in range(5)]

@@ -178,9 +178,8 @@ def test_classify_taxonomy():
     tag = classify(FluxPair(0.5, 0.0), 0.5)
     assert (tag.case, tag.root_mult) == ("DNotSingular", 1)
     tag = classify(FluxPair(1 / 6, 0.0), 1.25)
-    assert (tag.case, tag.root_mult, tag.exceptional) == ("DDoubleZero", 2, True)
-    tag = classify(FluxPair(0.3, 0.0), 1.25)
-    assert (tag.case, tag.exceptional) == ("DDoubleZero", False)
+    assert (tag.case, tag.root_mult) == ("DDoubleZero", 2)
+    assert classify(FluxPair(0.3, 0.0), 1.25).case == "DDoubleZero"
     line = FluxPair(0.1, 0.2)  # 3a + b = 1/2: D and Psi share a simple root
     lam_star = 1 + math.cos(2 * math.pi * 0.1) / 2
     tag = classify(line, lam_star)

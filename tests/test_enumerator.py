@@ -7,13 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sglap.decimation import QUADRATICS, classify, quadratic_r
-from sglap.enumerator import (
-    decimation_verify,
-    multiplicity_transfer,
-    quadratic_preimages,
-    spectrum_closed_form,
-)
+from sglap import decimation, enumerator
+from sglap.decimation import QUADRATICS, quadratic_r
+from sglap.enumerator import decimation_verify, quadratic_preimages, spectrum_closed_form
 from sglap.gasket import build_gasket, dim_n
 from sglap.gauge import FluxPair, build_connection
 from sglap.operator import assemble, spectrum
@@ -69,21 +65,6 @@ def test_closed_form_requires_dyadic_flux():
         spectrum_closed_form(FluxPair(0.3, 0.1), 2)
 
 
-def test_multiplicity_transfer_dispatch():
-    tag = classify(FluxPair(0.3, 0.3), 0.4)  # Regular
-    assert multiplicity_transfer(tag, 7, 3, 0) == 7
-    tag = classify(FluxPair(0.0, 0.0), 1.5)  # PhiZero: full previous level
-    assert multiplicity_transfer(tag, 0, 2, 0) == dim_n(1)
-    tag = classify(FluxPair(0.5, 0.0), 0.5)  # DNotSingular, root_mult 1
-    assert multiplicity_transfer(tag, 2, 2, tag.root_mult) == 3 + 2
-    line_tag = classify(FluxPair(0.1, 0.2), 1 + math.cos(2 * math.pi * 0.1) / 2)
-    with pytest.raises(ValueError, match="unresolved"):
-        multiplicity_transfer(line_tag, 0, 2, 1)
-    with pytest.raises(ValueError, match="negative"):
-        tag = classify(FluxPair(0.0, 0.0), 1.25)  # DZeroVanishing
-        multiplicity_transfer(tag, 0, 1, 1)  # 1 - 3 + 0 < 0
-
-
 def test_verify_passes_on_random_fluxes():
     rng = random.Random(2024)
     for _ in range(4):
@@ -96,24 +77,26 @@ def test_verify_passes_on_random_fluxes():
 
 def test_verify_maps_merged_eigenvalues_one_by_one():
     # two eigenvalues 3.9e-7 apart merge into one cluster next to the D root
-    # 1.1345089, where R and theta are steep: each lands on its own reduced
-    # operator as a simple eigenvalue, so the cluster mean must not be mapped
+    # 1.1345089, where R and theta are steep; the counts at the cuts on either
+    # side of the cluster see both of them
     report = decimation_verify(FluxPair(0.8152735957996344, 0.11995139405945265), 3)
     entry = min(report.entries, key=lambda e: abs(e.lam - 1.134864))
     assert abs(entry.lam - 1.134864) <= 1e-6
     assert entry.kind == "regular" and entry.mult == 2
     assert entry.ok, entry.note
-    images = re.findall(r"R=(\S+) at \((\S+), (\S+)\)", entry.note)
-    assert len(images) == 2 and len(set(images)) == 2, entry.note
+    counts = re.findall(r"predicted (\d+) .*?observed (\d+)", entry.note)
+    (p_lo, o_lo), (p_hi, o_hi) = [(int(p), int(o)) for p, o in counts]
+    assert p_lo == o_lo and p_hi == o_hi and o_hi - o_lo == 2, entry.note
 
 
 def test_verify_s3_multiplicity_at_dyadic_alpha():
-    # alpha in {0, 1/2} pins a symmetry eigenvalue with multiplicity (3^N+3)/2
+    # alpha in {0, 1/2} pins a symmetry eigenvalue with multiplicity
+    # (3^N+3)/2, at the real Psi zero 1/2 here
     report = decimation_verify(FluxPair(0.5, 0.37), 2)
     assert report.all_pass
-    s3 = [e for e in report.entries if e.kind == "s3"]
-    assert len(s3) == 1 and s3[0].mult == (3**2 + 3) // 2
-    assert math.isclose(s3[0].lam, 0.5, abs_tol=1e-6)
+    entry = min(report.entries, key=lambda e: abs(e.lam - 0.5))
+    assert math.isclose(entry.lam, 0.5, abs_tol=1e-6)
+    assert (entry.kind, entry.mult, entry.ok) == ("psi-zero", (3**2 + 3) // 2, True)
 
 
 def test_verify_report_json_shape():
@@ -124,15 +107,66 @@ def test_verify_report_json_shape():
     assert {"lambda", "multiplicity", "kind", "ok", "note"} <= set(doc["entries"][0])
 
 
-def test_verify_case_iii_line_is_informational():
-    # on 3a + b = 1/2 the shared D/Psi root cannot be auto-resolved; the
-    # report must say so rather than assert something it cannot check
+def test_verify_judges_case_iii_value():
+    # on 3a + b = 1/2, Psi and D share the simple root 1 + cos(2 pi a)/2; the
+    # counts on either side give it 3^(N-1) + m_(N-1) = 3 + 1 at level 2
     report = decimation_verify(FluxPair(0.1, 0.2), 2)
-    kinds = {e.kind for e in report.entries}
-    assert "informational" in kinds
-    for e in report.entries:
-        if e.kind == "informational":
-            assert e.ok is None
+    assert report.all_pass
+    assert all(e.ok is not None for e in report.entries)
+    entry = min(report.entries, key=lambda e: abs(e.lam - (1 + math.cos(0.2 * math.pi) / 2)))
+    assert (entry.kind, entry.mult, entry.ok) == ("d-root", 4, True)
+    assert "tag=Indeterminate" in entry.note
+
+
+@pytest.mark.parametrize(
+    "level, flux",
+    [
+        (4, (0.08518526805075266, 0.24744098492908506)),
+        (4, (0.999128539162579, 0.2093976318889128)),
+        (4, (0.3790754208415891, 0.11373092728079992)),
+        (5, (0.12380196114964559, 0.22323896460701453)),
+    ],
+)
+def test_verify_green_in_near_degenerate_bands(level, flux):
+    # bands whose images under U lie closer together than tol, or that
+    # `spectrum` splits into clusters mapping into one reduced band
+    report = decimation_verify(FluxPair(*flux), level)
+    assert report.all_pass, [e for e in report.entries if e.ok is False]
+
+
+@pytest.mark.parametrize("level, mult", [(3, 2), (4, 3)])
+def test_verify_mixed_d_root_on_case_iii_line(level, mult):
+    # the DZeroMixed root of (1/12, 1/4), where R'(lambda) = 0
+    report = decimation_verify(FluxPair(1 / 12, 0.25), level)
+    assert report.all_pass, [e for e in report.entries if e.ok is False]
+    entry = min(report.entries, key=lambda e: abs(e.lam - 0.5669873))
+    assert abs(entry.lam - 0.5669873) <= 1e-6
+    assert (entry.kind, entry.mult, entry.ok) == ("d-root", mult, True)
+    assert "tag=DZeroMixed" in entry.note
+
+
+@pytest.mark.parametrize("flux, root", [((1 / 6, 0.0), 1.25), ((1 / 3, 0.5), 0.75)])
+@pytest.mark.parametrize("level, mult", [(2, 3), (3, 11), (4, 30)])
+def test_verify_judges_double_d_roots(flux, root, level, mult):
+    # D has a double root where Psi vanishes too (DDoubleZero)
+    report = decimation_verify(FluxPair(*flux), level)
+    assert report.all_pass
+    assert all(e.ok is not None for e in report.entries)
+    entry = min(report.entries, key=lambda e: abs(e.lam - root))
+    assert (entry.kind, entry.mult) == ("d-root", mult)
+    assert "tag=DDoubleZero" in entry.note
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [lambda a, b, r: (a + 0.5, b + 0.5, r), lambda a, b, r: (a, b, r + 1e-3)],
+    ids=["theta+1/2", "R+1e-3"],
+)
+def test_verify_goes_red_when_U_is_wrong(monkeypatch, mutate):
+    # theta + 1/2 moves both evolved fluxes by 3/2; the counts must notice
+    monkeypatch.setattr(enumerator, "apply_U", lambda a, b, lam: mutate(*decimation.apply_U(a, b, lam)))
+    report = decimation_verify(FluxPair(0.41, 0.13), 3)
+    assert not report.all_pass
 
 
 def test_verify_level_guard():

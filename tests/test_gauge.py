@@ -144,3 +144,11 @@ def test_tree_gauge_face_completion_property(alpha, beta):
     for cell, h in cell_holonomies(conn):
         want = alpha if cell.orientation == "upright" else hole_flux(cell.side, alpha, beta)
         assert circ_dist(h, want) <= 1e-9
+
+
+@pytest.mark.parametrize("flux", [(0.37, 0.71), (0.3141, 0.2718)])
+def test_tree_gauge_is_exact_mod_1_at_level_8(flux):
+    # a side-128 hole sums hundreds of solved phases; left unreduced they
+    # reach |x| ~ 1.5e3 and the hole misses its target by up to 2.45e-12
+    conn = build_connection(build_gasket(8), FluxPair(*flux))  # checks every face
+    assert all(abs(p) < 1.0 for p in conn.phase.values())

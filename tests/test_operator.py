@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from sglap import operator
 from sglap.decimation import decimation_kit, exceptional_set
 from sglap.gasket import build_gasket, dim_n
 from sglap.gauge import (
@@ -64,7 +65,7 @@ def test_symmetrized_hermitian_and_psd(flux):
     assert evs[-1] <= 2.0 + 1e-9
 
 
-def test_spectrum_clustering_and_exports():
+def test_spectrum_clustering_and_exports(monkeypatch):
     op = _op(2, 0.5, 0.5)
     sp = spectrum(op)
     assert sp.total_multiplicity == dim_n(2) == 15
@@ -75,8 +76,9 @@ def test_spectrum_clustering_and_exports():
     csv = sp.to_csv()
     assert csv.splitlines()[0] == "eigenvalue,multiplicity"
     assert len(csv.splitlines()) == len(sp.pairs) + 1
-    with pytest.raises(ValueError):
-        spectrum(op, max_dim=10)
+    monkeypatch.setattr(operator, "SPECTRUM_DIM_CAP", 10)
+    with pytest.raises(ValueError, match="exceeds the cap 10"):
+        spectrum(op)
 
 
 def test_zero_flux_kernel_and_pseudo_determinant():
