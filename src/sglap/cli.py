@@ -164,14 +164,13 @@ def spectrum(alpha, beta, level, method, out):
 @click.option("--alpha", type=RATIONAL, required=True)
 @click.option("--beta", type=RATIONAL, required=True)
 @click.option("--level", type=click.IntRange(1), required=True)
-@click.option("--tol", type=float, default=1e-7, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-def verify(alpha, beta, level, tol, out):
-    """Check the level-N spectrum cluster by cluster against the eigenvalue counts
-    one decimation step predicts from level N-1; exit 1 on failure.  --tol only
-    picks which clusters are labelled d-root or psi-zero."""
+def verify(alpha, beta, level, out):
+    """Check the level-N spectrum cluster by cluster against the eigenvalue counts one
+    decimation step predicts from level N-1; exit 1 on failure.  Clusters within
+    1e-7 of a D root or a real Psi zero are labelled d-root or psi-zero."""
     t0 = time.perf_counter()
-    report = _call(enumerator.decimation_verify, FluxPair(alpha, beta), level, tol=tol)
+    report = _call(enumerator.decimation_verify, FluxPair(alpha, beta), level)
     _emit(json.loads(report.to_json()), out, t0)
     return 0 if report.all_pass else 1
 
@@ -260,11 +259,10 @@ def butterfly(map_, grid, lmin, lmax, iters, threshold, beta, threads, out):
     required=True,
 )
 @click.option("--level", type=click.IntRange(0), required=True)
-@click.option("--allow-small-n", is_flag=True, default=False,
-              help="evaluate the product formulas below their validity floor")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-def det(case, level, allow_small_n, out):
-    """Closed-form reduced determinants (or spanning-tree counts with --case trees)."""
+def det(case, level, out):
+    """Closed-form reduced determinants (or spanning-tree counts with --case trees).
+    Levels below 1 (half-half) or 2 (half-zero, zero-half) are refused."""
     t0 = time.perf_counter()
     if case == "trees":
         value = _call(determinants.tree_count_closed_form, level)
@@ -273,9 +271,7 @@ def det(case, level, allow_small_n, out):
             count *= int(base) ** int(exp)
         payload = {"case": case, "level": level, "tree_count": str(count), **value.to_json()}
     else:
-        value = _call(
-            determinants.det_closed_form, case, level, allow_small_n=allow_small_n
-        )
+        value = _call(determinants.det_closed_form, case, level)
         payload = {"case": case, "level": level, **value.to_json()}
     _emit(payload, out, t0)
 

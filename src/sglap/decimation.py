@@ -7,14 +7,15 @@ complex coupling Psi, its argument, the renormalized eigenvalue R and the
 evolved fluxes.  Its operation order is the butterfly's multiply chain (explicit
 products, 16*sqrt(re*re+im*im), libm atan2), so butterfly rasters stay bitwise
 equal to the published loop; it computes with numpy ufuncs, so escaped orbits
-give inf/NaN rather than math domain errors.  `decimation_kit` is the scalar
-view of one step with the spectral-similarity prefactor phi = |Psi|/4D, and
-`apply_U` the orbit step that continues exactly through the dyadic Psi zeros.
+give inf/NaN rather than math domain errors.  `decimation_kit` is its scalar
+view with the spectral-similarity prefactor phi = |Psi|/4D.
 
-`decimation_count` turns the spectral similarity S_N = phi (L_{N-1}' - R I)
-into an exact integer recursion for #{eigenvalues of L_N < lambda} at a
-uniform Case I or Case IV flux, vectorised over lambda; `decimation_eigenvalues`
-bisects it over all eigenvalue indices at once, in O(dim N) work per sweep.
+`_step` is the one exact step, in the |Psi| convention at every flux (`u_step`,
+or the QUADRATICS at the dyadic pairs); `apply_U` is its scalar view.  The
+similarity S_N = phi (L_{N-1}' - R I) gives one count per step,
+`one_step_count`, with k = `_roots_below`.  `decimation_count` applies it at
+every level at a uniform Case I or Case IV flux, vectorised over lambda, and
+`decimation_eigenvalues` bisects that over all eigenvalue indices at once.
 
 `classify` sorts a triple (alpha, beta, lambda) into the paper's cases of
 exceptional values: which of Psi and D vanish, the root multiplicity of D,
@@ -38,6 +39,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -58,9 +60,20 @@ def _cubic_d(lam, cos_beta):
     return -(lam * lam * lam) + 3 * lam * lam - 45 / 16 * lam + 13 / 16 - cos_beta / 32
 
 
-def cell_cubic_d(beta: float, lam: float) -> float:
-    """det of one midpoint 3x3 block: (1-lam)^3 - (3/16)(1-lam) - cos(2 pi beta)/32."""
-    return _cubic_d(lam, np.cos(TWO_PI * beta))
+_DYADIC_D_ROOTS = {0.0: (0.5, 1.25), 0.5: (1.5, 0.75)}  # beta: (simple, double) root of D
+
+
+def cell_cubic_d(beta: float, lam):
+    """det of one midpoint 3x3 block: (1-lam)^3 - (3/16)(1-lam) - cos(2 pi beta)/32.
+
+    At beta in {0, 1/2} it is written over its exact roots, so that its sign is
+    exact; the expanded cubic has the wrong sign up to 2e-8 from the double root.
+    """
+    b0 = dyadic(beta)
+    if b0 is None:
+        return _cubic_d(lam, np.cos(TWO_PI * beta))
+    simple, double = _DYADIC_D_ROOTS[b0]
+    return -(lam - simple) * ((lam - double) * (lam - double))
 
 
 def _atan2(im, re):
@@ -195,39 +208,53 @@ QUADRATICS = {  # name: ((alpha, beta), (p, q), (b, c))
 }
 
 
-def _dyadic_name(a0: float, b0: float) -> str:
-    return next(n for n, (f, _, _) in QUADRATICS.items() if f == (a0, b0))
-
-
 def quadratic_r(name: str, lam: float) -> float:
     _, _, (b, c) = QUADRATICS[name]
     return -4 * lam * lam + b * lam + c
 
 
-def _dyadic_step(alpha: float, beta: float, lam: float) -> tuple[float, float, float]:
-    """Exact orbit step in the real-Psi regime.
+def _dyadic_step(alpha, beta, lam):
+    """`_step` at alpha, beta in {0, 1/2}, elementwise.  R is the quadratic, which
+    has no 0/0 at the Psi zeros; where the real Psi < 0, theta = 1/2 and the
+    step twists to (alpha' + 1/2, beta' + 1/2, 2 - R)."""
+    out = np.empty((5, lam.size), dtype=lam.dtype)
+    for name, ((a0, b0), (p, q), _) in QUADRATICS.items():
+        on = (alpha == a0) & (beta == b0)
+        if on.any():
+            x = lam[on]
+            eta, r = 1 - x, quadratic_r(name, x)
+            psi = eta * eta + p * eta + q
+            twist = 0.5 * (psi < 0)
+            out[:, on] = (cell_cubic_d(b0, x), np.abs(psi), (3 * a0 + b0 + twist) % 1.0,
+                          (3 * b0 + a0 + twist) % 1.0, np.where(twist, 2 - r, r))
+    return out
 
-    theta is 0 or 1/2 by the sign of the real Psi, and a zero of Psi is a
-    removable singularity of the composed map: continue with theta = 0 and
-    the signed quadratic (this is what makes e.g. (1/2,1/2,3/4) -> (0,0,0)).
-    """
-    a0, b0 = dyadic(alpha), dyadic(beta)
-    name = _dyadic_name(a0, b0)
-    (p, q), eta = QUADRATICS[name][1], 1 - lam
-    r = quadratic_r(name, lam)
-    if eta * eta + p * eta + q < 0:  # theta = 1/2: half-turn twist, R in the |Psi| convention
-        return mod1(3 * a0 + b0 + 0.5), mod1(3 * b0 + a0 + 0.5), 2 - r
-    return mod1(3 * a0 + b0), mod1(3 * b0 + a0), r
+
+def _step(alpha, beta, lam):
+    """One exact step of U in the |Psi| convention over 1-d arrays: the rows D,
+    |Psi|, alpha', beta', R, with sign(phi) = sign(D).  `_dyadic_step` within
+    DYADIC_TOL of the dyadic pairs, `u_step` (R inf or NaN at Psi = 0) elsewhere."""
+    half_a, half_b = np.round(2 * alpha) / 2, np.round(2 * beta) / 2
+    grid = (np.abs(alpha - half_a) <= DYADIC_TOL) & (np.abs(beta - half_b) <= DYADIC_TOL)
+    if grid.all():
+        return _dyadic_step(half_a % 1.0, half_b % 1.0, lam)
+    if not grid.any():
+        st = u_step(alpha, beta, lam)
+        return st.D, np.hypot(st.re, st.im), st.alpha_down, st.beta_down, st.R
+    out = np.empty((5, lam.size), dtype=np.result_type(alpha, beta, lam, float))
+    for part in (grid, ~grid):
+        out[:, part] = _step(alpha[part], beta[part], lam[part])
+    return out
 
 
 def apply_U(alpha: float, beta: float, lam: float) -> tuple[float, float, float]:
+    """The scalar view of `_step`: (alpha', beta', R).  Raises OrbitTerminated
+    where Psi = 0 off the dyadic grid, since theta is undefined there."""
     flux = FluxPair(alpha, beta)
-    if flux.is_dyadic():
-        return _dyadic_step(flux.alpha, flux.beta, lam)
-    step = decimation_kit(flux, lam)
-    if step.R is None:
+    _, _, a, b, r = _step(np.array([flux.alpha]), np.array([flux.beta]), np.array([lam]))
+    if not np.isfinite(r[0]):
         raise OrbitTerminated(f"Psi = 0 at (alpha={alpha}, beta={beta}, lambda={lam})")
-    return step.alpha_down, step.beta_down, step.R
+    return float(a[0]), float(b[0]), float(r[0])
 
 
 # Viete's roots of D(beta, .), one in each of [1/2, 3/4], [3/4, 5/4], [5/4, 3/2]
@@ -239,9 +266,8 @@ def zeros_of_D(beta):
     beta, an array of shape beta.shape + (3,) repeating double roots for an array.
 
     Viete's trigonometric solution of the depressed cubic in eta = 1 - lambda:
-    eta^3 - (3/16) eta - cos(2 pi beta)/32, all roots real.  The three roots
-    sit in [1/2,3/4], [3/4,5/4], [5/4,3/2]; doubles occur only at beta within
-    DYADIC_TOL of {0, 1/2} and are returned exactly.
+    eta^3 - (3/16) eta - cos(2 pi beta)/32, one real root in each interval of
+    D_ROOT_BOUNDS.  Doubles occur only at beta in {0, 1/2}, returned exactly.
     """
     b = np.asarray(beta, dtype=np.result_type(beta, float))
     two_pi = 2 * _PI[b.dtype]
@@ -249,17 +275,11 @@ def zeros_of_D(beta):
     roots = np.sort(1 - 0.5 * np.cos((t - two_pi * np.arange(3)) / 3), axis=-1)
     halves = np.round(2 * b)  # the nearest point of {0, 1/2} + Z, doubled
     on_grid = np.abs(b - halves / 2) <= DYADIC_TOL
-    roots[on_grid & (halves % 2 == 0)] = (0.5, 1.25, 1.25)
-    roots[on_grid & (halves % 2 == 1)] = (0.75, 0.75, 1.5)
+    for b0, (simple, double) in _DYADIC_D_ROOTS.items():
+        roots[on_grid & (halves % 2 == 2 * b0)] = sorted((simple, double, double))
     if b.ndim:
         return roots
-    out: list[tuple[float, int]] = []
-    for r in roots.tolist():
-        if out and out[-1][0] == r:
-            out[-1] = (r, out[-1][1] + 1)
-        else:
-            out.append((r, 1))
-    return out
+    return [(r, len(list(run))) for r, run in groupby(roots.tolist())]
 
 
 def psi_real_zeros(flux: FluxPair) -> list[float]:
@@ -272,7 +292,7 @@ def psi_real_zeros(flux: FluxPair) -> list[float]:
     a, b = flux.alpha, flux.beta
     da, db = dyadic(a), dyadic(b)
     if da is not None and db is not None:
-        p, q = QUADRATICS[_dyadic_name(da, db)][1]
+        p, q = next(pq for pair, pq, _ in QUADRATICS.values() if pair == (da, db))
         s = math.sqrt(p * p - 4 * q)  # eta = 1 - lambda solves eta^2 + p eta + q = 0
         return [1 - (s - p) / 2, 1 + (s + p) / 2]
     if da is not None:
@@ -308,70 +328,60 @@ def _triangle_count(alpha, lam):
     return sum(1 - np.cos(two_pi * (alpha + m) / 3) < lam for m in range(3))
 
 
-def _count(flux: FluxPair, level: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The recursion of `decimation_count` in the precision of x, and which
+def _roots_below(x, D):
+    """k = #{roots of D(beta, .) < x}, given D = D(beta, x): the q-th root lies in
+    the q-th interval of D_ROOT_BOUNDS, so k is q or q - 1, whichever matches
+    sign D = (-1)^k."""
+    q = np.searchsorted(D_ROOT_BOUNDS, x)
+    return np.clip(q - np.where(q % 2 == 1, D >= 0, D <= 0), 0, 3)
+
+
+def one_step_count(level: int, k, c):
+    """#{eigenvalues of L_level < x} by Haynsworth inertia additivity over the
+    midpoint block and S = phi (L' - R I), sign phi = (-1)^k: k D roots lie
+    below x and c = #{eigenvalues of L_(level-1)(alpha', beta') < R}."""
+    return 3 ** (level - 1) * k + np.where(k % 2 == 1, dim_n(level - 1) - c, c)
+
+
+def _count(alpha, beta, level: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`decimation_count` in the precision of x at per-probe fluxes, and which
     probes met |Psi| < PSI_FRAGILE on the way."""
-    total = np.zeros(x.size, dtype=np.int64)
+    if level == 0:
+        return _triangle_count(alpha, x), np.zeros(x.size, dtype=bool)
+    count = np.where(x > 2, dim_n(level), 0)
     fragile = np.zeros(x.size, dtype=bool)
-    idx = np.arange(x.size)
-    sgn = np.ones(x.size, dtype=np.int64)
-    pair = (dyadic(flux.alpha), dyadic(flux.beta)) if flux.is_dyadic() else None
-    a, b = np.full(x.size, flux.alpha, x.dtype), np.full(x.size, flux.beta, x.dtype)
-    for n in range(level, 0, -1):
-        high = x > 2
-        total[idx[high]] += sgn[high] * dim_n(n)
-        keep = (x > 0) & ~high
-        idx, x, sgn, a, b = idx[keep], x[keep], sgn[keep], a[keep], b[keep]
-        if pair is not None:
-            a0, b0 = pair
-            k = sum(m * (x > r) for r, m in zeros_of_D(b0))
-            j = sum(x > z for z in psi_real_zeros(FluxPair(a0, b0)))
-            R = quadratic_r(_dyadic_name(a0, b0), x)
-            pair = (mod1(3 * a0 + b0), mod1(3 * b0 + a0))
-        else:
-            st = u_step(a, b, x)
-            if not np.isfinite(st.R).all():
-                raise OrbitTerminated(f"Psi = 0 at level {n} on the orbit of flux {flux}")
-            fragile[idx[np.hypot(st.re, st.im) < PSI_FRAGILE]] = True
-            # the q-th D root lies in (bounds[q-1], bounds[q]], so below x lie
-            # q of them or q-1, whichever matches sign D = (-1)^k
-            q = np.searchsorted(D_ROOT_BOUNDS, x)
-            k = np.clip(q - ((-1.0) ** q * st.D <= 0), 0, 3)
-            j = 0
-            R, a, b = st.R, st.alpha_down, st.beta_down
-        odd = (k + j) % 2 == 1
-        total[idx] += sgn * (3 ** (n - 1) * k + np.where(odd, dim_n(n - 1), 0))
-        sgn = np.where(odd, -sgn, sgn)
-        x = R
-    total[idx] += sgn * _triangle_count(a if pair is None else pair[0], x)
-    return total, fragile
+    live = (x > 0) & (x <= 2)
+    x = x[live]
+    d, abs_psi, a, b, r = _step(alpha[live], beta[live], x)
+    if not np.isfinite(r).all():
+        raise OrbitTerminated(f"Psi = 0 at level {level} on a probe's orbit")
+    c, below = _count(a, b, level - 1, r)
+    count[live] = one_step_count(level, _roots_below(x, d), c)
+    fragile[live] = below | (abs_psi < PSI_FRAGILE)
+    return count, fragile
 
 
 def decimation_count(flux: FluxPair, level: int, lam) -> np.ndarray:
     """#{eigenvalues of L_level < lam} at the uniform flux pair `flux`, per entry of lam.
 
-    Haynsworth inertia additivity over the midpoint block and the Schur
-    identity S = phi (L' - R I) give the integer recursion
-    count_n(lam) = 3^(n-1) k + (k + j even ? c : dim_(n-1) - c) with
-    c = count_(n-1)(alpha', beta', R): k D roots lie below lam (sign D = (-1)^k)
-    and sign phi = (-1)^(k+j).  At the dyadic pairs j counts the real Psi
-    zeros below lam and R is the signed quadratic with fluxes (3a+b, 3b+a),
-    which has no 0/0 at those zeros; elsewhere j = 0 and R, alpha', beta' come
-    from `u_step`.  The recursion ends at the level-0 triangle, and a probe
-    stops early once its R leaves (0, 2], where its count saturates to 0 or
-    the full dimension, before an escaping orbit can overflow.
+    `one_step_count` at every level, with c the count one level down at
+    (alpha', beta', R) from `_step`, down to the level-0 triangle.  A probe
+    stops early once its R leaves (0, 2], where its count saturates to 0 or the
+    full dimension, before an escaping orbit can overflow.
 
-    Where |Psi| is small, theta and R lose digits to cancellation, and U maps
-    every D root onto a Psi zero of the next level, so orbits near D roots
-    meet this.  Probes whose orbit meets |Psi| < PSI_FRAGILE are counted again
-    in long double.  Exact for Case I and Case IV fluxes away from the points
-    where a D root, Psi zero or eigenvalue is hit exactly; Case II and III put
-    real Psi zeros on the generic path.
+    Off the dyadic grid, where |Psi| is small, theta and R lose digits to
+    cancellation, and U maps every D root onto a Psi zero of the next level.
+    Probes whose orbit meets |Psi| < PSI_FRAGILE are counted again in long
+    double; the dyadic steps read R off a quadratic and need no recount.
+    Exact for Case I and Case IV fluxes away from the points where a D root,
+    Psi zero or eigenvalue is hit exactly; Case II and III put real Psi zeros
+    on the `u_step` path.
     """
     x = np.array(lam, dtype=float).ravel()
-    total, fragile = _count(flux, level, x)
-    if fragile.any():
-        total[fragile] = _count(flux, level, x[fragile].astype(np.longdouble))[0]
+    alpha, beta = np.full(x.size, flux.alpha), np.full(x.size, flux.beta)
+    total, fragile = _count(alpha, beta, level, x)
+    if fragile.any() and not flux.is_dyadic():
+        total[fragile] = _count(alpha[fragile], beta[fragile], level, x[fragile].astype(np.longdouble))[0]
     return total.reshape(np.shape(lam))
 
 

@@ -21,8 +21,8 @@ minus tree entropy).
 Validity floor of the closed forms, determined against spectral products:
 flux (1/2,1/2) matches from level 1 upward; (1/2,0) and (0,1/2) match from
 level 2 upward (their chain bookkeeping degenerates below that, and at level
-1 the exponents are not even integers).  `det_closed_form` therefore refuses
-levels 1 and 2 unless explicitly overridden.
+1 the exponents are not even integers).  `det_closed_form` refuses each case
+below its floor.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ _SEEDS = {
     "Hhat": Fraction(173, 2),    # flux (0, 1/2)
 }
 _CASE_KIND = {"half-half": "H", "half-zero": "Htilde", "zero-half": "Hhat"}
+_DET_FLOOR = {"half-half": 1, "half-zero": 2, "zero-half": 2}  # lowest level where it holds
 
 _MAX_K = 64
 _EXACT_K = 8  # keep exact rational H(k) only while it is cheap
@@ -205,11 +206,9 @@ def tree_count_closed_form(level: int) -> LogValue:
 def _prime_exponents(case: str, n: int) -> dict[int, Fraction]:
     """Prime-power part of det(L_N) for one half-integer flux case.
 
-    Exponents are exact Fractions; powers of 3 with negative index (possible
-    only under the small-level override, where the form is documented not to
-    hold anyway) stay exact rationals.
+    Exponents are exact Fractions.  From the validity floor of `det_closed_form`
+    on, every power of 3 here is an integer.
     """
-    p3 = Fraction(3)
     if case == "half-half":
         return {
             2: Fraction(3**n + 1, 2),
@@ -219,16 +218,16 @@ def _prime_exponents(case: str, n: int) -> dict[int, Fraction]:
     if case == "half-zero":
         return {
             2: Fraction(3**n - 1, 2),
-            3: p3 ** (n - 2) / 2 - n - Fraction(3, 2),
-            5: 2 * p3 ** (n - 2) - 1,
-            7: p3 ** (n - 1) / 2 + Fraction(3, 2),
-            17: p3 ** (n - 2) / 2 + Fraction(3, 2),
+            3: Fraction(3 ** (n - 2) - 2 * n - 3, 2),
+            5: Fraction(2 * 3 ** (n - 2) - 1),
+            7: Fraction(3 ** (n - 1) + 3, 2),
+            17: Fraction(3 ** (n - 2) + 3, 2),
         }
     if case == "zero-half":
         return {
             2: Fraction(3**n - 1, 2),
-            3: 7 * p3 ** (n - 2) - n + 3,
-            7: p3 ** (n - 2) / 2 - Fraction(1, 2),
+            3: Fraction(7 * 3 ** (n - 2) - n + 3),
+            7: Fraction(3 ** (n - 2) - 1, 2),
         }
     raise ValueError(f"unknown determinant case {case!r}")
 
@@ -248,22 +247,17 @@ def _chain_multiplicities(case: str, n: int) -> list[tuple[int, int, int]]:
     return rows
 
 
-def det_closed_form(case: str, level: int, *, allow_small_n: bool = False) -> LogValue:
+def det_closed_form(case: str, level: int) -> LogValue:
     """det of the probabilistic magnetic Laplacian at one half-integer flux.
 
     Assembled as (1/psi) * prime powers * chain of (H(k)+1/2), (H(k)+5/2)
-    factors, all in the log domain.  Levels 1 and 2 are refused by default:
-    the closed form holds there only for the (1/2,1/2) case (from level 1)
-    and the mixed cases (from level 2), so callers must opt in explicitly.
+    factors, all in the log domain.  The form holds from level 1 for the
+    (1/2,1/2) case and from level 2 for the mixed cases; lower levels are
+    refused (at level 1 the mixed cases come out wrong).
     """
     case = _canon_case(case, DET_CASES)
-    if level < 1:
-        raise ValueError("det_closed_form needs level >= 1")
-    if level in (1, 2) and not allow_small_n:
-        raise ValueError(
-            f"closed form at level {level} is below the documented validity "
-            "floor for some cases; pass allow_small_n=True to evaluate anyway"
-        )
+    if level < _DET_FLOOR[case]:
+        raise ValueError(f"level {level} is below the validity floor {_DET_FLOOR[case]} of {case}")
     psi = psi_weight(level)
     exps = {b: -e for (b, e), _ in zip(psi.exact_factors, psi.base_logs)}
     for p, e in _prime_exponents(case, level).items():

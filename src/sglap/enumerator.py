@@ -29,16 +29,20 @@ from .decimation import (
     BRACKET,
     QUADRATICS,
     OrbitTerminated,
+    _roots_below,
     apply_U,
+    cell_cubic_d,
     classify,
+    one_step_count,
     psi_real_zeros,
     zeros_of_D,
 )
 from .gasket import build_gasket, dim_n
-from .gauge import FluxPair, build_connection, dyadic
+from .gauge import FluxPair, build_connection, dyadic, landau_connection
 from .operator import Spectrum, assemble, eigenvalues, spectrum
 
 MAX_SERIES_DEPTH = 20  # 2^k values per series; desk levels use k <= 6
+LABEL_TOL = 1e-7  # picks the d-root and psi-zero labels of the verifier; no verdict
 
 
 def quadratic_preimages(map_id: str, value: float) -> tuple[float, float]:
@@ -192,26 +196,21 @@ class VerificationReport:
         )
 
 
-def decimation_verify(flux: FluxPair, level: int, tol: float = 1e-7) -> VerificationReport:
+def decimation_verify(flux: FluxPair, level: int) -> VerificationReport:
     """Check the level-N spectrum against one step of the decimation theorem.
 
-    U maps the spectrum of L_N onto that of L_(N-1), and Haynsworth inertia
-    additivity over the midpoint block turns that into a count: below a cut x,
+    Below a cut x, #{eig L_N < x} must equal `one_step_count`(N, k, c), with k
+    from `_roots_below` and c = #{eig L_(N-1)(alpha', beta') < R} at
+    (alpha', beta', R) = `apply_U`(alpha, beta, x).  The cuts are BRACKET's
+    ends and the midpoint of every gap between adjacent clusters of `spectrum`.
+    Both levels solve through `operator.eigenvalues`; level N takes the tree
+    gauge `build_connection` and level N-1 the closed-form `landau_connection`.
 
-        #{eig L_N < x} = 3^(N-1) k + (k odd ? dim_(N-1) - c : c),
-
-    where k D roots lie below x and c = #{eig L_(N-1)(alpha', beta') < R} with
-    (alpha', beta', R) = U(alpha, beta, x).  R and theta follow the |Psi|
-    convention of `apply_U`, so the sign of phi = |Psi|/4D is (-1)^k at every
-    flux.  The cuts are BRACKET's ends and the midpoint of every gap between
-    adjacent clusters of `spectrum`; the level-N and reduced spectra come from
-    `operator.eigenvalues`.
-
-    Each cluster gets one entry, judged by the agreement at the two cuts
-    around it; its note gives the predicted and observed count at both.
-    Clusters within tol of a D root or a real Psi zero are labelled d-root or
-    psi-zero and carry their `classify` tag.  A cut where Psi vanishes
-    exactly has no R, and the clusters beside it are informational.
+    Each cluster gets one entry, judged by the two cuts around it; its note
+    gives the predicted and observed count at both.  Clusters within LABEL_TOL
+    of a D root or a real Psi zero are labelled d-root or psi-zero and carry
+    their `classify` tag.  A cut where Psi vanishes exactly off the dyadic grid
+    has no R, and the clusters beside it are informational.
     """
     if level < 1:
         raise ValueError("verification needs a previous level")
@@ -225,10 +224,10 @@ def decimation_verify(flux: FluxPair, level: int, tol: float = 1e-7) -> Verifica
             ad, bd, r = apply_U(flux.alpha, flux.beta, x)
         except OrbitTerminated as exc:
             return None, f"below {x:.10g}: {exc}"
-        k = sum(m for root, m in d_roots if root < x)
-        evs = eigenvalues(assemble(reduced, build_connection(reduced, FluxPair(ad, bd))))
+        k = int(_roots_below(x, cell_cubic_d(flux.beta, x)))
+        evs = eigenvalues(assemble(reduced, landau_connection(reduced, FluxPair(ad, bd))))
         c = int(np.searchsorted(evs, r))
-        want = 3 ** (level - 1) * k + (dim_n(level - 1) - c if k % 2 else c)
+        want = int(one_step_count(level, k, c))
         got = int(np.searchsorted(sp.raw, x))
         return want == got, f"below {x:.10g}: predicted {want} (k={k}, c={c}), observed {got}"
 
@@ -245,8 +244,8 @@ def decimation_verify(flux: FluxPair, level: int, tol: float = 1e-7) -> Verifica
             continue
         kind = "regular"
         for value, label in special:
-            if abs(lam - value) <= tol:
+            if abs(lam - value) <= LABEL_TOL:
                 kind, note = label, f"tag={classify(flux, value).case}; {note}"
                 break
         entries.append(VerificationEntry(lam, mult, kind, ok_lo and ok_hi, note))
-    return VerificationReport(flux, level, tol, entries)
+    return VerificationReport(flux, level, LABEL_TOL, entries)

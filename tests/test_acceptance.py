@@ -98,7 +98,7 @@ def test_criterion_03a_forward_map_on_spectra():
     jobs = [(2, FluxPair(rng.random(), rng.random())) for _ in range(20)]
     jobs += [(3, FluxPair(rng.random(), rng.random())) for _ in range(5)]
     for n, flux in jobs:
-        report = decimation_verify(flux, n, tol=1e-7)
+        report = decimation_verify(flux, n)
         assert report.all_pass, (n, flux, report.to_json())
 
 

@@ -71,6 +71,9 @@ def test_verify_passes_and_fails(capsys, monkeypatch):
                        "--level", "2")
     assert code == 0
     assert json.loads(out)["all_pass"] is True
+    code, _, err = run(capsys, "verify", "--alpha", "0.3", "--beta", "0.12",
+                       "--level", "2", "--tol", "1e-7")
+    assert code == 2 and "--tol" in err
 
     class FakeReport:
         all_pass = False
@@ -146,12 +149,14 @@ def test_butterfly_has_one_engine(capsys, tmp_path):
 def test_det_trees_and_small_level_guard(capsys):
     payload = run_json(capsys, "det", "--case", "trees", "--level", "1")
     assert payload["tree_count"] == "54"
-    code, _, err = run(capsys, "det", "--case", "half-zero", "--level", "2")
+    code, _, err = run(capsys, "det", "--case", "half-zero", "--level", "1")
     assert code == 2 and "validity floor" in err
-    payload = run_json(capsys, "det", "--case", "half-zero", "--level", "2",
-                       "--allow-small-n")
+    payload = run_json(capsys, "det", "--case", "half-zero", "--level", "2")
     want = math.log(5 * 7**3 * 17**2) - 22 * math.log(2)
     assert abs(payload["log_magnitude"] - want) < 1e-10
+    code, _, err = run(capsys, "det", "--case", "half-zero", "--level", "2",
+                       "--allow-small-n")
+    assert code == 2 and "--allow-small-n" in err
 
 
 def test_complexity_payload(capsys):

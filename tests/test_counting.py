@@ -97,6 +97,26 @@ def test_engine_matches_closed_form_to_level_10(flux):
         assert np.max(np.abs(got - want)) <= 1e-12, (flux, level)
 
 
+def test_engine_needs_the_half_turn_twist(monkeypatch):
+    # where the real Psi is negative, theta = 1/2; a dyadic step that keeps the
+    # signed quadratic and the untwisted fluxes there breaks sign phi = (-1)^k
+    step = decimation._dyadic_step
+
+    def untwisted(alpha, beta, lam):
+        d, abs_psi, a, b, r = step(alpha, beta, lam)
+        plain_a, plain_b = (3 * alpha + beta) % 1.0, (3 * beta + alpha) % 1.0
+        return d, abs_psi, plain_a, plain_b, np.where(a != plain_a, 2 - r, r)
+
+    monkeypatch.setattr(decimation, "_dyadic_step", untwisted)
+    for flux in DYADIC:
+        fp = FluxPair(*flux)
+        for level in (2, 3, 4):
+            cf = spectrum_closed_form(fp, level)
+            want = np.repeat([v for v, _ in cf.pairs], [m for _, m in cf.pairs])
+            got = decimation_eigenvalues(fp, level)
+            assert np.max(np.abs(got - want)) > 0.1, (flux, level)
+
+
 @pytest.mark.parametrize("flux", [(0.5, 0.0), RANDOM[0]])
 def test_engine_saturates_before_overflow(flux):
     with warnings.catch_warnings():

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from sglap.decimation import (
     OrbitTerminated,
+    _roots_below,
+    _step,
     apply_U,
     cell_cubic_d,
     classify,
@@ -128,6 +130,39 @@ def test_dyadic_orbit_steps_are_exact():
     assert (a1, b1) == (0.0, 0.0)
     a1, b1, r1 = apply_U(0.0, 0.0, 1.4)  # psi(e=-0.4) = 0.16 - 0.3 + 0.125 < 0
     assert (a1, b1) == (0.5, 0.5)
+
+
+def test_apply_U_is_the_scalar_view_of_step():
+    rng = random.Random(23)
+    pts = [(rng.random(), rng.random(), rng.uniform(-0.5, 2.5)) for _ in range(100)]
+    pts += [(a, b, lam) for a in (0.0, 0.5) for b in (0.0, 0.5) for lam in (0.1, 0.6, 1.1, 1.4, 1.9)]
+    al, be, lm = (np.array(c) for c in zip(*pts))
+    _, _, a1, b1, r1 = _step(al, be, lm)
+    for k, (a, b, lam) in enumerate(pts):
+        assert apply_U(a, b, lam) == (a1[k], b1[k], r1[k]), (a, b, lam)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, -0.5])
+def test_roots_below_is_exact_at_dyadic_beta(beta):
+    # D has a double root here; the expanded cubic has the wrong sign up to
+    # 2e-8 from it, so cell_cubic_d writes D over its exact roots
+    roots = {r for r, _ in zeros_of_D(beta)}
+    xs = set(np.linspace(-0.5, 2.5, 61).tolist()) | roots
+    xs |= {float(np.nextafter(r, t)) for r in roots for t in (-np.inf, np.inf)}
+    for x in sorted(xs):
+        want = sum(m for r, m in zeros_of_D(beta) if r < x)
+        assert _roots_below(x, cell_cubic_d(beta, x)) == want, (beta, x)
+
+
+def test_roots_below_at_generic_beta():
+    rng = random.Random(5)
+    xs = np.linspace(-0.5, 2.5, 301)
+    for _ in range(50):
+        beta = rng.random()
+        roots = [r for r, _ in zeros_of_D(beta)]
+        away = xs[np.min(np.abs(xs[:, None] - roots), axis=1) > 1e-9]
+        want = [sum(r < x for r in roots) for x in away]
+        assert _roots_below(away, cell_cubic_d(beta, away)).tolist() == want, beta
 
 
 def test_orbit_terminates_on_exact_psi_zero():

@@ -90,7 +90,7 @@ def test_recurrence_growth_ratios_decreasing():
     assert all(r[i] >= r[i + 1] for i in range(2, len(r) - 1)), r
 
 
-def test_det_small_level_pins_with_override():
+def test_det_small_level_pins():
     pins = [
         ("half-half", 1, Fraction(25, 64)),
         ("half-half", 2, Fraction(546750, 2**22)),
@@ -98,32 +98,30 @@ def test_det_small_level_pins_with_override():
         ("zero-half", 2, Fraction(3**11, 2**22)),
     ]
     for case, n, want in pins:
-        lv = D.det_closed_form(case, n, allow_small_n=True)
+        lv = D.det_closed_form(case, n)
         got, w = lv.log_magnitude, logfrac(want)
         assert abs(got - w) < 1e-12 * max(1, abs(w)), (case, n, got, w)
         assert lv.consistency_error() <= 1e-12
 
 
 def test_det_small_level_guard():
-    with pytest.raises(ValueError, match="validity floor"):
-        D.det_closed_form("half-zero", 2)
-    with pytest.raises(ValueError, match="validity floor"):
-        D.det_closed_form("zero-half", 1)
+    for case, level in (("half-half", 0), ("half-zero", 1), ("zero-half", 1)):
+        with pytest.raises(ValueError, match="validity floor"):
+            D.det_closed_form(case, level)
 
 
 def test_det_validity_floor_is_sharp():
     # at level 2 every case already reproduces the true determinant; at
-    # level 1 only half-half does (the mixed cases are why the floor exists)
+    # level 1 only half-half does, and the mixed cases are refused there
     for case, flux in FLUX.items():
-        lv = D.det_closed_form(case, 2, allow_small_n=True)
+        lv = D.det_closed_form(case, 2)
         ref = spectral_log_det(flux, 2)
         assert abs(lv.log_magnitude - ref) / max(1, abs(ref)) < 1e-12, case
-    lv = D.det_closed_form("half-half", 1, allow_small_n=True)
+    lv = D.det_closed_form("half-half", 1)
     assert abs(lv.log_magnitude - spectral_log_det(FLUX["half-half"], 1)) < 1e-12
     for case in ("half-zero", "zero-half"):
-        lv = D.det_closed_form(case, 1, allow_small_n=True)
-        ref = spectral_log_det(FLUX[case], 1)
-        assert abs(lv.log_magnitude - ref) / max(1, abs(ref)) > 1.0, case
+        with pytest.raises(ValueError, match="validity floor"):
+            D.det_closed_form(case, 1)
 
 
 def test_det_closed_form_matches_spectral_product():
