@@ -262,7 +262,7 @@ def butterfly(map_, grid, lmin, lmax, iters, threshold, beta, threads, out):
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def det(case, level, out):
     """Closed-form reduced determinants (or spanning-tree counts with --case trees).
-    Levels below 1 (half-half) or 2 (half-zero, zero-half) are refused."""
+    For the three flux cases level 0 is refused."""
     t0 = time.perf_counter()
     if case == "trees":
         value = _call(determinants.tree_count_closed_form, level)

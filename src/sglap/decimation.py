@@ -11,7 +11,8 @@ give inf/NaN rather than math domain errors.  `decimation_kit` is its scalar
 view with the spectral-similarity prefactor phi = |Psi|/4D.
 
 `_step` is the one exact step, in the |Psi| convention at every flux (`u_step`,
-or the QUADRATICS at the dyadic pairs); `apply_U` is its scalar view.  The
+with D over its exact roots where beta alone is dyadic, or the QUADRATICS at
+the dyadic pairs); `apply_U` is its scalar view.  The
 similarity S_N = phi (L_{N-1}' - R I) gives one count per step,
 `one_step_count`, with k = `_roots_below`.  `decimation_count` applies it at
 every level at a uniform Case I or Case IV flux, vectorised over lambda, and
@@ -39,7 +40,6 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .gauge import DYADIC_TOL, FluxPair, circ_dist, dyadic, mod1
 
 DEDUP_TOL = 1e-10
 TWO_PI = 2 * math.pi
-# pi in each precision `u_step` and `zeros_of_D` compute in
+# pi in each precision `u_step` and `_triangle_count` compute in
 _PI = {np.dtype(float): math.pi, np.dtype(np.longdouble): np.arccos(np.longdouble(-1))}
 
 
@@ -233,14 +233,21 @@ def _dyadic_step(alpha, beta, lam):
 def _step(alpha, beta, lam):
     """One exact step of U in the |Psi| convention over 1-d arrays: the rows D,
     |Psi|, alpha', beta', R, with sign(phi) = sign(D).  `_dyadic_step` within
-    DYADIC_TOL of the dyadic pairs, `u_step` (R inf or NaN at Psi = 0) elsewhere."""
+    DYADIC_TOL of the dyadic pairs, `u_step` (R inf or NaN at Psi = 0) elsewhere,
+    with D over its exact roots where beta alone is dyadic."""
     half_a, half_b = np.round(2 * alpha) / 2, np.round(2 * beta) / 2
-    grid = (np.abs(alpha - half_a) <= DYADIC_TOL) & (np.abs(beta - half_b) <= DYADIC_TOL)
+    on_b = np.abs(beta - half_b) <= DYADIC_TOL
+    grid = (np.abs(alpha - half_a) <= DYADIC_TOL) & on_b
     if grid.all():
         return _dyadic_step(half_a % 1.0, half_b % 1.0, lam)
     if not grid.any():
         st = u_step(alpha, beta, lam)
-        return st.D, np.hypot(st.re, st.im), st.alpha_down, st.beta_down, st.R
+        d = st.D
+        for b0 in _DYADIC_D_ROOTS:
+            on = on_b & (half_b % 1.0 == b0)
+            if on.any():
+                d = np.where(on, cell_cubic_d(b0, lam), d)
+        return d, np.hypot(st.re, st.im), st.alpha_down, st.beta_down, st.R
     out = np.empty((5, lam.size), dtype=np.result_type(alpha, beta, lam, float))
     for part in (grid, ~grid):
         out[:, part] = _step(alpha[part], beta[part], lam[part])
@@ -261,25 +268,20 @@ def apply_U(alpha: float, beta: float, lam: float) -> tuple[float, float, float]
 D_ROOT_BOUNDS = np.array([0.5, 0.75, 1.25, 1.5])
 
 
-def zeros_of_D(beta):
-    """Roots of D(beta, .), ascending: a list of (root, multiplicity) for a float
-    beta, an array of shape beta.shape + (3,) repeating double roots for an array.
+def zeros_of_D(beta: float) -> list[tuple[float, int]]:
+    """Roots of D(beta, .), ascending, as (root, multiplicity) pairs.
 
     Viete's trigonometric solution of the depressed cubic in eta = 1 - lambda:
     eta^3 - (3/16) eta - cos(2 pi beta)/32, one real root in each interval of
     D_ROOT_BOUNDS.  Doubles occur only at beta in {0, 1/2}, returned exactly.
     """
-    b = np.asarray(beta, dtype=np.result_type(beta, float))
-    two_pi = 2 * _PI[b.dtype]
-    t = np.arccos(np.clip(np.cos(two_pi * b), -1.0, 1.0))[..., None]
-    roots = np.sort(1 - 0.5 * np.cos((t - two_pi * np.arange(3)) / 3), axis=-1)
-    halves = np.round(2 * b)  # the nearest point of {0, 1/2} + Z, doubled
-    on_grid = np.abs(b - halves / 2) <= DYADIC_TOL
-    for b0, (simple, double) in _DYADIC_D_ROOTS.items():
-        roots[on_grid & (halves % 2 == 2 * b0)] = sorted((simple, double, double))
-    if b.ndim:
-        return roots
-    return [(r, len(list(run))) for r, run in groupby(roots.tolist())]
+    b0 = dyadic(beta)
+    if b0 is not None:
+        simple, double = _DYADIC_D_ROOTS[b0]
+        return sorted([(simple, 1), (double, 2)])
+    t = np.arccos(np.clip(np.cos(TWO_PI * beta), -1.0, 1.0))
+    roots = np.sort(1 - 0.5 * np.cos((t - TWO_PI * np.arange(3)) / 3))
+    return [(r, 1) for r in roots.tolist()]
 
 
 def psi_real_zeros(flux: FluxPair) -> list[float]:

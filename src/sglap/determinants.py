@@ -18,18 +18,28 @@ series in the chain logs, truncated at K terms; every term is positive, so
 truncations are certified lower bounds), and the loop entropy (complexity
 minus tree entropy).
 
-Validity floor of the closed forms, determined against spectral products:
-flux (1/2,1/2) matches from level 1 upward; (1/2,0) and (0,1/2) match from
-level 2 upward (their chain bookkeeping degenerates below that, and at level
-1 the exponents are not even integers).  `det_closed_form` refuses each case
-below its floor.
+Derivation of the products from the one spectrum table: `det_closed_form`
+and `tree_count_closed_form` walk the rows of `enumerator._series_table`.  A
+fixed eigenvalue v of multiplicity m contributes m times the prime factors of
+v.  A series row is multiplied out by the product lemma over its nested
+quadratic preimages, with seed and scale read off `decimation.QUADRATICS`:
+one prefix map (Rhh) gives the seed H = 26.5 and scale 16^(2^k), two (Rhh,
+then Rh0 or R0h) give 302.5 or 86.5 and scale 256^(2^k), and the anchors 3/4
+and 5/4 turn into the chain factors H(k) + 1/2 and H(k) + 5/2.  A single Rh0
+or R0h inversion of an anchor is a rational, and the k-fold R00 preimages of
+flux (0,0) multiply to anchor / 4^(2^k - 1).  The table is wrong at level 0
+for the mixed fluxes, so level 0 is refused for all three det cases.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
+
+from .decimation import QUADRATICS
+from .enumerator import _series_table
 
 __all__ = [
     "LogValue",
@@ -56,7 +66,6 @@ _SEEDS = {
     "Hhat": Fraction(173, 2),    # flux (0, 1/2)
 }
 _CASE_KIND = {"half-half": "H", "half-zero": "Htilde", "zero-half": "Hhat"}
-_DET_FLOOR = {"half-half": 1, "half-zero": 2, "zero-half": 2}  # lowest level where it holds
 
 _MAX_K = 64
 _EXACT_K = 8  # keep exact rational H(k) only while it is cheap
@@ -174,7 +183,8 @@ def recurrence(kind: str, up_to_k: int) -> list[RecurrenceState]:
     return states
 
 
-_LOG_PRIME = {p: math.log(p) for p in (2, 3, 5, 7, 17)}
+_PRIMES = (2, 3, 5, 7, 17)
+_LOG_PRIME = {p: math.log(p) for p in _PRIMES}
 
 
 def psi_weight(level: int) -> LogValue:
@@ -190,94 +200,120 @@ def psi_weight(level: int) -> LogValue:
 
 
 def tree_count_closed_form(level: int) -> LogValue:
-    """Spanning-tree count of G_N: 2^((3^N-1)/2) 3^((3^{N+1}+2N+1)/4) 5^((3^N-2N-1)/4)."""
+    """Spanning-tree count of G_N: psi(G_N) det'(L_N) at flux (0,0).
+
+    det' multiplies the nonzero rows of the flux-(0,0) spectrum table; the
+    result is 2^((3^N-1)/2) 3^((3^{N+1}+2N+1)/4) 5^((3^N-2N-1)/4).
+    """
     if level < 0:
         raise ValueError("level must be >= 0")
-    n = level
-    return _assemble(
-        [
-            (2, Fraction(3**n - 1, 2), _LOG_PRIME[2]),
-            (3, Fraction(3 ** (n + 1) + 2 * n + 1, 4), _LOG_PRIME[3]),
-            (5, Fraction(3**n - 2 * n - 1, 4), _LOG_PRIME[5]),
-        ]
-    )
-
-
-def _prime_exponents(case: str, n: int) -> dict[int, Fraction]:
-    """Prime-power part of det(L_N) for one half-integer flux case.
-
-    Exponents are exact Fractions.  From the validity floor of `det_closed_form`
-    on, every power of 3 here is an integer.
-    """
-    if case == "half-half":
-        return {
-            2: Fraction(3**n + 1, 2),
-            3: Fraction(3 ** (n - 1) - 2 * n - 3, 2),
-            5: Fraction(3 ** (n - 1) + 3, 2),
-        }
-    if case == "half-zero":
-        return {
-            2: Fraction(3**n - 1, 2),
-            3: Fraction(3 ** (n - 2) - 2 * n - 3, 2),
-            5: Fraction(2 * 3 ** (n - 2) - 1),
-            7: Fraction(3 ** (n - 1) + 3, 2),
-            17: Fraction(3 ** (n - 2) + 3, 2),
-        }
-    if case == "zero-half":
-        return {
-            2: Fraction(3**n - 1, 2),
-            3: Fraction(7 * 3 ** (n - 2) - n + 3),
-            7: Fraction(3 ** (n - 2) - 1, 2),
-        }
-    raise ValueError(f"unknown determinant case {case!r}")
-
-
-def _chain_multiplicities(case: str, n: int) -> list[tuple[int, int, int]]:
-    """(k, mult of H(k)+1/2, mult of H(k)+5/2) rows for the chain product.
-
-    Flux (1/2,1/2) inverts one prefix map, so its chains run to k = N-2 and
-    N-3; the mixed fluxes invert two and run to k = N-3 and N-4.
-    """
-    depth = 2 if case == "half-half" else 3
-    rows = []
-    for k in range(n - depth + 1):
-        e = n - k - depth
-        # the +5/2 chain stops one k earlier; its multiplicity hits 0 at e = 0
-        rows.append((k, (3**e + 3) // 2, (3**e - 1) // 2))
-    return rows
+    psi = psi_weight(level)
+    return _spectral_product(False, False, level, dict(psi.exact_factors))
 
 
 def det_closed_form(case: str, level: int) -> LogValue:
     """det of the probabilistic magnetic Laplacian at one half-integer flux.
 
-    Assembled as (1/psi) * prime powers * chain of (H(k)+1/2), (H(k)+5/2)
-    factors, all in the log domain.  The form holds from level 1 for the
-    (1/2,1/2) case and from level 2 for the mixed cases; lower levels are
-    refused (at level 1 the mixed cases come out wrong).
+    The product of the closed-form spectrum of `enumerator._series_table`,
+    each series multiplied out by the product lemma, all in the log domain.
+    Level 0 is refused: the mixed rows of the table do not describe the
+    single triangle.
     """
     case = _canon_case(case, DET_CASES)
-    if level < _DET_FLOOR[case]:
-        raise ValueError(f"level {level} is below the validity floor {_DET_FLOOR[case]} of {case}")
-    psi = psi_weight(level)
-    exps = {b: -e for (b, e), _ in zip(psi.exact_factors, psi.base_logs)}
-    for p, e in _prime_exponents(case, level).items():
-        exps[p] = exps.get(p, Fraction(0)) + e
+    if level < 1:
+        raise ValueError(f"level {level} is refused: the closed form of {case} holds from level 1")
+    alpha_half, beta_half = (part == "half" for part in case.split("-"))
+    return _spectral_product(alpha_half, beta_half, level, {})
+
+
+@cache
+def _prime_factors(x: Fraction) -> dict[int, int]:
+    """Exponents of x over _PRIMES; raises if another factor is left."""
+    exps = {}
+    num, den = x.numerator, x.denominator
+    for p in _PRIMES:
+        e = 0
+        while num % p == 0:
+            num, e = num // p, e + 1
+        while den % p == 0:
+            den, e = den // p, e - 1
+        if e:
+            exps[p] = e
+    if abs(num) != 1 or den != 1:
+        raise ValueError(f"{x} has a prime factor outside {_PRIMES}")
+    return exps
+
+
+def _quadratic(name: str) -> tuple[Fraction, Fraction, Fraction]:
+    """(a2, a1, a0) of one of the real quadratics -4 lam^2 + b lam + c, exactly."""
+    _, _, (b, c) = QUADRATICS[name]
+    return Fraction(-4), Fraction(b), Fraction(c)
+
+
+@cache
+def _chain_seed(chain: tuple[str, ...]) -> tuple[Fraction, Fraction]:
+    """`_lemma_seed` of a prefix chain of QUADRATICS over R = R00, exactly."""
+    P, *Q = (_quadratic(name) for name in chain)
+    return _lemma_seed(P, _quadratic("R00")[:2], *Q)
+
+
+def _spectral_product(
+    alpha_half: bool, beta_half: bool, level: int, primes: dict[int, Fraction]
+) -> LogValue:
+    """primes times the product of the nonzero eigenvalues of one closed-form table.
+
+    A fixed row (v, m) adds m times the prime factors of v.  A series row over
+    the k-fold R00 preimages of its anchor a, then one inversion per prefix
+    map, takes its product from the product lemma: (-b2 a + H(k) - b1/2) /
+    scale^(2^k), with -b2 a - b1/2 = 4a - 5/2 the offset 1/2 or 5/2 of a chain
+    factor H(k) + 1/2 or H(k) + 5/2 named after the `_SEEDS` kind of H(0).  A
+    single prefix map whose seed is no kind (Rh0, R0h) occurs at k = 0 only,
+    where the product is the rational (a0 - a)/a2; with no prefix map the
+    product is a / 4^(2^k - 1).
+    """
+    b2, b1, _ = _quadratic("R00")
+    primes = dict(primes)
+    chains: dict[tuple[str, int, Fraction], int] = {}
+
+    def add(x: Fraction, times: int) -> None:
+        for p, e in _prime_factors(x).items():
+            primes[p] = primes.get(p, 0) + e * times
+
+    fixed, series = _series_table(alpha_half, beta_half, level)
+    for v, m in fixed:
+        if v:  # the zero mode of flux (0,0) is left out: det'
+            add(Fraction(v), m)
+    for s in series:
+        anchor, k, m = Fraction(s.anchor), s.depth, s.multiplicity
+        if not s.prefix_chain:
+            add(anchor, m)
+            add(-1 / b2, m * (2**k - 1))
+            continue
+        seed, scale = _chain_seed(s.prefix_chain)
+        kind = next((name for name, h0 in _SEEDS.items() if h0 == seed), None)
+        if kind is None:
+            if len(s.prefix_chain) > 1 or k:
+                raise ValueError(f"no product lemma seed for the series {s}")
+            a2, _, a0 = _quadratic(s.prefix_chain[0])
+            add((a0 - anchor) / a2, m)
+            continue
+        key = (kind, k, -b2 * anchor - b1 / 2)
+        chains[key] = chains.get(key, 0) + m
+        add(scale, -m * 2**k)
+
     factors: list[tuple[object, Fraction, float]] = [
-        (p, e, _LOG_PRIME[p]) for p, e in sorted(exps.items())
+        (p, Fraction(e), _LOG_PRIME[p]) for p, e in sorted(primes.items())
     ]
-    kind = _CASE_KIND[case]
-    rows = _chain_multiplicities(case, level)
-    if rows:
-        states = recurrence(kind, rows[-1][0])
-        for k, half, five in rows:
-            if half:
-                factors.append(
-                    (f"{kind}({k})+1/2", Fraction(half), states[k].log_H_plus_half)
-                )
-            if five:
-                factors.append(
-                    (f"{kind}({k})+5/2", Fraction(five), states[k].log_H_plus_fivehalves)
-                )
+    states = {
+        kind: recurrence(kind, max(k for kd, k, _ in chains if kd == kind))
+        for kind in {kd for kd, _, _ in chains}
+    }
+    for (kind, k, offset), m in sorted(chains.items()):
+        st = states[kind][k]
+        log = {Fraction(1, 2): st.log_H_plus_half, Fraction(5, 2): st.log_H_plus_fivehalves}
+        if offset not in log:
+            raise ValueError(f"no chain factor {kind}({k})+{offset}")
+        factors.append((f"{kind}({k})+{offset}", Fraction(m), log[offset]))
     return _assemble(factors)
 
 
@@ -295,15 +331,7 @@ def lemma_product(
     c_{n,0} = (H(n) - b1/2)/(a2 b2)^{2^n}, H(0) = a0 b2 + b1/2,
     H(m) = H(m-1)^2 + b1(2-b1)/4.
     """
-    a2, a1, a0 = (float(v) for v in P)
-    b2, b1 = (float(v) for v in R)
-    del a1  # the product over both roots of a quadratic does not see it
-    _check_lemma_args(a2, b2, n)
-    h = a0 * b2 + b1 / 2.0
-    for _ in range(n):
-        h = h * h + b1 * (2.0 - b1) / 4.0
-    scale = (a2 * b2) ** (2**n)
-    return (-b2 * alpha + (h - b1 / 2.0)) / scale
+    return _lemma(P, R, None, n, alpha)
 
 
 def lemma_product_tilde(
@@ -319,18 +347,33 @@ def lemma_product_tilde(
     becomes Htilde(0) = a2 b2 (q0^2 + q0 a1/a2 + a0/a2) + b1/2 and the scale
     (q2^2 a2 b2)^{2^n}.
     """
-    q2, q1, q0 = (float(v) for v in Q)
-    a2, a1, a0 = (float(v) for v in P)
-    b2, b1 = (float(v) for v in R)
-    del q1  # absent for the same reason a1 drops out of lemma_product
-    _check_lemma_args(a2, b2, n)
-    if q2 == 0:
+    if float(Q[0]) == 0:
         raise ValueError("Q must be a genuine quadratic (q2 != 0)")
-    h = a2 * b2 * (q0 * q0 + q0 * a1 / a2 + a0 / a2) + b1 / 2.0
+    return _lemma(P, R, Q, n, alpha)
+
+
+def _lemma_seed(P, R, Q=None):
+    """(H(0), scale base) of the product lemma over P^{-1}, then Q^{-1} if given.
+
+    The linear coefficients a1 (with Q) and q1 drop out: the product over both
+    roots of a quadratic does not see them.  Exact for Fraction coefficients.
+    """
+    a2, a1, a0 = P
+    b2, b1 = R
+    if Q is None:
+        return a0 * b2 + b1 / 2, a2 * b2
+    q2, _, q0 = Q
+    return a2 * b2 * (q0 * q0 + q0 * a1 / a2 + a0 / a2) + b1 / 2, q2 * q2 * a2 * b2
+
+
+def _lemma(P, R, Q, n: int, alpha: float) -> float:
+    P, R = tuple(map(float, P)), tuple(map(float, R))
+    _check_lemma_args(P[0], R[0], n)
+    h, base = _lemma_seed(P, R, None if Q is None else tuple(map(float, Q)))
+    b2, b1 = R
     for _ in range(n):
         h = h * h + b1 * (2.0 - b1) / 4.0
-    scale = (q2 * q2 * a2 * b2) ** (2**n)
-    return (-b2 * alpha + (h - b1 / 2.0)) / scale
+    return (-b2 * alpha + (h - b1 / 2.0)) / base ** (2**n)
 
 
 def _check_lemma_args(a2: float, b2: float, n: int) -> None:

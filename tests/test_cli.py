@@ -149,8 +149,10 @@ def test_butterfly_has_one_engine(capsys, tmp_path):
 def test_det_trees_and_small_level_guard(capsys):
     payload = run_json(capsys, "det", "--case", "trees", "--level", "1")
     assert payload["tree_count"] == "54"
-    code, _, err = run(capsys, "det", "--case", "half-zero", "--level", "1")
-    assert code == 2 and "validity floor" in err
+    payload = run_json(capsys, "det", "--case", "half-zero", "--level", "1")
+    assert abs(payload["log_magnitude"] - math.log(49 / 128)) < 1e-12
+    code, _, err = run(capsys, "det", "--case", "half-zero", "--level", "0")
+    assert code == 2 and "level 0 is refused" in err
     payload = run_json(capsys, "det", "--case", "half-zero", "--level", "2")
     want = math.log(5 * 7**3 * 17**2) - 22 * math.log(2)
     assert abs(payload["log_magnitude"] - want) < 1e-10

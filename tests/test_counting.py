@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sglap import decimation
-from sglap.decimation import decimation_count, decimation_eigenvalues, zeros_of_D
+from sglap.decimation import decimation_count, decimation_eigenvalues
 from sglap.enumerator import spectrum_closed_form
 from sglap.gasket import build_gasket, dim_n
 from sglap.gauge import Connection, FluxPair, build_connection, landau_connection
@@ -179,14 +179,3 @@ def test_uniform_flux_rejects_a_nonuniform_connection():
     bent = assemble(op.graph, Connection(op.graph, phase))
     with pytest.raises(ValueError, match="uniform flux"):
         schur_complement(bent, 0.3)
-
-
-def test_zeros_of_D_on_arrays():
-    betas = np.array([0.0, 0.5, 0.23, 0.77, 1e-13, 0.5 + 1e-13, 0.9])
-    roots = zeros_of_D(betas)
-    assert roots.shape == (len(betas), 3)
-    for b, row in zip(betas, roots):
-        want = [r for r, m in zeros_of_D(float(b)) for _ in range(m)]
-        assert np.max(np.abs(row - want)) <= 1e-15
-    assert roots[0].tolist() == [0.5, 1.25, 1.25]
-    assert roots[5].tolist() == [0.75, 0.75, 1.5]

@@ -21,7 +21,7 @@ from sglap.decimation import (
     u_step,
     zeros_of_D,
 )
-from sglap.gauge import FluxPair, circ_dist, mod1
+from sglap.gauge import FluxPair, circ_dist, dyadic, mod1
 
 unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 lams = st.floats(min_value=-0.5, max_value=2.5)
@@ -145,13 +145,20 @@ def test_apply_U_is_the_scalar_view_of_step():
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, -0.5])
 def test_roots_below_is_exact_at_dyadic_beta(beta):
     # D has a double root here; the expanded cubic has the wrong sign up to
-    # 2e-8 from it, so cell_cubic_d writes D over its exact roots
+    # 2e-8 from it, so cell_cubic_d writes D over its exact roots, and so
+    # does _step when alpha is off the grid
     roots = {r for r, _ in zeros_of_D(beta)}
     xs = set(np.linspace(-0.5, 2.5, 61).tolist()) | roots
     xs |= {float(np.nextafter(r, t)) for r in roots for t in (-np.inf, np.inf)}
-    for x in sorted(xs):
-        want = sum(m for r, m in zeros_of_D(beta) if r < x)
-        assert _roots_below(x, cell_cubic_d(beta, x)) == want, (beta, x)
+    double = next(r for r, m in zeros_of_D(beta) if m == 2)
+    xs |= {double + s * e for s in (-1, 1) for e in (1e-12, 1e-9, 1e-8)}
+    xs = np.array(sorted(xs))
+    want = [sum(m for r, m in zeros_of_D(beta) if r < x) for x in xs]
+    for x, k in zip(xs, want):
+        assert _roots_below(x, cell_cubic_d(beta, x)) == k, (beta, x)
+    for alpha in (1 / 6, 0.3, 0.1234):
+        d = _step(np.full(xs.size, alpha), np.full(xs.size, beta), xs)[0]
+        assert _roots_below(xs, d).tolist() == want, alpha
 
 
 def test_roots_below_at_generic_beta():
@@ -173,10 +180,13 @@ def test_orbit_terminates_on_exact_psi_zero():
         apply_U(0.3, 0.0, 1.25)
 
 
-@pytest.mark.parametrize("beta", [0.0, 0.5, 0.23, 0.77])
+@pytest.mark.parametrize("beta", [0.0, 0.5, 0.23, 0.77, 1e-13, 0.5 + 1e-13])
 def test_zeros_of_D(beta):
     roots = zeros_of_D(beta)
     assert sum(m for _, m in roots) == 3
+    exact = {0.0: [(0.5, 1), (1.25, 2)], 0.5: [(0.75, 2), (1.5, 1)]}
+    if dyadic(beta) is not None:
+        assert roots == exact[dyadic(beta)]
     for r, m in roots:
         assert abs(cell_cubic_d(beta, r)) <= 1e-9
         if m >= 2:  # repeated root must also kill the derivative

@@ -93,6 +93,8 @@ def test_recurrence_growth_ratios_decreasing():
 def test_det_small_level_pins():
     pins = [
         ("half-half", 1, Fraction(25, 64)),
+        ("half-zero", 1, Fraction(49, 128)),
+        ("zero-half", 1, Fraction(27, 128)),
         ("half-half", 2, Fraction(546750, 2**22)),
         ("half-zero", 2, Fraction(5 * 7**3 * 17**2, 2**22)),
         ("zero-half", 2, Fraction(3**11, 2**22)),
@@ -105,23 +107,91 @@ def test_det_small_level_pins():
 
 
 def test_det_small_level_guard():
-    for case, level in (("half-half", 0), ("half-zero", 1), ("zero-half", 1)):
-        with pytest.raises(ValueError, match="validity floor"):
-            D.det_closed_form(case, level)
+    for case in D.DET_CASES:
+        with pytest.raises(ValueError, match="level 0 is refused"):
+            D.det_closed_form(case, 0)
 
 
 def test_det_validity_floor_is_sharp():
-    # at level 2 every case already reproduces the true determinant; at
-    # level 1 only half-half does, and the mixed cases are refused there
+    # from level 1 on every case reproduces the product of its spectrum
     for case, flux in FLUX.items():
-        lv = D.det_closed_form(case, 2)
-        ref = spectral_log_det(flux, 2)
-        assert abs(lv.log_magnitude - ref) / max(1, abs(ref)) < 1e-12, case
-    lv = D.det_closed_form("half-half", 1)
-    assert abs(lv.log_magnitude - spectral_log_det(FLUX["half-half"], 1)) < 1e-12
-    for case in ("half-zero", "zero-half"):
-        with pytest.raises(ValueError, match="validity floor"):
-            D.det_closed_form(case, 1)
+        for n in (1, 2):
+            lv = D.det_closed_form(case, n)
+            ref = spectral_log_det(flux, n)
+            assert abs(lv.log_magnitude - ref) / max(1, abs(ref)) < 1e-12, (case, n)
+
+
+# --- the paper's explicit exponents, kept as the oracle of the derivation ---
+
+
+def _paper_prime_exponents(case, n):
+    """Prime-power part of det(L_N) before the 1/psi(G_N) factor."""
+    if case == "half-half":
+        return {
+            2: Fraction(3**n + 1, 2),
+            3: Fraction(3 ** (n - 1) - 2 * n - 3, 2),
+            5: Fraction(3 ** (n - 1) + 3, 2),
+        }
+    if case == "half-zero":
+        return {
+            2: Fraction(3**n - 1, 2),
+            3: Fraction(3 ** (n - 2) - 2 * n - 3, 2),
+            5: Fraction(2 * 3 ** (n - 2) - 1),
+            7: Fraction(3 ** (n - 1) + 3, 2),
+            17: Fraction(3 ** (n - 2) + 3, 2),
+        }
+    return {
+        2: Fraction(3**n - 1, 2),
+        3: Fraction(7 * 3 ** (n - 2) - n + 3),
+        7: Fraction(3 ** (n - 2) - 1, 2),
+    }
+
+
+def _paper_chain_multiplicities(case, n):
+    """(k, mult of H(k)+1/2, mult of H(k)+5/2): flux (1/2,1/2) inverts one
+    prefix map, so its chains run to k = N-2 and N-3; the mixed fluxes invert
+    two and run to k = N-3 and N-4."""
+    depth = 2 if case == "half-half" else 3
+    return [
+        (k, (3 ** (n - k - depth) + 3) // 2, (3 ** (n - k - depth) - 1) // 2)
+        for k in range(n - depth + 1)
+    ]
+
+
+def _paper_det(case, n):
+    exps = dict(_paper_prime_exponents(case, n))
+    for p, e in D.psi_weight(n).exact_factors:
+        exps[p] -= e
+    factors = [(p, e, math.log(p)) for p, e in sorted(exps.items())]
+    kind = D._CASE_KIND[case]
+    rows = _paper_chain_multiplicities(case, n)
+    states = D.recurrence(kind, rows[-1][0]) if rows else []
+    for k, half, five in rows:
+        factors.append((f"{kind}({k})+1/2", Fraction(half), states[k].log_H_plus_half))
+        factors.append((f"{kind}({k})+5/2", Fraction(five), states[k].log_H_plus_fivehalves))
+    return D._assemble(factors)
+
+
+def _paper_tree_count(n):
+    return D._assemble([
+        (2, Fraction(3**n - 1, 2), math.log(2)),
+        (3, Fraction(3 ** (n + 1) + 2 * n + 1, 4), math.log(3)),
+        (5, Fraction(3**n - 2 * n - 1, 4), math.log(5)),
+    ])
+
+
+@pytest.mark.parametrize("case", D.DET_CASES)
+def test_det_derivation_matches_the_paper_exponents(case):
+    # the paper's formulas hold from level 2 (level 1 for half-half); there the
+    # factors derived from the spectrum table agree with them exactly and the
+    # log magnitudes bitwise
+    for n in range(1 if case == "half-half" else 2, 21):
+        assert D.det_closed_form(case, n) == _paper_det(case, n), (case, n)
+
+
+def test_tree_count_derivation_matches_the_paper_exponents():
+    for n in range(16):
+        assert D.tree_count_closed_form(n) == _paper_tree_count(n), n
 
 
 def test_det_closed_form_matches_spectral_product():
