@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -269,7 +270,9 @@ def det(case, level, out):
         count = 1
         for base, exp in value.exact_factors:
             count *= int(base) ** int(exp)
-        payload = {"case": case, "level": level, "tree_count": str(count), **value.to_json()}
+        # Decimal, not str(): from level 8 the count passes the interpreter's
+        # int-to-str digit limit, which is process-wide and not ours to raise
+        payload = {"case": case, "level": level, "tree_count": str(Decimal(count)), **value.to_json()}
     else:
         value = _call(determinants.det_closed_form, case, level)
         payload = {"case": case, "level": level, **value.to_json()}

@@ -162,8 +162,16 @@ class DecimationStep:
     beta_down: float
 
 
+def _finite(x: float) -> float | None:
+    return x if math.isfinite(x) else None
+
+
 def decimation_kit(flux: FluxPair, lam: float) -> DecimationStep:
-    st = u_step(flux.alpha, flux.beta, lam)
+    """One step of U as scalars.  R is None where Psi = 0 and phi where D = 0;
+    both are None where an escaped orbit overflows double precision (R does
+    from |lambda| ~ 1e77), and the overflow raises no RuntimeWarning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        st = u_step(flux.alpha, flux.beta, lam)
     Psi = complex(st.re, st.im)
     absPsi = abs(Psi)
     D = float(st.D)
@@ -175,8 +183,8 @@ def decimation_kit(flux: FluxPair, lam: float) -> DecimationStep:
         Psi=Psi,
         absPsi=absPsi,
         theta=mod1(st.arg / TWO_PI),
-        R=float(st.R) if absPsi > 0 else None,
-        phi=absPsi / (4 * D) if D != 0 else None,
+        R=_finite(float(st.R)),
+        phi=_finite(absPsi / (4 * D)) if D != 0 else None,
         alpha_down=float(st.alpha_down),
         beta_down=float(st.beta_down),
     )

@@ -38,7 +38,7 @@ from .decimation import (
     zeros_of_D,
 )
 from .gasket import build_gasket, dim_n
-from .gauge import FluxPair, build_connection, dyadic, landau_connection
+from .gauge import FluxPair, build_connection, dyadic
 from .operator import Spectrum, assemble, eigenvalues, spectrum
 
 MAX_SERIES_DEPTH = 20  # 2^k values per series; desk levels use k <= 6
@@ -203,8 +203,9 @@ def decimation_verify(flux: FluxPair, level: int) -> VerificationReport:
     from `_roots_below` and c = #{eig L_(N-1)(alpha', beta') < R} at
     (alpha', beta', R) = `apply_U`(alpha, beta, x).  The cuts are BRACKET's
     ends and the midpoint of every gap between adjacent clusters of `spectrum`.
-    Both levels solve through `operator.eigenvalues`; level N takes the tree
-    gauge `build_connection` and level N-1 the closed-form `landau_connection`.
+    Both levels are built by `build_connection` and solved through
+    `operator.eigenvalues`; the level-(N-1) graph is built once and reused at
+    every cut.
 
     Each cluster gets one entry, judged by the two cuts around it; its note
     gives the predicted and observed count at both.  Clusters within LABEL_TOL
@@ -225,7 +226,7 @@ def decimation_verify(flux: FluxPair, level: int) -> VerificationReport:
         except OrbitTerminated as exc:
             return None, f"below {x:.10g}: {exc}"
         k = int(_roots_below(x, cell_cubic_d(flux.beta, x)))
-        evs = eigenvalues(assemble(reduced, landau_connection(reduced, FluxPair(ad, bd))))
+        evs = eigenvalues(assemble(reduced, build_connection(reduced, FluxPair(ad, bd))))
         c = int(np.searchsorted(evs, r))
         want = int(one_step_count(level, k, c))
         got = int(np.searchsorted(sp.raw, x))

@@ -15,6 +15,9 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 DEFAULT_MAX_LEVEL = 8
 
@@ -65,6 +68,22 @@ class GasketGraph:
             deg[a] += 1
             deg[b] += 1
         return deg
+
+    @cached_property
+    def face_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The CCW boundaries of `cells`, one face after another, as indices
+        into `edges` with signs (+1 where the boundary runs from the lower id
+        to the higher), and the offset at which each face starts: a sum over
+        every face's edges is one `np.add.reduceat`."""
+        index = {e: k for k, e in enumerate(self.edges)}
+        edge, sign, start = [], [], []
+        for cell in self.cells:
+            start.append(len(edge))
+            cyc = cell.vertices
+            for u, v in zip(cyc, cyc[1:] + cyc[:1]):
+                edge.append(index[(u, v) if u < v else (v, u)])
+                sign.append(1.0 if u < v else -1.0)
+        return np.array(edge), np.array(sign), np.array(start)
 
     def upright_cells(self) -> list[UnitCell]:
         return [c for c in self.cells if c.orientation == "upright"]

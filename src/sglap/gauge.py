@@ -6,21 +6,26 @@ side s carries s(s-1)/2*alpha + s(s+1)/2*beta, the ambient triangular-lattice
 completion (a side-s inverted triangle covers s(s-1)/2 upright and s(s+1)/2
 downright unit cells).  For s = 1 this is just beta.
 
-Two independent constructions are kept deliberately: ``build_connection`` fixes a
-BFS spanning tree and solves the face-flux system for the non-tree edges, and
-``landau_connection`` writes the phases in closed form.  They differ by a gauge
-transformation; tests check both give identical holonomies and spectra.  Both
-record the flux pair on the `Connection`, where the spectrum dispatch reads it.
+The operator depends on the phases only through these face holonomies (two
+connections with the same holonomies differ by a gauge transformation and give
+unitarily equivalent operators), so one gauge serves every caller:
+``build_connection`` writes each phase in closed form from the edge's direction
+and row j, then checks every face against its target.  The row phases
+(alpha+beta)*j mod 1 and the hole targets are computed exactly, from the
+floats' dyadic fractions, and rounded once.  In floats they would not hold
+HOLONOMY_TOL: a hole of side s repeats one row phase s times, so that phase's
+rounding error is multiplied by s (the unreduced phases miss side-64 holes by
+more than 1e-12 at level 7), and a side-128 target's terms reach ~1.6e4.
+The connection records its flux pair, where the spectrum dispatch reads it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .gasket import GasketGraph, UnitCell, build_gasket
 
@@ -33,8 +38,9 @@ class InvalidCycleError(ValueError):
 
 
 def mod1(x: float) -> float:
-    m = float(np.mod(x, 1.0))
-    # np.mod(-eps, 1.0) rounds to 1.0 for tiny eps; fold back onto [0, 1)
+    # float % is np.mod for one float, without numpy's per-call overhead;
+    # -eps % 1.0 rounds to 1.0 for tiny eps, so fold back onto [0, 1)
+    m = float(x) % 1.0
     return 0.0 if m == 1.0 else m
 
 
@@ -52,8 +58,25 @@ def dyadic(x: float) -> float | None:
     return None
 
 
+def _turns(alpha: float, beta: float) -> tuple[int, int, int]:
+    """(a, b, q) with alpha = a/q and beta = b/q exactly.  Floats are dyadic
+    rationals, so q is the larger of their two power-of-two denominators."""
+    (na, da), (nb, db) = float(alpha).as_integer_ratio(), float(beta).as_integer_ratio()
+    q = max(da, db)
+    return na * (q // da), nb * (q // db), q
+
+
+def _mod1_of(n: int, q: int) -> float:
+    """n/q mod 1, rounded once."""
+    return mod1(n % q / q)
+
+
 def hole_flux(side: int, alpha: float, beta: float) -> float:
-    return mod1(side * (side - 1) / 2 * alpha + side * (side + 1) / 2 * beta)
+    """The target of a downright face of side s, s(s-1)/2 alpha + s(s+1)/2 beta
+    mod 1, computed exactly and rounded once: at side 128 the terms reach
+    ~1.6e4, where one float rounding is already up to 1.8e-12."""
+    a, b, q = _turns(alpha, beta)
+    return _mod1_of(side * (side - 1) // 2 * a + side * (side + 1) // 2 * b, q)
 
 
 @dataclass(frozen=True)
@@ -83,30 +106,21 @@ class Connection:
         return np.exp(2j * np.pi * self.phase[(x, y)])
 
     def holonomy(self, cycle: list[int]) -> float:
-        """Sum of edge phases along a closed vertex path, mod 1."""
+        """Sum of edge phases along a closed vertex path, mod 1, rounded once
+        (a side-128 hole sums 384 phases; added in turn they drift by ~1e-13)."""
         if cycle[0] != cycle[-1]:
             cycle = list(cycle) + [cycle[0]]
-        total = 0.0
+        terms = []
         for u, v in zip(cycle, cycle[1:]):
             if (u, v) not in self.phase:
                 raise InvalidCycleError(f"vertices {u},{v} not adjacent")
-            total += self.phase[(u, v)]
-        return mod1(total)
+            terms.append(self.phase[(u, v)])
+        return mod1(math.fsum(terms))
 
     def to_json(self) -> str:
         return json.dumps(
             {f"{u},{v}": p for (u, v), p in sorted(self.phase.items())}, indent=1
         )
-
-
-def _face_targets(graph: GasketGraph, flux: FluxPair) -> list[tuple[UnitCell, float]]:
-    out = []
-    for cell in graph.cells:
-        if cell.orientation == "upright":
-            out.append((cell, mod1(flux.alpha)))
-        else:
-            out.append((cell, hole_flux(cell.side, flux.alpha, flux.beta)))
-    return out
 
 
 def _antisymmetrize(phase_fwd: dict[tuple[int, int], float]) -> dict[tuple[int, int], float]:
@@ -117,102 +131,41 @@ def _antisymmetrize(phase_fwd: dict[tuple[int, int], float]) -> dict[tuple[int, 
     return full
 
 
-def _solve_mod1(mat: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
-    """x in [0, 1) with mat @ x = rhs mod 1.
-
-    Phases matter only mod 1, but the solved ones grow with the hole sides
-    (|x| ~ 1.5e3 at level 8) and keep too few digits of their fractions, so
-    they are reduced and corrected once against the residual, itself mod 1.
-    """
-    lu = spla.splu(mat)
-    x = np.mod(lu.solve(rhs), 1.0)
-    resid = rhs - mat @ x
-    return np.mod(x + lu.solve(resid - np.rint(resid)), 1.0)
-
-
 def build_connection(graph: GasketGraph, flux: FluxPair) -> Connection:
-    """Spanning-tree gauge: tree edges phase 0, faces pin the rest.
+    """The closed-form gauge: an edge's phase depends only on its direction and row.
 
-    The face/non-tree-edge incidence system is square (cells form a cycle
-    basis) and unimodular; solved in double precision with the phases reduced
-    mod 1 and one correction step, then post-verified.
-    """
-    n = len(graph.vertices)
-    adj: dict[int, list[int]] = {i: [] for i in range(n)}
-    for a, b in graph.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-
-    # BFS tree from vertex 0
-    tree: set[tuple[int, int]] = set()
-    seen = [False] * n
-    seen[0] = True
-    queue = [0]
-    while queue:
-        u = queue.pop(0)
-        for v in sorted(adj[u]):
-            if not seen[v]:
-                seen[v] = True
-                tree.add((min(u, v), max(u, v)))
-                queue.append(v)
-
-    nontree = [e for e in graph.edges if e not in tree]
-    col = {e: k for k, e in enumerate(nontree)}
-    faces = _face_targets(graph, flux)
-    if len(faces) != len(nontree):
-        raise RuntimeError("face count != non-tree edge count; cycle basis broken")
-
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(len(faces))
-    for r, (cell, target) in enumerate(faces):
-        cyc = list(cell.vertices) + [cell.vertices[0]]
-        for u, v in zip(cyc, cyc[1:]):
-            e = (min(u, v), max(u, v))
-            if e in col:
-                rows.append(r)
-                cols.append(col[e])
-                vals.append(1.0 if (u, v) == e else -1.0)
-        rhs[r] = target
-
-    mat = sp.csc_matrix((vals, (rows, cols)), shape=(len(faces), len(nontree)))
-    x = _solve_mod1(mat, rhs)
-    if not np.all(np.isfinite(x)):
-        raise RuntimeError("face-flux system singular")
-
-    phase_fwd = {e: 0.0 for e in tree}
-    phase_fwd.update({e: float(x[k]) for e, k in col.items()})
-    conn = Connection(graph, _antisymmetrize(phase_fwd), flux)
-
-    for cell, target in faces:
-        if circ_dist(conn.holonomy(list(cell.vertices)), target) > HOLONOMY_TOL:
-            raise RuntimeError(f"holonomy verification failed on cell {cell}")
-    return conn
-
-
-def landau_connection(graph: GasketGraph, flux: FluxPair) -> Connection:
-    """Closed-form gauge: phases depend only on edge direction and row index.
-
-    E edge (i,j)->(i+1,j) carries -(alpha+beta)*j; NE edge carries 0; NW edge
+    E edge (i,j)->(i+1,j) carries -(alpha+beta)*j, NE edge carries 0, NW edge
     (i+1,j)->(i,j+1) carries alpha+(alpha+beta)*j.  Every ambient unit cell
     then picks up exactly alpha (upright) or beta (downright), so every face
-    gets its completed flux without solving anything.
+    gets its completed flux.  Each face's holonomy (one vectorised sum over
+    `GasketGraph.face_edges`) is checked against its target at HOLONOMY_TOL.
     """
-    a, b = flux.alpha, flux.beta
+    a, b, q = _turns(flux.alpha, flux.beta)
+    rows = range(2**graph.level + 1)
+    east = [_mod1_of(-(a + b) * j, q) for j in rows]
+    # NW edges are stored low id -> high id, i.e. (i,j+1)->(i+1,j)
+    north_west = [_mod1_of(-a - (a + b) * j, q) for j in rows]
     coord = dict(graph.vertices)
-    phase_fwd: dict[tuple[int, int], float] = {}
+    fwd = []
     for u, v in graph.edges:
         (i1, j1), (i2, j2) = coord[u], coord[v]
-        d = (i2 - i1, j2 - j1)
-        if d == (1, 0):
-            p = -(a + b) * j1
-        elif d == (0, 1):
-            p = 0.0
-        elif d == (1, -1):
-            p = -(a + (a + b) * j2)
+        if j1 == j2:
+            fwd.append(east[j1])
+        elif i1 == i2:
+            fwd.append(0.0)
         else:
-            raise RuntimeError(f"unexpected edge direction {d}")
-        phase_fwd[(u, v)] = p
-    return Connection(graph, _antisymmetrize(phase_fwd), flux)
+            fwd.append(north_west[j2])
+    conn = Connection(graph, _antisymmetrize(dict(zip(graph.edges, fwd))), flux)
+
+    edge, sign, start = graph.face_edges
+    holonomy = np.add.reduceat(sign * np.array(fwd)[edge], start)
+    side_flux = {2**k: hole_flux(2**k, flux.alpha, flux.beta) for k in range(graph.level)}
+    target = [flux.alpha if c.orientation == "upright" else side_flux[c.side] for c in graph.cells]
+    miss = np.abs(holonomy - target) % 1.0
+    miss = np.minimum(miss, 1.0 - miss)
+    if miss.max() > HOLONOMY_TOL:
+        raise RuntimeError(f"holonomy verification failed on cell {graph.cells[int(np.argmax(miss))]}")
+    return conn
 
 
 def restrict_connection(conn: Connection, theta: float) -> Connection:

@@ -19,6 +19,15 @@ def reduced_connection_from_schur(S, phi, coarse):
     return Connection(coarse, phase)
 
 
+def gauge_transform(conn, rng):
+    """conn under a random gauge transformation, phase(x, y) + chi(y) - chi(x)
+    with chi(x) uniform in [0, 1): edge phases change, face holonomies (and so
+    the flux pair and the spectrum) do not."""
+    chi = [rng.random() for _ in conn.graph.vertices]
+    phase = {(x, y): p + chi[y] - chi[x] for (x, y), p in conn.phase.items()}
+    return Connection(conn.graph, phase, conn.flux)
+
+
 def case_iii_limit(flux, lam, side=1):
     """(R*, theta*, alpha*', beta*'): the one-sided limit of decimation_kit's
     (R, theta, alpha', beta') as x -> lam from above (side=1) or below

@@ -6,6 +6,8 @@ and monkeypatching work; main() is exactly what the console script calls.
 
 import json
 import math
+import sys
+from decimal import Decimal
 
 import pytest
 
@@ -144,6 +146,18 @@ def test_butterfly_has_one_engine(capsys, tmp_path):
                        "--engine", "scalar", "--out", str(tmp_path / "x.pgm"))
     assert code == 2
     assert "--engine" in err
+
+
+def test_det_trees_prints_counts_past_the_int_to_str_limit(capsys):
+    # the level-8 count has 4481 digits, past Python's default 4300
+    payload = run_json(capsys, "det", "--case", "trees", "--level", "8")
+    digits = payload["tree_count"]
+    count = 1
+    for base, exp in payload["exact_factors"]:
+        count *= int(base) ** int(exp)
+    assert digits.isdigit() and int(Decimal(digits)) == count
+    log10 = sum(int(e) * math.log10(int(b)) for b, e in payload["exact_factors"])
+    assert len(digits) == math.floor(log10) + 1 > sys.get_int_max_str_digits()
 
 
 def test_det_trees_and_small_level_guard(capsys):

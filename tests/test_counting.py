@@ -11,7 +11,7 @@ from sglap import decimation
 from sglap.decimation import decimation_count, decimation_eigenvalues
 from sglap.enumerator import spectrum_closed_form
 from sglap.gasket import build_gasket, dim_n
-from sglap.gauge import Connection, FluxPair, build_connection, landau_connection
+from sglap.gauge import Connection, FluxPair, build_connection
 from sglap.operator import (
     ENGINE_MIN_LEVEL,
     assemble,
@@ -26,9 +26,9 @@ _rng = random.Random(2024)
 RANDOM = [(_rng.random(), _rng.random()) for _ in range(3)]
 
 
-def _op(flux, level, builder=build_connection):
+def _op(flux, level):
     g = build_gasket(level)
-    return assemble(g, builder(g, FluxPair(*flux)))
+    return assemble(g, build_connection(g, FluxPair(*flux)))
 
 
 def _multiplicities(evs):
@@ -161,11 +161,10 @@ def test_eigenvalues_dispatch(flux, level, engine):
 
 
 def test_landau_operator_at_level_7_goes_to_the_engine():
-    # the landau phases reach |x| ~ 100 at level 7, so the pair read back off
-    # the side-64 holes misses its targets by more than 1e-12; the connection
-    # carries the pair it was built from instead
+    # the connection carries the pair it was built from, so the dispatch reads
+    # no holonomy of a side-64 hole
     flux = (0.37, 0.71)
-    op = _op(flux, 7, landau_connection)
+    op = _op(flux, 7)
     assert np.array_equal(eigenvalues(op), decimation_eigenvalues(FluxPair(*flux), 7))
 
 

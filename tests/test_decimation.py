@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,22 @@ def test_roots_below_at_generic_beta():
         away = xs[np.min(np.abs(xs[:, None] - roots), axis=1) > 1e-9]
         want = [sum(r < x for r in roots) for x in away]
         assert _roots_below(away, cell_cubic_d(beta, away)).tolist() == want, beta
+
+
+def test_escaped_kit_orbit_ends_in_none_not_nan():
+    # from (0.3, 0.1) at 1.9 the orbit leaves [0, 2] and |R| squares each
+    # step; past |lambda| ~ 1e77 the next R would overflow to NaN
+    flux, lam = FluxPair(0.3, 0.1), 1.9
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for _ in range(20):
+            step = decimation_kit(flux, lam)
+            assert step.phi is None or math.isfinite(step.phi)
+            if step.R is None:
+                break
+            assert math.isfinite(step.R)
+            flux, lam = FluxPair(step.alpha_down, step.beta_down), step.R
+    assert step.R is None and abs(lam) > 1e77
 
 
 def test_orbit_terminates_on_exact_psi_zero():
