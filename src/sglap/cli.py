@@ -94,8 +94,8 @@ def _manifest(outputs: list[str], t0: float) -> None:
 
 
 def _emit(payload, out: str | None, t0: float) -> None:
-    """JSON to stdout, or to --out plus a manifest."""
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Strict JSON (no NaN or Infinity) to stdout, or to --out plus a manifest."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out is None:
         click.echo(text, nl=False)
     else:
@@ -187,19 +187,21 @@ def kit(alpha, beta, lam):
     flux = FluxPair(alpha, beta)
     step = decimation.decimation_kit(flux, lam)
     tag = decimation.classify(flux, lam)
+    # an escaped lambda overflows A, D and Psi to inf or NaN: JSON has null for them
+    num = lambda x: x if x is not None and math.isfinite(x) else None
     payload = {
         "alpha": flux.alpha,
         "beta": flux.beta,
         "lambda": lam,
-        "A": step.A,
-        "D": step.D,
-        "Psi": {"re": step.Psi.real, "im": step.Psi.imag},
-        "absPsi": step.absPsi,
-        "theta": step.theta,
-        "R": step.R,
-        "phi": step.phi,
-        "alpha_down": step.alpha_down,
-        "beta_down": step.beta_down,
+        "A": num(step.A),
+        "D": num(step.D),
+        "Psi": {"re": num(step.Psi.real), "im": num(step.Psi.imag)},
+        "absPsi": num(step.absPsi),
+        "theta": num(step.theta),
+        "R": num(step.R),
+        "phi": num(step.phi),
+        "alpha_down": num(step.alpha_down),
+        "beta_down": num(step.beta_down),
         "classification": {"case": tag.case, "root_mult": tag.root_mult},
     }
     _emit(payload, None, time.perf_counter())

@@ -8,7 +8,8 @@ evolved fluxes.  Its operation order is the butterfly's multiply chain (explicit
 products, 16*sqrt(re*re+im*im), libm atan2), so butterfly rasters stay bitwise
 equal to the published loop; it computes with numpy ufuncs, so escaped orbits
 give inf/NaN rather than math domain errors.  `decimation_kit` is its scalar
-view with the spectral-similarity prefactor phi = |Psi|/4D.
+view with the spectral-similarity prefactor phi = |Psi|/4D, except that at
+the dyadic pairs its theta, R and evolved fluxes are those of `_step`.
 
 `_step` is the one exact step, in the |Psi| convention at every flux (`u_step`,
 with D over its exact roots where beta alone is dyadic, or the QUADRATICS at
@@ -167,11 +168,22 @@ def _finite(x: float) -> float | None:
 
 
 def decimation_kit(flux: FluxPair, lam: float) -> DecimationStep:
-    """One step of U as scalars.  R is None where Psi = 0 and phi where D = 0;
-    both are None where an escaped orbit overflows double precision (R does
+    """One step of U as scalars: A, D and Psi from `u_step`.  At the dyadic pairs
+    theta, R and the evolved fluxes are those of `_step` (the quadratics, as in
+    `apply_U`), since there `u_step`'s Psi carries sin(pi) noise; elsewhere they
+    are `u_step`'s too, and R is None where Psi = 0.  phi is None where D = 0.
+    Both are None where an escaped orbit overflows double precision (R does
     from |lambda| ~ 1e77), and the overflow raises no RuntimeWarning."""
     with np.errstate(over="ignore", invalid="ignore"):
         st = u_step(flux.alpha, flux.beta, lam)
+        if flux.is_dyadic():
+            pair = dyadic(flux.alpha), dyadic(flux.beta)
+            name = next(n for n, (p, _, _) in QUADRATICS.items() if p == pair)
+            _, _, a_down, b_down, R = map(float, _pair_step(name, lam))
+            theta = mod1(a_down - 3 * pair[0] - pair[1])  # the half-turn twist, 0 or 1/2
+        else:
+            a_down, b_down, R = float(st.alpha_down), float(st.beta_down), float(st.R)
+            theta = mod1(st.arg / TWO_PI)
     Psi = complex(st.re, st.im)
     absPsi = abs(Psi)
     D = float(st.D)
@@ -182,11 +194,11 @@ def decimation_kit(flux: FluxPair, lam: float) -> DecimationStep:
         D=D,
         Psi=Psi,
         absPsi=absPsi,
-        theta=mod1(st.arg / TWO_PI),
-        R=_finite(float(st.R)),
+        theta=theta,
+        R=_finite(R),
         phi=_finite(absPsi / (4 * D)) if D != 0 else None,
-        alpha_down=float(st.alpha_down),
-        beta_down=float(st.beta_down),
+        alpha_down=a_down,
+        beta_down=b_down,
     )
 
 
@@ -221,20 +233,26 @@ def quadratic_r(name: str, lam: float) -> float:
     return -4 * lam * lam + b * lam + c
 
 
-def _dyadic_step(alpha, beta, lam):
-    """`_step` at alpha, beta in {0, 1/2}, elementwise.  R is the quadratic, which
+def _pair_step(name: str, x):
+    """`_step` at the dyadic pair of QUADRATICS[name], elementwise over lambda
+    (floats or arrays): D, |Psi|, alpha', beta', R.  R is the quadratic, which
     has no 0/0 at the Psi zeros; where the real Psi < 0, theta = 1/2 and the
     step twists to (alpha' + 1/2, beta' + 1/2, 2 - R)."""
+    (a0, b0), (p, q), _ = QUADRATICS[name]
+    eta, r = 1 - x, quadratic_r(name, x)
+    psi = eta * eta + p * eta + q
+    twist = 0.5 * (psi < 0)
+    return (cell_cubic_d(b0, x), np.abs(psi), (3 * a0 + b0 + twist) % 1.0,
+            (3 * b0 + a0 + twist) % 1.0, np.where(twist, 2 - r, r))
+
+
+def _dyadic_step(alpha, beta, lam):
+    """`_step` at alpha, beta in {0, 1/2}: `_pair_step` over the entries of each pair."""
     out = np.empty((5, lam.size), dtype=lam.dtype)
-    for name, ((a0, b0), (p, q), _) in QUADRATICS.items():
+    for name, ((a0, b0), _, _) in QUADRATICS.items():
         on = (alpha == a0) & (beta == b0)
         if on.any():
-            x = lam[on]
-            eta, r = 1 - x, quadratic_r(name, x)
-            psi = eta * eta + p * eta + q
-            twist = 0.5 * (psi < 0)
-            out[:, on] = (cell_cubic_d(b0, x), np.abs(psi), (3 * a0 + b0 + twist) % 1.0,
-                          (3 * b0 + a0 + twist) % 1.0, np.where(twist, 2 - r, r))
+            out[:, on] = _pair_step(name, lam[on])
     return out
 
 

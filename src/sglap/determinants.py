@@ -1,16 +1,17 @@
-"""Exact determinants at half-integer flux, product lemmas, and complexity.
+"""Exact determinants at half-integer flux, the product lemma, and complexity.
 
 At the three nontrivial half-integer flux pairs the full spectrum is known in
 closed form (see enumerator), so the determinant of the probabilistic magnetic
 Laplacian collapses to a finite product: a handful of prime powers times a
 chain of factors H(k) + 1/2 and H(k) + 5/2, where H obeys the quadratic
-recurrence H(k) = H(k-1)^2 - 15/4 with seed 26.5 (flux (1/2,1/2)), 302.5
-(flux (1/2,0)) or 86.5 (flux (0,1/2)).  H(k) ~ seed^(2^k) overflows a double
-around k = 8, so everything here is carried in the natural-log domain via
+recurrence H(k) = H(k-1)^2 + b1(2 - b1)/4 of the product lemma, b1 = 5 the
+linear coefficient of R00.  Each kind of H (H, Htilde, Hhat) is named by its
+prefix chain of `decimation.QUADRATICS`, which gives its seed; seeds and step
+are read off those quadratics, and no exact value is tabulated beside them.
+H(k) ~ H(0)^(2^k) overflows a double around k = 8, so H is carried in the
+natural-log domain only, via
 
-    l_k = 2*l_{k-1} + log1p(-3.75 * exp(-2*l_{k-1})),
-
-with exact Fraction values kept alongside for small k as a cross-check.
+    l_k = 2*l_{k-1} + log1p(b1(2 - b1)/4 * exp(-2*l_{k-1})).
 
 The same machinery gives the spanning-tree count (trivial flux), the
 asymptotic complexity per vertex of the three loop measures (a geometric
@@ -22,13 +23,14 @@ Derivation of the products from the one spectrum table: `det_closed_form`
 and `tree_count_closed_form` walk the rows of `enumerator._series_table`.  A
 fixed eigenvalue v of multiplicity m contributes m times the prime factors of
 v.  A series row is multiplied out by the product lemma over its nested
-quadratic preimages, with seed and scale read off `decimation.QUADRATICS`:
-one prefix map (Rhh) gives the seed H = 26.5 and scale 16^(2^k), two (Rhh,
-then Rh0 or R0h) give 302.5 or 86.5 and scale 256^(2^k), and the anchors 3/4
-and 5/4 turn into the chain factors H(k) + 1/2 and H(k) + 5/2.  A single Rh0
-or R0h inversion of an anchor is a rational, and the k-fold R00 preimages of
-flux (0,0) multiply to anchor / 4^(2^k - 1).  The table is wrong at level 0
-for the mixed fluxes, so level 0 is refused for all three det cases.
+quadratic preimages, with seed and scale read off `decimation.QUADRATICS`
+(`_chain_seed`): one prefix map (Rhh) gives the seed H(0) = 53/2 and scale
+16^(2^k), two (Rhh, then Rh0 or R0h) give 605/2 or 173/2 and scale
+256^(2^k), and the anchors 3/4 and 5/4 turn into the chain factors
+H(k) + 1/2 and H(k) + 5/2.  A single Rh0 or R0h inversion of an anchor is a
+rational, and the k-fold R00 preimages of flux (0,0) multiply to
+anchor / 4^(2^k - 1).  The table is wrong at level 0 for the mixed fluxes,
+so level 0 is refused for all three det cases.
 """
 
 from __future__ import annotations
@@ -48,8 +50,6 @@ __all__ = [
     "psi_weight",
     "tree_count_closed_form",
     "det_closed_form",
-    "lemma_product",
-    "lemma_product_tilde",
     "complexity",
     "loop_entropy",
     "DET_CASES",
@@ -59,52 +59,29 @@ __all__ = [
 DET_CASES = ("half-half", "half-zero", "zero-half")
 COMPLEXITY_CASES = ("zero-zero",) + DET_CASES
 
-# Seeds of the quadratic recurrence, one per nontrivial half-integer flux.
-_SEEDS = {
-    "H": Fraction(53, 2),        # flux (1/2, 1/2)
-    "Htilde": Fraction(605, 2),  # flux (1/2, 0)
-    "Hhat": Fraction(173, 2),    # flux (0, 1/2)
-}
+# The prefix chain of QUADRATICS whose product-lemma seed is H(0) of each kind.
+_KIND_CHAIN = {"H": ("Rhh",), "Htilde": ("Rhh", "Rh0"), "Hhat": ("Rhh", "R0h")}
+_CHAIN_KIND = {chain: kind for kind, chain in _KIND_CHAIN.items()}
 _CASE_KIND = {"half-half": "H", "half-zero": "Htilde", "zero-half": "Hhat"}
 
 _MAX_K = 64
-_EXACT_K = 8  # keep exact rational H(k) only while it is cheap
 
 
-def _canon_case(case: str, allowed: tuple[str, ...]) -> str:
-    key = str(case).strip().lower().replace("_", "-")
-    if key not in allowed:
+def _check_case(case: str, allowed: tuple[str, ...]) -> None:
+    if case not in allowed:
         raise ValueError(f"unknown case {case!r}; expected one of {allowed}")
-    return key
 
 
 @dataclass(frozen=True)
 class LogValue:
-    """A positive real carried as log_magnitude, with an exact factor audit.
+    """A positive real carried as log_magnitude, with its exact factors.
 
     exact_factors pairs (base, exponent): base is a prime (int) or a named
-    chain factor such as "H(3)+1/2"; exponents are exact Fractions.  The
-    aligned base_logs tuple holds log(base) for each entry so the audit can be
-    replayed: sum(exp * log_base) must reproduce log_magnitude.
+    chain factor such as "H(3)+1/2"; exponents are exact Fractions.
     """
 
     log_magnitude: float
     exact_factors: tuple[tuple[object, Fraction], ...] = ()
-    base_logs: tuple[float, ...] = ()
-
-    def __post_init__(self) -> None:
-        if len(self.exact_factors) != len(self.base_logs):
-            raise ValueError("exact_factors and base_logs must align")
-
-    def consistency_error(self) -> float:
-        """Relative gap between log_magnitude and the factor log-sum."""
-        if not self.exact_factors:
-            return 0.0
-        total = math.fsum(
-            float(exp) * lb for (_, exp), lb in zip(self.exact_factors, self.base_logs)
-        )
-        scale = max(1.0, abs(self.log_magnitude))
-        return abs(total - self.log_magnitude) / scale
 
     def value(self) -> float:
         """exp(log_magnitude); inf if it overflows a double."""
@@ -132,40 +109,39 @@ class LogValue:
 
 
 def _assemble(factors: list[tuple[object, Fraction, float]]) -> LogValue:
+    """The LogValue of prod base^exp over (base, exp, log base), zero exponents dropped."""
     kept = [(b, e, lb) for b, e, lb in factors if e != 0]
-    log_mag = math.fsum(float(e) * lb for _, e, lb in kept)
     return LogValue(
-        log_magnitude=log_mag,
+        log_magnitude=math.fsum(float(e) * lb for _, e, lb in kept),
         exact_factors=tuple((b, e) for b, e, _ in kept),
-        base_logs=tuple(lb for _, _, lb in kept),
     )
 
 
 @dataclass(frozen=True)
 class RecurrenceState:
-    """Log-domain snapshot of H(k) for one seed kind.
-
-    linear_H is the exact rational H(k), kept for k <= 8 only (the numerator
-    roughly doubles in digits each step).
-    """
+    """Log-domain snapshot of H(k) for one seed kind."""
 
     kind: str
     k: int
     log_H: float
     log_H_plus_half: float
     log_H_plus_fivehalves: float
-    linear_H: Fraction | None = None
 
 
 def recurrence(kind: str, up_to_k: int) -> list[RecurrenceState]:
-    """States k = 0..up_to_k of l_k = 2 l_{k-1} + log1p(-3.75 e^{-2 l_{k-1}})."""
-    if kind not in _SEEDS:
-        raise ValueError(f"unknown recurrence kind {kind!r}; expected one of {tuple(_SEEDS)}")
+    """States k = 0..up_to_k of l_k = 2 l_{k-1} + log1p(b1(2-b1)/4 e^{-2 l_{k-1}}).
+
+    l_0 is the log of the product-lemma seed of the kind's prefix chain and
+    b1 the linear coefficient of R00, both read off QUADRATICS.
+    """
+    if kind not in _KIND_CHAIN:
+        raise ValueError(f"unknown recurrence kind {kind!r}; expected one of {tuple(_KIND_CHAIN)}")
     if not 0 <= up_to_k <= _MAX_K:
         raise ValueError(f"up_to_k must lie in [0, {_MAX_K}], got {up_to_k}")
+    _, b1, _ = _quadratic("R00")
+    step = float(b1 * (2 - b1) / 4)
+    log_h = math.log(float(_chain_seed(_KIND_CHAIN[kind])[0]))
     states: list[RecurrenceState] = []
-    log_h = math.log(float(_SEEDS[kind]))
-    exact: Fraction | None = _SEEDS[kind]
     for k in range(up_to_k + 1):
         inv = math.exp(-log_h)
         states.append(
@@ -175,11 +151,9 @@ def recurrence(kind: str, up_to_k: int) -> list[RecurrenceState]:
                 log_H=log_h,
                 log_H_plus_half=log_h + math.log1p(0.5 * inv),
                 log_H_plus_fivehalves=log_h + math.log1p(2.5 * inv),
-                linear_H=exact,
             )
         )
-        log_h = 2.0 * log_h + math.log1p(-3.75 * math.exp(-2.0 * log_h))
-        exact = exact * exact - Fraction(15, 4) if exact is not None and k + 1 <= _EXACT_K else None
+        log_h = 2.0 * log_h + math.log1p(step * math.exp(-2.0 * log_h))
     return states
 
 
@@ -219,7 +193,7 @@ def det_closed_form(case: str, level: int) -> LogValue:
     Level 0 is refused: the mixed rows of the table do not describe the
     single triangle.
     """
-    case = _canon_case(case, DET_CASES)
+    _check_case(case, DET_CASES)
     if level < 1:
         raise ValueError(f"level {level} is refused: the closed form of {case} holds from level 1")
     alpha_half, beta_half = (part == "half" for part in case.split("-"))
@@ -252,9 +226,22 @@ def _quadratic(name: str) -> tuple[Fraction, Fraction, Fraction]:
 
 @cache
 def _chain_seed(chain: tuple[str, ...]) -> tuple[Fraction, Fraction]:
-    """`_lemma_seed` of a prefix chain of QUADRATICS over R = R00, exactly."""
-    P, *Q = (_quadratic(name) for name in chain)
-    return _lemma_seed(P, _quadratic("R00")[:2], *Q)
+    """(H(0), scale base) of the product lemma over a prefix chain of QUADRATICS.
+
+    For R00 = b2 lam^2 + b1 lam and the chain (P), the product over the
+    2^(k+1) points P^{-1}(R00^{-k}(a)) is (-b2 a + H(k) - b1/2) / scale^(2^k),
+    with H(0) = a0 b2 + b1/2, H(m) = H(m-1)^2 + b1(2 - b1)/4 and scale a2 b2.
+    One more inversion, of Q in the chain (P, Q), makes H(0) = a2 b2 (q0^2 +
+    q0 a1/a2 + a0/a2) + b1/2 and scale q2^2 a2 b2: the linear coefficients
+    drop out, since the product over both roots of a quadratic does not see
+    them.  Exact in Fractions.
+    """
+    b2, b1, _ = _quadratic("R00")
+    (a2, a1, a0), *rest = (_quadratic(name) for name in chain)
+    if not rest:
+        return a0 * b2 + b1 / 2, a2 * b2
+    ((q2, _, q0),) = rest
+    return a2 * b2 * (q0 * q0 + q0 * a1 / a2 + a0 / a2) + b1 / 2, q2 * q2 * a2 * b2
 
 
 def _spectral_product(
@@ -264,12 +251,12 @@ def _spectral_product(
 
     A fixed row (v, m) adds m times the prime factors of v.  A series row over
     the k-fold R00 preimages of its anchor a, then one inversion per prefix
-    map, takes its product from the product lemma: (-b2 a + H(k) - b1/2) /
-    scale^(2^k), with -b2 a - b1/2 = 4a - 5/2 the offset 1/2 or 5/2 of a chain
-    factor H(k) + 1/2 or H(k) + 5/2 named after the `_SEEDS` kind of H(0).  A
-    single prefix map whose seed is no kind (Rh0, R0h) occurs at k = 0 only,
-    where the product is the rational (a0 - a)/a2; with no prefix map the
-    product is a / 4^(2^k - 1).
+    map, takes its product from the product lemma (`_chain_seed`): (-b2 a +
+    H(k) - b1/2) / scale^(2^k), with -b2 a - b1/2 = 4a - 5/2 the offset 1/2 or
+    5/2 of a chain factor H(k) + 1/2 or H(k) + 5/2, H the kind whose chain
+    (`_KIND_CHAIN`) is the row's prefix chain.  A single Rh0 or R0h, the
+    chains of no kind, occurs at k = 0 only, where the product is the rational
+    (a0 - a)/a2; with no prefix map the product is a / 4^(2^k - 1).
     """
     b2, b1, _ = _quadratic("R00")
     primes = dict(primes)
@@ -289,8 +276,7 @@ def _spectral_product(
             add(anchor, m)
             add(-1 / b2, m * (2**k - 1))
             continue
-        seed, scale = _chain_seed(s.prefix_chain)
-        kind = next((name for name, h0 in _SEEDS.items() if h0 == seed), None)
+        kind = _CHAIN_KIND.get(s.prefix_chain)
         if kind is None:
             if len(s.prefix_chain) > 1 or k:
                 raise ValueError(f"no product lemma seed for the series {s}")
@@ -299,7 +285,7 @@ def _spectral_product(
             continue
         key = (kind, k, -b2 * anchor - b1 / 2)
         chains[key] = chains.get(key, 0) + m
-        add(scale, -m * 2**k)
+        add(_chain_seed(s.prefix_chain)[1], -m * 2**k)
 
     factors: list[tuple[object, Fraction, float]] = [
         (p, Fraction(e), _LOG_PRIME[p]) for p, e in sorted(primes.items())
@@ -315,72 +301,6 @@ def _spectral_product(
             raise ValueError(f"no chain factor {kind}({k})+{offset}")
         factors.append((f"{kind}({k})+{offset}", Fraction(m), log[offset]))
     return _assemble(factors)
-
-
-def lemma_product(
-    P: tuple[float, float, float],
-    R: tuple[float, float],
-    n: int,
-    alpha: float,
-) -> float:
-    """prod of z over z in P^{-1}(R^{-n}(alpha)), by the closed recurrence.
-
-    P = (a2, a1, a0) is any quadratic, R = (b2, b1) a quadratic with zero
-    constant term.  The product over all 2^{n+1} nested preimages is linear
-    in alpha: c_{n,1} alpha + c_{n,0} with c_{n,1} = -b2/(a2 b2)^{2^n} and
-    c_{n,0} = (H(n) - b1/2)/(a2 b2)^{2^n}, H(0) = a0 b2 + b1/2,
-    H(m) = H(m-1)^2 + b1(2-b1)/4.
-    """
-    return _lemma(P, R, None, n, alpha)
-
-
-def lemma_product_tilde(
-    Q: tuple[float, float, float],
-    P: tuple[float, float, float],
-    R: tuple[float, float],
-    n: int,
-    alpha: float,
-) -> float:
-    """prod of z over z in Q^{-1}(P^{-1}(R^{-n}(alpha))).
-
-    Same shape as lemma_product but with one more inversion layer: the seed
-    becomes Htilde(0) = a2 b2 (q0^2 + q0 a1/a2 + a0/a2) + b1/2 and the scale
-    (q2^2 a2 b2)^{2^n}.
-    """
-    if float(Q[0]) == 0:
-        raise ValueError("Q must be a genuine quadratic (q2 != 0)")
-    return _lemma(P, R, Q, n, alpha)
-
-
-def _lemma_seed(P, R, Q=None):
-    """(H(0), scale base) of the product lemma over P^{-1}, then Q^{-1} if given.
-
-    The linear coefficients a1 (with Q) and q1 drop out: the product over both
-    roots of a quadratic does not see them.  Exact for Fraction coefficients.
-    """
-    a2, a1, a0 = P
-    b2, b1 = R
-    if Q is None:
-        return a0 * b2 + b1 / 2, a2 * b2
-    q2, _, q0 = Q
-    return a2 * b2 * (q0 * q0 + q0 * a1 / a2 + a0 / a2) + b1 / 2, q2 * q2 * a2 * b2
-
-
-def _lemma(P, R, Q, n: int, alpha: float) -> float:
-    P, R = tuple(map(float, P)), tuple(map(float, R))
-    _check_lemma_args(P[0], R[0], n)
-    h, base = _lemma_seed(P, R, None if Q is None else tuple(map(float, Q)))
-    b2, b1 = R
-    for _ in range(n):
-        h = h * h + b1 * (2.0 - b1) / 4.0
-    return (-b2 * alpha + (h - b1 / 2.0)) / base ** (2**n)
-
-
-def _check_lemma_args(a2: float, b2: float, n: int) -> None:
-    if a2 == 0 or b2 == 0:
-        raise ValueError("leading coefficients must be nonzero")
-    if not 0 <= n <= 6:
-        raise ValueError("n must lie in [0, 6] (kept within brute-force reach)")
 
 
 # Rational weights of the log terms in the per-vertex complexity of each loop
@@ -416,7 +336,7 @@ def complexity(case: str, terms: int) -> float:
     over the chain logs; every term is positive, so the truncated value is a
     certified lower bound, nondecreasing in K.
     """
-    case = _canon_case(case, COMPLEXITY_CASES)
+    _check_case(case, COMPLEXITY_CASES)
     if not 0 <= terms <= _MAX_K:
         raise ValueError(f"terms must lie in [0, {_MAX_K}], got {terms}")
     weights, series_w = _COMPLEXITY_WEIGHTS[case]
@@ -432,5 +352,5 @@ def complexity(case: str, terms: int) -> float:
 
 def loop_entropy(case: str) -> float:
     """Exponential decay rate of the no-loop probability: complexity gap."""
-    case = _canon_case(case, DET_CASES)
+    _check_case(case, DET_CASES)
     return complexity(case, 40) - complexity("zero-zero", 40)

@@ -48,6 +48,20 @@ def test_fraction_flags_byte_identical(capsys):
     _, out_dec, _ = run(capsys, "kit", "--alpha", "0.5", "--beta", "0.5",
                         "--lambda", "0.75")
     assert out_frac == out_dec
+    # a Psi zero of the dyadic pair (1/2, 1/2): the exact step, not sin(pi) noise
+    payload = json.loads(out_frac)
+    assert (payload["theta"], payload["R"], payload["alpha_down"], payload["beta_down"]) == (0, 0, 0, 0)
+
+
+def test_kit_prints_strict_json_for_an_escaped_lambda(capsys):
+    def refuse(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+
+    code, out, _ = run(capsys, "kit", "--alpha", "0.3", "--beta", "0.1", "--lambda", "1e200")
+    assert code == 0
+    payload = json.loads(out, parse_constant=refuse)
+    assert payload["A"] is None and payload["D"] is None and payload["Psi"]["re"] is None
+    assert payload["R"] is None and payload["phi"] is None
 
 
 def test_spectrum_both_reports_match(capsys):

@@ -59,8 +59,10 @@ def test_kit_matches_longhand_formulas(al, be, lam):
 
 
 def test_kit_equals_kernel_on_arrays_bitwise():
-    # decimation_kit takes every field from u_step on floats; the same points
-    # run as one array must give the same bits
+    # decimation_kit takes A, D and Psi from u_step on floats; the same points
+    # run as one array must give the same bits.  Off the dyadic grid theta, R
+    # and the evolved fluxes are u_step's too; at the dyadic pairs they are
+    # apply_U's (the quadratics)
     rng = random.Random(17)
     pts = [(rng.random(), rng.random(), rng.uniform(-0.5, 2.5)) for _ in range(200)]
     pts += [(a, b, lam) for a in (0.0, 0.5) for b in (0.0, 0.5) for lam in (0.1, 0.6, 1.1, 1.4, 1.9)]
@@ -72,13 +74,34 @@ def test_kit_equals_kernel_on_arrays_bitwise():
         kit = decimation_kit(FluxPair(a, b), lam)
         assert same(kit.A, st.A[k]) and same(kit.D, st.D[k]), (a, b, lam)
         assert same(kit.Psi.real, st.re[k]) and same(kit.Psi.imag, st.im[k]), (a, b, lam)
+        assert kit.phi == (kit.absPsi / (4 * kit.D) if kit.D != 0 else None)
+        if FluxPair(a, b).is_dyadic():
+            assert (kit.alpha_down, kit.beta_down, kit.R) == apply_U(a, b, lam), (a, b, lam)
+            continue
         assert same(kit.alpha_down, st.alpha_down[k]) and same(kit.beta_down, st.beta_down[k]), (a, b, lam)
         if kit.R is None:
             assert st.re[k] == 0 and st.im[k] == 0
         else:
             assert same(kit.R, st.R[k]), (a, b, lam)
-        assert kit.phi == (kit.absPsi / (4 * kit.D) if kit.D != 0 else None)
     assert decimation_kit(FluxPair(0.3, 0.0), 1.25).R is None
+
+
+def test_kit_agrees_with_apply_U_at_the_dyadic_psi_zeros():
+    # u_step's Psi is sin(pi) noise there, which gave R = 1.0 and theta 1/4 or
+    # 3/4 at three of these points; the kit now takes the exact step
+    zeros = [(a, b, z) for a in (0.0, 0.5) for b in (0.0, 0.5) for z in psi_real_zeros(FluxPair(a, b))]
+    assert len(zeros) == 8
+    for a, b, z in zeros:
+        kit = decimation_kit(FluxPair(a, b), z)
+        assert (kit.alpha_down, kit.beta_down, kit.R) == apply_U(a, b, z), (a, b, z)
+        assert kit.theta in (0.0, 0.5)
+        assert circ_dist(kit.alpha_down, 3 * a + b + 3 * kit.theta) == 0, (a, b, z)
+        assert circ_dist(kit.beta_down, 3 * b + a - 3 * kit.theta) == 0, (a, b, z)
+    pins = {(0.5, 0.5, 0.75): (0.0, 0.0, 0.0, 0.0), (0.5, 0.5, 0.5): (0.0, 0.0, 0.0, -1.5),
+            (0.0, 0.5, 0.75): (0.0, 0.5, 0.5, 2.0)}
+    for (a, b, z), want in pins.items():
+        kit = decimation_kit(FluxPair(a, b), z)
+        assert (kit.theta, kit.alpha_down, kit.beta_down, kit.R) == want, (a, b, z)
 
 
 def test_kit_internal_identities():
