@@ -26,13 +26,19 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .decimation import OrbitTerminated, apply_U, u_step
 
 log = logging.getLogger(__name__)
+
+# cells per row block of `render`: bounds the working arrays of `u_step` (and
+# the float lists of its atan2) that one block holds at a time
+BLOCK_CELLS = 32768
 
 
 @dataclass(frozen=True)
@@ -145,14 +151,16 @@ def _render_block(cfg: RasterConfig, alphas: np.ndarray) -> tuple[np.ndarray, np
 
 
 def render(config: RasterConfig, threads: int = 1) -> Raster:
-    """Rasterize the filled-orbit set; every thread count gives the same bits."""
-    alphas = config.alphas
-    if threads <= 1:
-        ret, esc = _render_block(config, alphas)
-        return Raster(config, ret, esc)
-    blocks = np.array_split(np.arange(config.grid_alpha), min(threads, config.grid_alpha))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda ix: _render_block(config, alphas[ix]), blocks))
+    """Rasterize the filled-orbit set in row blocks of at most BLOCK_CELLS cells,
+    serially or over a pool of `threads`; the block count is a multiple of the
+    thread count, so the threads finish together.  Cells are independent, so
+    every thread count gives the same bits."""
+    workers = max(threads, 1)
+    rounds = -(-config.grid_alpha * config.grid_lambda // (BLOCK_CELLS * workers))
+    blocks = np.array_split(config.alphas, min(rounds * workers, config.grid_alpha))
+    block = partial(_render_block, config)
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        parts = list((pool.map if pool else map)(block, blocks))
     ret = np.concatenate([p[0] for p in parts], axis=0)
     esc = np.concatenate([p[1] for p in parts], axis=0)
     return Raster(config, ret, esc)

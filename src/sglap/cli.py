@@ -46,6 +46,8 @@ class RationalParam(click.ParamType):
             return float(Fraction(str(value)))
         except (ValueError, ZeroDivisionError):
             self.fail(f"{value!r} is not a number or a fraction p/q", param, ctx)
+        except OverflowError:
+            self.fail(f"{value!r} is too large for a float", param, ctx)
 
 
 class BetaModeParam(RationalParam):

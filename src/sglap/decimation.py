@@ -19,6 +19,16 @@ similarity S_N = phi (L_{N-1}' - R I) gives one count per step,
 every level at a uniform Case I or Case IV flux, vectorised over lambda, and
 `decimation_eigenvalues` bisects that over all eigenvalue indices at once.
 
+`gluing_count` counts without U, at every flux and with a flux pair per probe:
+the gasket is finitely ramified, so at fixed lambda each sub-gasket reduces to
+a 3x3 Hermitian block on its corners.  Gluing three blocks and eliminating the
+three junctions is one step, batched as (P, 6, 6) stacks; Haynsworth adds up
+the negative inertias of the junction blocks (Domany, Alexander, Bensimon and
+Kadanoff, PRB 28, 3110, 1983).  It never divides by |Psi|.  Its singular-J
+rule: a probe that meets a junction block singular to working precision
+(JUNCTION_TOL) is counted at lambda -+ JUNCTION_SHIFT instead, and its count
+is kept only where both sides agree; otherwise it is -1, undetermined.
+
 `classify` sorts a triple (alpha, beta, lambda) into the paper's cases of
 exceptional values: which of Psi and D vanish, the root multiplicity of D,
 and — for simple D roots with Psi != 0 — whether the decimation limit
@@ -434,6 +444,79 @@ def decimation_eigenvalues(flux: FluxPair, level: int) -> np.ndarray:
         above = decimation_count(flux, level, points)[where] > index[wide]
         hi[wide[above]] = mid[above]
         lo[wide[~above]] = mid[~above]
+
+
+# A junction block whose smallest |eigenvalue| is at most JUNCTION_TOL times
+# its largest is singular to working precision; its probe is counted again at
+# lambda -+ JUNCTION_SHIFT, far below operator.CLUSTER_TOL.
+JUNCTION_TOL = 1e-11
+JUNCTION_SHIFT = 1e-9
+# The three copies glued at a step, each as (bottom-left, bottom-right, top)
+# into the six vertices (A, B, C, X, Y, Z) = (0, 1, 2, 3, 4, 5).
+_COPIES = np.array([(0, 3, 5), (3, 1, 4), (5, 4, 2)])
+
+
+def _glue(alpha, beta, level: int, lam) -> tuple[np.ndarray, np.ndarray]:
+    """Haynsworth's count of H = Deg (1 - lam) - W over 1-d arrays, and which
+    probes met a singular junction block (their count is not to be used)."""
+    p = lam.size
+    m = np.zeros((p, 3, 3), dtype=complex)
+    m[:, [0, 1, 2], [0, 1, 2]] = 2 * (1 - lam)[:, None]
+    m[:, [0, 0, 1, 2], [1, 2, 0, 0]] = -1
+    m[:, 1, 2] = -np.exp(2j * np.pi * alpha)
+    m[:, 2, 1] = m[:, 1, 2].conj()
+    count = np.zeros(p, dtype=np.int64)
+    singular = np.zeros(p, dtype=bool)
+    for step in range(level):
+        s2 = 4.0**step  # the row shift (alpha + beta) s^2, exact mod 1 term by term
+        g = np.exp(-2j * np.pi * ((alpha * s2 % 1.0 + beta * s2 % 1.0) % 1.0))
+        top = m.copy()
+        top[:, 1, :] *= g.conj()[:, None]
+        top[:, :, 1] *= g[:, None]
+        t = np.zeros((p, 6, 6), dtype=complex)
+        for ix, block in zip(_COPIES, (m, m, top)):
+            t[:, ix[:, None], ix] += block
+        j = t[:, 3:, 3:]
+        ev = np.linalg.eigvalsh(j)
+        count = 3 * count + (ev < 0).sum(axis=1)
+        size = np.abs(ev)
+        bad = size.min(axis=1) <= JUNCTION_TOL * size.max(axis=1)
+        singular |= bad
+        j[bad] = np.eye(3)
+        m = t[:, :3, :3] - t[:, :3, 3:] @ np.linalg.solve(j, t[:, 3:, :3])
+        m = (m + m.conj().transpose(0, 2, 1)) / 2
+        m /= np.abs(m).max(axis=(1, 2))[:, None, None]
+    return count + (np.linalg.eigvalsh(m) < 0).sum(axis=1), singular
+
+
+def gluing_count(alpha, beta, level: int, lam) -> tuple[np.ndarray, np.ndarray]:
+    """#{eigenvalues of L_level < lam}, each probe at its own flux pair, without
+    following U: (counts, fired), over arrays broadcast to one 1-d shape.
+
+    The count is the negative inertia of H = Deg (1 - lam) - W (Sylvester), in
+    the `build_connection` gauge, obtained by gluing corner blocks bottom-up.
+    M_0 = 2(1 - lam) I - W_0 is the triangle on (0,0), (1,0), (0,1).  Step m
+    glues M_m on (A, X, Z), M_m on (X, B, Y) and G* M_m G on (Z, Y, C), with
+    G = diag(1, e(-(alpha+beta) s^2), 1) and s = 2^m; J_m is the block of the
+    junctions X, Y, Z, and M_(m+1) the Schur complement onto the corners,
+    rescaled to unit size.  Haynsworth gives
+    count = sum_m 3^(level-1-m) neg(J_m) + neg(M_level).
+
+    The singular-J rule: a probe that meets a junction block singular to
+    working precision (JUNCTION_TOL) is counted again at lam -+ JUNCTION_SHIFT
+    and `fired` is set.  Where both sides agree that is its count; where they
+    differ (lam lies within the shift of an eigenvalue) or a side meets a
+    singular block again, the count is -1: undetermined, never a wrong number.
+    """
+    alpha, beta, lam = np.broadcast_arrays(*(np.asarray(v, dtype=float).ravel() for v in (alpha, beta, lam)))
+    count, fired = _glue(alpha, beta, level, lam)
+    if fired.any():
+        f = np.flatnonzero(fired)
+        shifted = np.concatenate([lam[f] - JUNCTION_SHIFT, lam[f] + JUNCTION_SHIFT])
+        both, again = _glue(np.tile(alpha[f], 2), np.tile(beta[f], 2), level, shifted)
+        lo, hi = both[:f.size], both[f.size:]
+        count[f] = np.where((lo == hi) & ~again[:f.size] & ~again[f.size:], lo, -1)
+    return count, fired
 
 
 @dataclass(frozen=True)

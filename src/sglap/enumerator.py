@@ -13,8 +13,10 @@ exists, so `decimation_verify` checks the level-N spectrum (from
 `operator.eigenvalues`) against one step of the decimation theorem instead:
 below each cut between clusters it compares the observed eigenvalue count with
 the count Haynsworth inertia additivity predicts from the level-(N-1) operator
-at the evolved fluxes.  Exceptional values need no case of their own; the
-counts on either side of them fix their multiplicities.
+at the evolved fluxes.  That reduced count comes from gluing corner blocks
+(`decimation.gluing_count`, one batched call over every cut), not from U and
+not from a level-(N-1) graph.  Exceptional values need no case of their own;
+the counts on either side of them fix their multiplicities.
 """
 
 from __future__ import annotations
@@ -27,19 +29,21 @@ import numpy as np
 
 from .decimation import (
     BRACKET,
+    JUNCTION_SHIFT,
     QUADRATICS,
     OrbitTerminated,
     _roots_below,
     apply_U,
     cell_cubic_d,
     classify,
+    gluing_count,
     one_step_count,
     psi_real_zeros,
     zeros_of_D,
 )
 from .gasket import build_gasket, dim_n
 from .gauge import FluxPair, build_connection, dyadic
-from .operator import Spectrum, assemble, eigenvalues, spectrum
+from .operator import Spectrum, assemble, spectrum
 
 MAX_SERIES_DEPTH = 20  # 2^k values per series; desk levels use k <= 6
 LABEL_TOL = 1e-7  # picks the d-root and psi-zero labels of the verifier; no verdict
@@ -203,9 +207,13 @@ def decimation_verify(flux: FluxPair, level: int) -> VerificationReport:
     from `_roots_below` and c = #{eig L_(N-1)(alpha', beta') < R} at
     (alpha', beta', R) = `apply_U`(alpha, beta, x).  The cuts are BRACKET's
     ends and the midpoint of every gap between adjacent clusters of `spectrum`.
-    Both levels are built by `build_connection` and solved through
-    `operator.eigenvalues`; the level-(N-1) graph is built once and reused at
-    every cut.
+    The level-N graph is built by `build_connection` and solved once through
+    `operator.eigenvalues`.  No level-(N-1) graph is built: one
+    `decimation.gluing_count` call at level N-1 counts c at every cut with a
+    finite R, each at its own (alpha', beta', R).  It never follows U, so the
+    check is not an identity at any level.  Where its singular-J rule fired
+    the note says so; where that rule leaves c undetermined (-1), the cut is
+    red.
 
     Each cluster gets one entry, judged by the two cuts around it; its note
     gives the predicted and observed count at both.  Clusters within LABEL_TOL
@@ -217,24 +225,33 @@ def decimation_verify(flux: FluxPair, level: int) -> VerificationReport:
         raise ValueError("verification needs a previous level")
     graph = build_gasket(level)
     sp = spectrum(assemble(graph, build_connection(graph, flux)))
-    reduced = build_gasket(level - 1)
     d_roots = zeros_of_D(flux.beta)
 
-    def judge(x: float) -> tuple[bool | None, str]:
+    ends = np.cumsum([m for _, m in sp.pairs])[:-1]
+    cuts = [BRACKET[0], *((sp.raw[ends - 1] + sp.raw[ends]) / 2).tolist(), BRACKET[1]]
+    steps: list[tuple[float, float, float] | str] = []
+    for x in cuts:
         try:
-            ad, bd, r = apply_U(flux.alpha, flux.beta, x)
+            steps.append(apply_U(flux.alpha, flux.beta, x))
         except OrbitTerminated as exc:
-            return None, f"below {x:.10g}: {exc}"
+            steps.append(str(exc))
+    ad, bd, rs = np.array([s for s in steps if isinstance(s, tuple)]).reshape(-1, 3).T
+    reduced = iter(zip(*gluing_count(ad, bd, level - 1, rs)))
+
+    def judge(x: float, step) -> tuple[bool | None, str]:
+        if isinstance(step, str):
+            return None, f"below {x:.10g}: {step}"
+        c, fired = map(int, next(reduced))
         k = int(_roots_below(x, cell_cubic_d(flux.beta, x)))
-        evs = eigenvalues(assemble(reduced, build_connection(reduced, FluxPair(ad, bd))))
-        c = int(np.searchsorted(evs, r))
         want = int(one_step_count(level, k, c))
         got = int(np.searchsorted(sp.raw, x))
-        return want == got, f"below {x:.10g}: predicted {want} (k={k}, c={c}), observed {got}"
+        note = f"below {x:.10g}: predicted {want} (k={k}, c={c}), observed {got}"
+        if fired:
+            undetermined = ", where the two differ" if c < 0 else ""
+            note += f" (singular junction block: c counted at R -+ {JUNCTION_SHIFT:g}{undetermined})"
+        return c >= 0 and want == got, note
 
-    ends = np.cumsum([m for _, m in sp.pairs])[:-1]
-    cuts = [BRACKET[0], *((sp.raw[ends - 1] + sp.raw[ends]) / 2), BRACKET[1]]
-    verdicts = [judge(float(x)) for x in cuts]
+    verdicts = [judge(x, step) for x, step in zip(cuts, steps)]
     special = [(r, "d-root") for r, _ in d_roots] + [(z, "psi-zero") for z in psi_real_zeros(flux)]
 
     entries: list[VerificationEntry] = []

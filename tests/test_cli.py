@@ -107,6 +107,12 @@ def test_verify_passes_and_fails(capsys, monkeypatch):
     assert json.loads(out)["all_pass"] is False
 
 
+def test_kit_refuses_a_lambda_too_large_for_a_float(capsys):
+    code, out, err = run(capsys, "kit", "--alpha", "0.3", "--beta", "0.1", "--lambda", "1e400")
+    assert code == 2 and out == ""
+    assert "too large for a float" in err
+
+
 def test_kit_payload(capsys):
     payload = run_json(capsys, "kit", "--alpha", "0.3", "--beta", "0.3",
                        "--lambda", "0.4")

@@ -1,5 +1,5 @@
-"""Decimation counting engine: against the dense oracle, the dyadic closed
-forms, and the dispatch in `operator.eigenvalues`."""
+"""Decimation counting engine and the gluing count: against the dense oracle,
+the dyadic closed forms, and the dispatch in `operator.eigenvalues`."""
 
 import random
 import warnings
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sglap import decimation
-from sglap.decimation import decimation_count, decimation_eigenvalues
+from sglap.decimation import decimation_count, decimation_eigenvalues, gluing_count
 from sglap.enumerator import spectrum_closed_form
 from sglap.gasket import build_gasket, dim_n
 from sglap.gauge import Connection, FluxPair, build_connection
@@ -69,6 +69,59 @@ def test_counts_match_dense_counts():
             got = decimation_count(FluxPair(*flux), level, lams)
             want = [int(np.sum(dense < x)) for x in lams]
             assert got.tolist() == want, (flux, level)
+
+
+# Case I to Case IV: generic, Case III (3 alpha + beta = 1/2), Case II (one
+# dyadic flux) and the four dyadic pairs
+GLUING_FLUXES = [
+    (0.37, 0.71), (0.1, 0.2), (1 / 6, 0.0), (5 / 6, 0.0), (1 / 3, 0.5), (1 / 12, 0.25),
+    (5 / 12, 0.25), (0.3, 0.0), (1 / 8, 1 / 8), (0.5, 0.5), (0.0, 0.0), (0.5, 0.0),
+]
+
+
+@pytest.mark.parametrize("level", range(1, 6))
+@pytest.mark.parametrize("flux", GLUING_FLUXES)
+def test_gluing_count_matches_dense_counts(flux, level):
+    dense = dense_eigenvalues(_op(flux, level))
+    gaps = np.flatnonzero(np.diff(dense) >= 1e-6)
+    probes = np.concatenate([(dense[gaps] + dense[gaps + 1]) / 2,
+                             np.random.default_rng(0).uniform(-0.1, 2.1, 200)])
+    fp = FluxPair(*flux)
+    got, fired = gluing_count(fp.alpha, fp.beta, level, probes)
+    assert not fired.any()
+    assert np.array_equal(got, np.searchsorted(dense, probes)), (flux, level)
+
+
+def test_gluing_count_takes_a_flux_pair_per_probe():
+    rng = np.random.default_rng(1)
+    fluxes = [FluxPair(*f) for f in GLUING_FLUXES]
+    pick = rng.integers(len(fluxes), size=300)
+    alpha = np.array([fluxes[i].alpha for i in pick])
+    beta = np.array([fluxes[i].beta for i in pick])
+    lam = rng.uniform(-0.1, 2.1, pick.size)
+    mixed, _ = gluing_count(alpha, beta, 4, lam)
+    for i, fp in enumerate(fluxes):
+        on = pick == i
+        alone, _ = gluing_count(fp.alpha, fp.beta, 4, lam[on])
+        assert np.array_equal(mixed[on], alone), fp
+
+
+@pytest.mark.parametrize("level", range(1, 5))
+@pytest.mark.parametrize(
+    "flux, lam", [((0.0, 0.0), 0.5), ((0.0, 0.0), 1.25), ((0.5, 0.5), 0.75), ((0.5, 0.5), 1.5),
+                  ((0.3, 0.0), 0.5)],
+)
+def test_gluing_count_singular_junction_rule(flux, lam, level):
+    # at an exact D root the first junction block is singular: without the rule
+    # the solve raises LinAlgError, or (at (0.3, 0), where e(0.3) e(-0.3) is
+    # not exactly 1) the count is wrong (9 for 12 at level 3)
+    dense = dense_eigenvalues(_op(flux, level))
+    got, fired = gluing_count(flux[0], flux[1], level, lam)
+    assert fired.tolist() == [True]
+    if np.min(np.abs(dense - lam)) > 1e-9:
+        assert got.tolist() == [np.searchsorted(dense, lam)]
+    else:  # lam is an eigenvalue: the two shifted counts differ
+        assert got.tolist() == [-1]
 
 
 def test_bracket_stays_off_the_dyadic_grid(monkeypatch):

@@ -2,12 +2,13 @@ import json
 import math
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sglap import decimation, enumerator
+from sglap import decimation, enumerator, operator
 from sglap.decimation import QUADRATICS, quadratic_r
 from sglap.enumerator import decimation_verify, quadratic_preimages, spectrum_closed_form
 from sglap.gasket import build_gasket, dim_n
@@ -157,16 +158,51 @@ def test_verify_judges_double_d_roots(flux, root, level, mult):
     assert "tag=DDoubleZero" in entry.note
 
 
+def _theta_half(a, b, r):
+    return a + 0.5, b + 0.5, r
+
+
 @pytest.mark.parametrize(
-    "mutate",
-    [lambda a, b, r: (a + 0.5, b + 0.5, r), lambda a, b, r: (a, b, r + 1e-3)],
-    ids=["theta+1/2", "R+1e-3"],
+    "mutate, flux, level",
+    [
+        (_theta_half, (0.41, 0.13), 3),
+        (lambda a, b, r: (a, b, r + 1e-3), (0.41, 0.13), 3),
+        (_theta_half, (0.37, 0.71), 7),
+    ],
+    ids=["theta+1/2", "R+1e-3", "theta+1/2-level7"],
 )
-def test_verify_goes_red_when_U_is_wrong(monkeypatch, mutate):
-    # theta + 1/2 moves both evolved fluxes by 3/2; the counts must notice
+def test_verify_goes_red_when_U_is_wrong(monkeypatch, mutate, flux, level):
+    # theta + 1/2 moves both evolved fluxes by 3/2; the counts must notice.  At
+    # level 7 the spectrum comes from the U engine, yet the reduced counts come
+    # from gluing, which never reads U, so the check still bites
     monkeypatch.setattr(enumerator, "apply_U", lambda a, b, lam: mutate(*decimation.apply_U(a, b, lam)))
-    report = decimation_verify(FluxPair(0.41, 0.13), 3)
+    report = decimation_verify(FluxPair(*flux), level)
     assert not report.all_pass
+
+
+def test_verify_is_a_real_check_at_level_7():
+    # observed counts from the U engine (`decimation_eigenvalues`), predicted
+    # ones from `apply_U` and the level-6 gluing count
+    report = decimation_verify(FluxPair(0.37, 0.71), 7)
+    assert report.all_pass, [e for e in report.entries if e.ok is False]
+    assert all(e.ok is not None for e in report.entries)
+    assert sum(e.mult for e in report.entries) == dim_n(7)
+
+
+def test_verify_solves_one_operator(monkeypatch):
+    # every name bound to `operator.eigenvalues` in the package counts its calls
+    original, calls = operator.eigenvalues, []
+
+    def counted(op):
+        calls.append(op.dimension)
+        return original(op)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("sglap")]:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, counted)
+    assert decimation_verify(FluxPair(0.41, 0.13), 4).all_pass
+    assert calls == [dim_n(4)]
 
 
 def test_verify_level_guard():
