@@ -15,19 +15,22 @@ the dyadic pairs its theta, R and evolved fluxes are those of `_step`.
 with D over its exact roots where beta alone is dyadic, or the QUADRATICS at
 the dyadic pairs); `apply_U` is its scalar view.  The
 similarity S_N = phi (L_{N-1}' - R I) gives one count per step,
-`one_step_count`, with k = `_roots_below`.  `decimation_count` applies it at
-every level at a uniform Case I or Case IV flux, vectorised over lambda, and
-`decimation_eigenvalues` bisects that over all eigenvalue indices at once.
+`one_step_count`, with k = `_roots_below`; the verifier checks the spectrum
+against it.
 
-`gluing_count` counts without U, at every flux and with a flux pair per probe:
-the gasket is finitely ramified, so at fixed lambda each sub-gasket reduces to
-a 3x3 Hermitian block on its corners.  Gluing three blocks and eliminating the
-three junctions is one step, batched as (P, 6, 6) stacks; Haynsworth adds up
-the negative inertias of the junction blocks (Domany, Alexander, Bensimon and
-Kadanoff, PRB 28, 3110, 1983).  It never divides by |Psi|.  Its singular-J
-rule: a probe that meets a junction block singular to working precision
+Counting never follows U.  The gasket is finitely ramified, so at fixed
+lambda each sub-gasket reduces to a 3x3 Hermitian block on its corners, and
+that block is gauge-equivalent to d I plus a circulant off-diagonal part: two
+numbers, the real d and the complex u of its loop product |u|^2 u.  Gluing
+three blocks and eliminating the three junctions is one closed-form step on
+(d, u), `_gluing_step`; Haynsworth adds up the negative inertias of the
+junction blocks (Domany, Alexander, Bensimon and Kadanoff, PRB 28, 3110, 1983;
+Fukushima and Shima, Potential Anal. 1, 1992).  It never divides by |Psi|.
+`gluing_count` counts with a flux pair per probe and a singular-J rule: a
+probe that meets a junction block singular to working precision
 (JUNCTION_TOL) is counted at lambda -+ JUNCTION_SHIFT instead, and its count
 is kept only where both sides agree; otherwise it is -1, undetermined.
+`decimation_eigenvalues` bisects the rule-free count at a uniform flux pair.
 
 `classify` sorts a triple (alpha, beta, lambda) into the paper's cases of
 exceptional values: which of Psi and D vanish, the root multiplicity of D,
@@ -59,8 +62,8 @@ from .gauge import DYADIC_TOL, FluxPair, circ_dist, dyadic, mod1
 
 DEDUP_TOL = 1e-10
 TWO_PI = 2 * math.pi
-# pi in each precision `u_step` and `_triangle_count` compute in
-_PI = {np.dtype(float): math.pi, np.dtype(np.longdouble): np.arccos(np.longdouble(-1))}
+EPS = np.finfo(float).eps
+TINY = np.finfo(float).tiny
 
 
 class OrbitTerminated(Exception):
@@ -89,8 +92,6 @@ def cell_cubic_d(beta: float, lam):
 
 def _atan2(im, re):
     # math.atan2 per element: numpy's arctan2 is not bit-identical to libm
-    if im.dtype == np.longdouble:
-        return np.arctan2(im, re)
     if np.ndim(im) == 0:
         return math.atan2(im, re)
     out = np.fromiter(map(math.atan2, im.ravel().tolist(), re.ravel().tolist()), float, count=im.size)
@@ -117,23 +118,21 @@ class UStep:
 
     @property
     def alpha_down(self):
-        return (3 * self.alpha + self.beta + 3 * self.arg / 2 / _PI[self.alpha.dtype]) % 1.0
+        return (3 * self.alpha + self.beta + 3 * self.arg / 2 / math.pi) % 1.0
 
     @property
     def beta_down(self):
-        return (3 * self.beta + self.alpha - 3 * self.arg / 2 / _PI[self.alpha.dtype]) % 1.0
+        return (3 * self.beta + self.alpha - 3 * self.arg / 2 / math.pi) % 1.0
 
 
 def u_step(alpha, beta, lam) -> UStep:
     """U at (alpha, beta, lambda), elementwise over floats or arrays of one shape,
-    in double precision, or in long double when an input is long double."""
-    dtype = np.result_type(alpha, beta, lam, float)
-    a, b, l = (np.asarray(v, dtype=dtype) for v in (alpha, beta, lam))
-    two_pi = 2 * _PI[dtype]
-    x = np.cos(two_pi * a)
-    xs = np.sin(two_pi * a)
-    y = np.cos(two_pi * b)
-    ys = np.sin(two_pi * b)
+    in double precision."""
+    a, b, l = (np.asarray(v, dtype=float) for v in (alpha, beta, lam))
+    x = np.cos(TWO_PI * a)
+    xs = np.sin(TWO_PI * a)
+    y = np.cos(TWO_PI * b)
+    ys = np.sin(TWO_PI * b)
     cab = x * y - xs * ys
     c2ab = (x * x - xs * xs) * y - 2 * xs * x * ys
     s2ab = 2 * xs * x * y + ys * (x * x - xs * xs)
@@ -352,18 +351,11 @@ def exceptional_set(flux: FluxPair) -> list[float]:
 
 
 # The bisection bracket of `decimation_eigenvalues`.  The spectrum lies in
-# [0, 2]; endpoints off the dyadic grid keep every midpoint off the exact D
-# roots, Psi zeros and eigenvalues of the dyadic pairs (0.5, 0.75, 1.25, 1.5,
-# ...), where Haynsworth's additivity does not apply and the count is wrong.
+# [0, 2]; ends off the dyadic grid keep every midpoint off the exact D roots
+# and Psi zeros of the dyadic pairs (0.5, 0.75, 1.25, 1.5, ...), where a
+# junction eigenvalue is an exact zero and the count is wrong.
 BRACKET = (-math.pi / 1000, 2 + math.e / 1000)
-BISECT_WIDTH = 4 * np.finfo(float).eps
-PSI_FRAGILE = 1e-3
-
-
-def _triangle_count(alpha, lam):
-    """#{eigenvalues 1 - cos(2 pi (alpha + m)/3) of the level-0 triangle < lam}."""
-    two_pi = 2 * _PI[lam.dtype]
-    return sum(1 - np.cos(two_pi * (alpha + m) / 3) < lam for m in range(3))
+BISECT_WIDTH = 4 * EPS
 
 
 def _roots_below(x, D):
@@ -381,112 +373,78 @@ def one_step_count(level: int, k, c):
     return 3 ** (level - 1) * k + np.where(k % 2 == 1, dim_n(level - 1) - c, c)
 
 
-def _count(alpha, beta, level: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`decimation_count` in the precision of x at per-probe fluxes, and which
-    probes met |Psi| < PSI_FRAGILE on the way."""
-    if level == 0:
-        return _triangle_count(alpha, x), np.zeros(x.size, dtype=bool)
-    count = np.where(x > 2, dim_n(level), 0)
-    fragile = np.zeros(x.size, dtype=bool)
-    live = (x > 0) & (x <= 2)
-    x = x[live]
-    d, abs_psi, a, b, r = _step(alpha[live], beta[live], x)
-    if not np.isfinite(r).all():
-        raise OrbitTerminated(f"Psi = 0 at level {level} on a probe's orbit")
-    c, below = _count(a, b, level - 1, r)
-    count[live] = one_step_count(level, _roots_below(x, d), c)
-    fragile[live] = below | (abs_psi < PSI_FRAGILE)
-    return count, fragile
-
-
-def decimation_count(flux: FluxPair, level: int, lam) -> np.ndarray:
-    """#{eigenvalues of L_level < lam} at the uniform flux pair `flux`, per entry of lam.
-
-    `one_step_count` at every level, with c the count one level down at
-    (alpha', beta', R) from `_step`, down to the level-0 triangle.  A probe
-    stops early once its R leaves (0, 2], where its count saturates to 0 or the
-    full dimension, before an escaping orbit can overflow.
-
-    Off the dyadic grid, where |Psi| is small, theta and R lose digits to
-    cancellation, and U maps every D root onto a Psi zero of the next level.
-    Probes whose orbit meets |Psi| < PSI_FRAGILE are counted again in long
-    double; the dyadic steps read R off a quadratic and need no recount.
-    Exact for Case I and Case IV fluxes away from the points where a D root,
-    Psi zero or eigenvalue is hit exactly; Case II and III put real Psi zeros
-    on the `u_step` path.
-    """
-    x = np.array(lam, dtype=float).ravel()
-    alpha, beta = np.full(x.size, flux.alpha), np.full(x.size, flux.beta)
-    total, fragile = _count(alpha, beta, level, x)
-    if fragile.any() and not flux.is_dyadic():
-        total[fragile] = _count(alpha[fragile], beta[fragile], level, x[fragile].astype(np.longdouble))[0]
-    return total.reshape(np.shape(lam))
-
-
-def decimation_eigenvalues(flux: FluxPair, level: int) -> np.ndarray:
-    """Sorted eigenvalues of L_level at a uniform Case I or Case IV flux pair.
-
-    Bisection of `decimation_count` in lockstep over all dim_N indices: index
-    i keeps a bracket [lo, hi) with count(lo) <= i < count(hi), starting from
-    BRACKET, and halves it until it is at most BISECT_WIDTH wide.  Indices
-    whose midpoints coincide (a multiple eigenvalue, or one not yet split off
-    its neighbours) share a single count.
-    """
-    dim = dim_n(level)
-    index = np.arange(dim)
-    lo, hi = np.full(dim, BRACKET[0]), np.full(dim, BRACKET[1])
-    while True:
-        wide = np.flatnonzero(hi - lo > BISECT_WIDTH)
-        if not wide.size:
-            return np.sort(0.5 * (lo + hi))
-        mid = 0.5 * (lo[wide] + hi[wide])
-        points, where = np.unique(mid, return_inverse=True)
-        above = decimation_count(flux, level, points)[where] > index[wide]
-        hi[wide[above]] = mid[above]
-        lo[wide[~above]] = mid[~above]
-
-
 # A junction block whose smallest |eigenvalue| is at most JUNCTION_TOL times
 # its largest is singular to working precision; its probe is counted again at
 # lambda -+ JUNCTION_SHIFT, far below operator.CLUSTER_TOL.
 JUNCTION_TOL = 1e-11
 JUNCTION_SHIFT = 1e-9
-# The three copies glued at a step, each as (bottom-left, bottom-right, top)
-# into the six vertices (A, B, C, X, Y, Z) = (0, 1, 2, 3, 4, 5).
-_COPIES = np.array([(0, 3, 5), (3, 1, 4), (5, 4, 2)])
+_OMEGA = np.exp(2j * np.pi * np.arange(3) / 3)  # omega^k, k = 0, 1, 2
+
+
+def _e(t):
+    return np.exp(2j * np.pi * t)
+
+
+def _cube_root(u):
+    """z = |u| e^(i arg(u)/3): z^3 = |u|^2 u, the loop product of the block."""
+    return np.abs(u) * np.exp(1j * np.angle(u) / 3)
+
+
+def _circulant_eigenvalues(d, z):
+    """d + 2 Re(z omega^k), k = 0, 1, 2: the spectrum of d I + z P + conj(z) P^T, (P, 3)."""
+    return d[:, None] + 2 * (z[:, None] * _OMEGA).real
+
+
+def _gluing_step(t, d, u):
+    """One gluing step in closed form over 1-d arrays: (j, d', u').
+
+    M_m is gauge-equivalent to d I plus off-diagonal entries of modulus |u|
+    with loop product M_AB M_BC M_CA = |u|^2 u; t = (alpha + beta) s^2 mod 1
+    is the row shift of the top copy.  In the gauge where every corner-to-
+    corner entry is z = `_cube_root`(u), the junction block J is circulant with
+    eigenvalues j_k = 2d + 2 Re(z gamma omega^k), gamma = e(-t/3); q_{c,k}
+    projects corner c's column of the corner-junction block onto them, and
+    M_(m+1) = d I - sum_k conj(q_k) q_k^T / j_k on (A, B, C).  Its loop
+    product is read off the phases of its entries, and (d', u') is rescaled
+    to max(|d'|, |u'|) = 1.  An exact j_k = 0 is taken as eps, its sign just
+    below lambda, so nothing divides by zero; the rescaled state then keeps
+    only that pole, and the count at such a lambda is not to be trusted.
+    """
+    z = _cube_root(u)
+    g = _e(-t / 3)
+    j = _circulant_eigenvalues(2 * d, z * g)
+    # q_{c,k} sqrt(3) = v_c0 + w^k v_c1 + w^2k v_c2, w = conj(omega), with
+    # v_A = (conj z, conj(g) z, 0), v_B = (z, 0, g conj z), v_C = (0, conj(g z), g e(t) z)
+    w = _OMEGA.conj()
+    qa = z.conj()[:, None] + (g.conj() * z)[:, None] * w
+    qb = z[:, None] + (g * z.conj())[:, None] * w**2
+    qc = (g * z).conj()[:, None] * w + (g * _e(t) * z)[:, None] * w**2
+    r = 1 / (3 * np.where(j == 0, EPS, j))
+    d = d - (np.abs(qa) ** 2 * r).sum(axis=1)
+    m_ab, m_bc, m_ca = (-(p.conj() * q * r).sum(axis=1) for p, q in ((qa, qb), (qb, qc), (qc, qa)))
+    u = m_bc * np.exp(1j * (np.angle(m_ab) + np.angle(m_ca)))
+    scale = np.maximum(np.maximum(np.abs(d), np.abs(u)), TINY)
+    return j, d / scale, u / scale
 
 
 def _glue(alpha, beta, level: int, lam) -> tuple[np.ndarray, np.ndarray]:
-    """Haynsworth's count of H = Deg (1 - lam) - W over 1-d arrays, and which
-    probes met a singular junction block (their count is not to be used)."""
-    p = lam.size
-    m = np.zeros((p, 3, 3), dtype=complex)
-    m[:, [0, 1, 2], [0, 1, 2]] = 2 * (1 - lam)[:, None]
-    m[:, [0, 0, 1, 2], [1, 2, 0, 0]] = -1
-    m[:, 1, 2] = -np.exp(2j * np.pi * alpha)
-    m[:, 2, 1] = m[:, 1, 2].conj()
-    count = np.zeros(p, dtype=np.int64)
-    singular = np.zeros(p, dtype=bool)
+    """Haynsworth's count of H = Deg (1 - lam) - W over 1-d arrays, saturated
+    to 0 or dim_level outside (0, 2], and which probes met a singular junction
+    block (their count is not to be used)."""
+    count = np.where(lam > 2, dim_n(level), 0)
+    singular = np.zeros(lam.size, dtype=bool)
+    live = np.flatnonzero((lam > 0) & (lam <= 2))
+    alpha, beta = alpha[live], beta[live]
+    d, u = 2 * (1 - lam[live]), -_e(alpha)
+    neg = np.zeros(live.size, dtype=np.int64)
     for step in range(level):
         s2 = 4.0**step  # the row shift (alpha + beta) s^2, exact mod 1 term by term
-        g = np.exp(-2j * np.pi * ((alpha * s2 % 1.0 + beta * s2 % 1.0) % 1.0))
-        top = m.copy()
-        top[:, 1, :] *= g.conj()[:, None]
-        top[:, :, 1] *= g[:, None]
-        t = np.zeros((p, 6, 6), dtype=complex)
-        for ix, block in zip(_COPIES, (m, m, top)):
-            t[:, ix[:, None], ix] += block
-        j = t[:, 3:, 3:]
-        ev = np.linalg.eigvalsh(j)
-        count = 3 * count + (ev < 0).sum(axis=1)
-        size = np.abs(ev)
-        bad = size.min(axis=1) <= JUNCTION_TOL * size.max(axis=1)
-        singular |= bad
-        j[bad] = np.eye(3)
-        m = t[:, :3, :3] - t[:, :3, 3:] @ np.linalg.solve(j, t[:, 3:, :3])
-        m = (m + m.conj().transpose(0, 2, 1)) / 2
-        m /= np.abs(m).max(axis=(1, 2))[:, None, None]
-    return count + (np.linalg.eigvalsh(m) < 0).sum(axis=1), singular
+        j, d, u = _gluing_step((alpha * s2 % 1.0 + beta * s2 % 1.0) % 1.0, d, u)
+        neg = 3 * neg + (j < 0).sum(axis=1)
+        size = np.abs(j)
+        singular[live] |= size.min(axis=1) <= JUNCTION_TOL * size.max(axis=1)
+    count[live] = neg + (_circulant_eigenvalues(d, _cube_root(u)) < 0).sum(axis=1)
+    return count, singular
 
 
 def gluing_count(alpha, beta, level: int, lam) -> tuple[np.ndarray, np.ndarray]:
@@ -495,15 +453,15 @@ def gluing_count(alpha, beta, level: int, lam) -> tuple[np.ndarray, np.ndarray]:
 
     The count is the negative inertia of H = Deg (1 - lam) - W (Sylvester), in
     the `build_connection` gauge, obtained by gluing corner blocks bottom-up.
-    M_0 = 2(1 - lam) I - W_0 is the triangle on (0,0), (1,0), (0,1).  Step m
-    glues M_m on (A, X, Z), M_m on (X, B, Y) and G* M_m G on (Z, Y, C), with
-    G = diag(1, e(-(alpha+beta) s^2), 1) and s = 2^m; J_m is the block of the
-    junctions X, Y, Z, and M_(m+1) the Schur complement onto the corners,
-    rescaled to unit size.  Haynsworth gives
+    M_0 = 2(1 - lam) I - W_0 is the triangle on (0,0), (1,0), (0,1), the state
+    d = 2(1 - lam), u = -e(alpha).  Step m glues M_m on (A, X, Z), M_m on
+    (X, B, Y) and G* M_m G on (Z, Y, C), with G = diag(1, e(-(alpha+beta) s^2), 1)
+    and s = 2^m; J_m is the block of the junctions X, Y, Z, and M_(m+1) the
+    Schur complement onto the corners (`_gluing_step`).  Haynsworth gives
     count = sum_m 3^(level-1-m) neg(J_m) + neg(M_level).
 
-    The singular-J rule: a probe that meets a junction block singular to
-    working precision (JUNCTION_TOL) is counted again at lam -+ JUNCTION_SHIFT
+    The singular-J rule: a probe that meets a junction block with
+    min |j_k| <= JUNCTION_TOL max |j_k| is counted again at lam -+ JUNCTION_SHIFT
     and `fired` is set.  Where both sides agree that is its count; where they
     differ (lam lies within the shift of an eigenvalue) or a side meets a
     singular block again, the count is -1: undetermined, never a wrong number.
@@ -517,6 +475,33 @@ def gluing_count(alpha, beta, level: int, lam) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = both[:f.size], both[f.size:]
         count[f] = np.where((lo == hi) & ~again[:f.size] & ~again[f.size:], lo, -1)
     return count, fired
+
+
+def decimation_eigenvalues(flux: FluxPair, level: int) -> np.ndarray:
+    """Sorted eigenvalues of L_level at a uniform flux pair.
+
+    Bisection of the gluing count (`_glue`, without the singular-J rule) in
+    lockstep over all dim_N indices: index i keeps a bracket [lo, hi) with
+    count(lo) <= i < count(hi), starting from BRACKET, and halves it until it
+    is at most BISECT_WIDTH wide.  Indices whose midpoints coincide (a
+    multiple eigenvalue, or one not yet split off its neighbours) share a
+    single count.  Within 1e-12 of the closed forms at the dyadic pairs and
+    of dense at Case IV fluxes; at Case II and III fluxes, where D roots and
+    real Psi zeros meet, clusters land up to ~1e-8 off.
+    """
+    dim = dim_n(level)
+    index = np.arange(dim)
+    lo, hi = np.full(dim, BRACKET[0]), np.full(dim, BRACKET[1])
+    while True:
+        wide = np.flatnonzero(hi - lo > BISECT_WIDTH)
+        if not wide.size:
+            return np.sort(0.5 * (lo + hi))
+        mid = 0.5 * (lo[wide] + hi[wide])
+        points, where = np.unique(mid, return_inverse=True)
+        fluxes = np.full(points.size, flux.alpha), np.full(points.size, flux.beta)
+        above = _glue(*fluxes, level, points)[0][where] > index[wide]
+        hi[wide[above]] = mid[above]
+        lo[wide[~above]] = mid[~above]
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,12 @@ self-adjoint in the degree measure, so eigenvalues come from the Hermitian
 symmetrization T = W^{1/2} L W^{-1/2}.  `eigenvalues` is the one entry point
 for spectra and log-determinants: from level ENGINE_MIN_LEVEL on, an operator
 whose connection carries a uniform Case I (dyadic) or Case IV (no real Psi
-zero) flux pair is solved by decimation counting
-(`decimation.decimation_eigenvalues`, O(dim N) work); every other operator
-goes to `dense_eigenvalues`, the dense eigensolver that stays the oracle the
-engine is checked against.  Also here: multiplicity clustering, the Schur
-complement onto the previous level (a block elimination of the midpoint
-vertices from the operator's entries), log-determinants, and the exact integer
-spanning-tree count.
+zero) flux pair is solved by bisecting the gluing count
+(`decimation.decimation_eigenvalues`, O(dim N) work per count); every other
+operator goes to `dense_eigenvalues`, the dense eigensolver that stays the
+oracle the engine is checked against.  Also here: multiplicity clustering,
+the Schur complement onto the previous level (a block elimination of the
+midpoint vertices from the operator's entries) and log-determinants.
 """
 
 from __future__ import annotations
@@ -33,8 +32,9 @@ ZERO_EIG_TOL = 1e-9
 CLUSTER_TOL = 1e-6
 # `schur_complement` refuses lambda within this of a midpoint-block root
 D_ROOT_TOL = 1e-9
-# Below this level a dense solve is as fast as decimation counting (level 5 on
-# a 2-vCPU host: 15 ms dense; 12 ms counting at dyadic flux, 57 ms at generic).
+# Below this level a dense solve is faster than bisecting the gluing count
+# (level 5 on a 2-vCPU host: 27-41 ms dense; 43-54 ms gluing at dyadic flux,
+# 103-120 ms at generic flux).
 ENGINE_MIN_LEVEL = 6
 
 
@@ -96,11 +96,11 @@ def dense_eigenvalues(op: MagneticOperator) -> np.ndarray:
 def eigenvalues(op: MagneticOperator) -> np.ndarray:
     """Raw sorted eigenvalues of the Hermitian symmetrization.
 
-    Decimation counting from ENGINE_MIN_LEVEL on when the connection carries a
+    The gluing count from ENGINE_MIN_LEVEL on when the connection carries a
     uniform flux pair (`Connection.flux`) in Case I or Case IV; the dense
     oracle otherwise.  Case II and III fluxes have real Psi zeros off the
-    dyadic grid, which the counting recursion does not continue through, so
-    they stay dense.
+    dyadic grid, where D roots and Psi zeros meet and bisection lands up to
+    ~1e-8 off dense, so they stay dense.
     """
     if op.graph.level >= ENGINE_MIN_LEVEL:
         flux = op.conn.flux
@@ -173,43 +173,6 @@ def log_determinant(op: MagneticOperator, drop_zero: bool = False) -> tuple[floa
                 "pass drop_zero to take the pseudo-determinant"
             )
     return float(np.sum(np.log(kept))), zero_count
-
-
-def kirchhoff_tree_count(graph: GasketGraph) -> int:
-    """Exact number of spanning trees via an integer Laplacian cofactor."""
-    if graph.level > 3:
-        raise ValueError("exact tree count supported for level <= 3")
-    n = len(graph.vertices)
-    deg = graph.degrees
-    lap = [[0] * n for _ in range(n)]
-    for i in range(n):
-        lap[i][i] = deg[i]
-    for a, b in graph.edges:
-        lap[a][b] -= 1
-        lap[b][a] -= 1
-    minor = [row[1:] for row in lap[1:]]
-    return _bareiss_det(minor)
-
-
-def _bareiss_det(m: list[list[int]]) -> int:
-    """Fraction-free Gaussian elimination; exact over Python integers."""
-    n = len(m)
-    if n == 0:
-        return 1
-    m = [row[:] for row in m]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1]
 
 
 def matrix_csv(op: MagneticOperator) -> str:

@@ -61,3 +61,40 @@ def random_nonexceptional_lambda(rng, flux, lo=0.05, hi=1.95, margin=1e-3):
         lam = rng.uniform(lo, hi)
         if min(abs(lam - e) for e in excl) >= margin:
             return lam
+
+
+def kirchhoff_tree_count(graph):
+    """Exact number of spanning trees via an integer Laplacian cofactor."""
+    if graph.level > 3:
+        raise ValueError("exact tree count supported for level <= 3")
+    n = len(graph.vertices)
+    deg = graph.degrees
+    lap = [[0] * n for _ in range(n)]
+    for i in range(n):
+        lap[i][i] = deg[i]
+    for a, b in graph.edges:
+        lap[a][b] -= 1
+        lap[b][a] -= 1
+    minor = [row[1:] for row in lap[1:]]
+    return _bareiss_det(minor)
+
+
+def _bareiss_det(m):
+    """Fraction-free Gaussian elimination; exact over Python integers."""
+    n = len(m)
+    if n == 0:
+        return 1
+    m = [row[:] for row in m]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]

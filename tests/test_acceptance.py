@@ -17,6 +17,7 @@ import numpy as np
 from _helpers import (
     case_iii_limit,
     gauge_transform,
+    kirchhoff_tree_count,
     random_nonexceptional_lambda,
     reduced_connection_from_schur,
 )
@@ -39,7 +40,6 @@ from sglap.gauge import (
 from sglap.operator import (
     assemble,
     eigenvalues,
-    kirchhoff_tree_count,
     log_determinant,
     schur_complement,
     spectrum,

@@ -1,5 +1,6 @@
-"""Decimation counting engine and the gluing count: against the dense oracle,
-the dyadic closed forms, and the dispatch in `operator.eigenvalues`."""
+"""The gluing count and the eigenvalues bisected from it: its closed-form step
+against dense Schur complements, its counts and eigenvalues against the dense
+oracle and the dyadic closed forms, and the dispatch in `operator.eigenvalues`."""
 
 import random
 import warnings
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from sglap import decimation
-from sglap.decimation import decimation_count, decimation_eigenvalues, gluing_count
+from sglap.decimation import decimation_eigenvalues, gluing_count
 from sglap.enumerator import spectrum_closed_form
 from sglap.gasket import build_gasket, dim_n
 from sglap.gauge import Connection, FluxPair, build_connection
@@ -49,14 +50,28 @@ def test_engine_matches_dense_oracle(level):
         _assert_matches_dense(flux, level)
 
 
-def test_fragile_orbits_are_recounted_in_long_double(monkeypatch):
-    # an eigenvalue whose orbit passes near a D root meets |Psi| ~ 1e-6 one
-    # level down; counted in double only it lands 2.95e-9 off the oracle
-    flux = (0.44819248318227456, 0.6377998063140823)
-    _assert_matches_dense(flux, 5)
-    monkeypatch.setattr(decimation, "PSI_FRAGILE", 0.0)
-    got = decimation_eigenvalues(FluxPair(*flux), 5)
-    assert np.max(np.abs(got - dense_eigenvalues(_op(flux, 5)))) > 1e-9
+@pytest.mark.parametrize("flux", [(0.37, 0.71), (1 / 6, 0.0), (1 / 8, 1 / 8), (0.5, 0.0)])
+def test_gluing_step_matches_dense_corner_blocks(flux):
+    # the Schur complement of H = Deg (1 - lam) - W onto the three corners of
+    # the level-m gasket, against the state (d, u) after m closed-form steps:
+    # its diagonal is c d, its off-diagonal moduli c |u| and its loop product
+    # c^3 |u|^2 u, for one scale c > 0
+    fp = FluxPair(*flux)
+    for lam in (0.13, 0.61, 1.37, 1.93):
+        d, u = np.array([2 * (1 - lam)]), np.array([-np.exp(2j * np.pi * fp.alpha)])
+        for m in range(1, 5):
+            s2 = 4.0 ** (m - 1)
+            _, d, u = decimation._gluing_step((fp.alpha * s2 % 1.0 + fp.beta * s2 % 1.0) % 1.0, d, u)
+            op = _op(flux, m)
+            h = np.diag(op.weights) @ (op.entries - lam * np.eye(op.dimension))
+            ids = [op.graph.coord_to_id[x] for x in ((0, 0), (2**m, 0), (0, 2**m))]
+            rest = np.setdiff1d(np.arange(op.dimension), ids)
+            s = h[np.ix_(ids, ids)] - h[np.ix_(ids, rest)] @ np.linalg.solve(h[np.ix_(rest, rest)], h[np.ix_(rest, ids)])
+            c = max(abs(s[0, 0]), abs(s[0, 1]))
+            off = np.array([s[0, 1], s[1, 2], s[2, 0]]) / c
+            assert np.allclose(np.diag(s) / c, d[0], rtol=0, atol=1e-12), (flux, lam, m)
+            assert np.allclose(np.abs(off), abs(u[0]), rtol=0, atol=1e-12), (flux, lam, m)
+            assert abs(np.prod(off) - abs(u[0]) ** 2 * u[0]) <= 1e-12, (flux, lam, m)
 
 
 def test_counts_match_dense_counts():
@@ -66,7 +81,8 @@ def test_counts_match_dense_counts():
             dense = dense_eigenvalues(_op(flux, level))
             lams = [rng.uniform(-0.1, 2.1) for _ in range(40)]
             lams = [x for x in lams if np.min(np.abs(dense - x)) > 1e-9]
-            got = decimation_count(FluxPair(*flux), level, lams)
+            fp = FluxPair(*flux)
+            got, _ = gluing_count(fp.alpha, fp.beta, level, lams)
             want = [int(np.sum(dense < x)) for x in lams]
             assert got.tolist() == want, (flux, level)
 
@@ -125,16 +141,17 @@ def test_gluing_count_singular_junction_rule(flux, lam, level):
 
 
 def test_bracket_stays_off_the_dyadic_grid(monkeypatch):
-    # from [0, 2] or [-1/3, 2 + 1/7] bisection lands exactly on 0.75 at
-    # (1/2, 0), where the count is off by one: 0.6743 x2 becomes 0.6743, 0.75
-    flux = FluxPair(0.5, 0.0)
-    want = _multiplicities(dense_eigenvalues(_op((0.5, 0.0), 2)))
-    assert _multiplicities(decimation_eigenvalues(flux, 2)) == want
-    for bracket in ((0.0, 2.0), (-1 / 3, 2 + 1 / 7)):
-        monkeypatch.setattr(decimation, "BRACKET", bracket)
-        got = decimation_eigenvalues(flux, 2)
-        assert _multiplicities(got) != want
-        assert np.any(np.abs(got - 0.75) < 1e-12)
+    # from [0, 2] the bisection midpoints land exactly on the dyadic D roots
+    # and Psi zeros (0.5, 0.75, 1.25, 1.5), where a junction eigenvalue is an
+    # exact zero and the count is wrong: an eigenvalue moves by 0.076 or 0.25.
+    # A bracket whose ends are off the dyadic grid gets them right
+    for flux, level in (((0.5, 0.0), 2), ((0.0, 0.0), 2), ((0.5, 0.5), 1), ((0.0, 0.5), 2)):
+        want = dense_eigenvalues(_op(flux, level))
+        for bracket in (decimation.BRACKET, (-1 / 3, 2 + 1 / 7), (0.0, 2.0)):
+            monkeypatch.setattr(decimation, "BRACKET", bracket)
+            err = np.max(np.abs(decimation_eigenvalues(FluxPair(*flux), level) - want))
+            assert err > 0.05 if bracket == (0.0, 2.0) else err <= 1e-12, (flux, bracket, err)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("flux", DYADIC)
@@ -150,26 +167,6 @@ def test_engine_matches_closed_form_to_level_10(flux):
         assert np.max(np.abs(got - want)) <= 1e-12, (flux, level)
 
 
-def test_engine_needs_the_half_turn_twist(monkeypatch):
-    # where the real Psi is negative, theta = 1/2; a dyadic step that keeps the
-    # signed quadratic and the untwisted fluxes there breaks sign phi = (-1)^k
-    step = decimation._dyadic_step
-
-    def untwisted(alpha, beta, lam):
-        d, abs_psi, a, b, r = step(alpha, beta, lam)
-        plain_a, plain_b = (3 * alpha + beta) % 1.0, (3 * beta + alpha) % 1.0
-        return d, abs_psi, plain_a, plain_b, np.where(a != plain_a, 2 - r, r)
-
-    monkeypatch.setattr(decimation, "_dyadic_step", untwisted)
-    for flux in DYADIC:
-        fp = FluxPair(*flux)
-        for level in (2, 3, 4):
-            cf = spectrum_closed_form(fp, level)
-            want = np.repeat([v for v, _ in cf.pairs], [m for _, m in cf.pairs])
-            got = decimation_eigenvalues(fp, level)
-            assert np.max(np.abs(got - want)) > 0.1, (flux, level)
-
-
 @pytest.mark.parametrize("flux", [(0.5, 0.0), RANDOM[0]])
 def test_engine_saturates_before_overflow(flux):
     with warnings.catch_warnings():
@@ -183,12 +180,14 @@ def test_engine_saturates_before_overflow(flux):
 
 @pytest.mark.parametrize("flux", [(0.5, 0.0), RANDOM[0]])
 def test_count_saturates_outside_the_spectrum(flux):
-    # unsaturated, an orbit from lambda > 2 squares each level and overflows
-    # within 10 of them
+    # the rule-free count that bisection reads: probes outside (0, 2] are not
+    # glued, and inside no step overflows (0.5 is an eigenvalue at (1/2, 0),
+    # where `gluing_count` says -1)
     lams = np.linspace(-1.0, 3.0, 41)
+    fp = FluxPair(*flux)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        counts = decimation_count(FluxPair(*flux), 12, lams)
+        counts, _ = decimation._glue(np.full(lams.size, fp.alpha), np.full(lams.size, fp.beta), 12, lams)
     assert np.all(counts[lams <= 0] == 0)
     assert np.all(counts[lams > 2] == dim_n(12))
     assert np.all(np.diff(counts) >= 0)

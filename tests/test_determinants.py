@@ -18,12 +18,14 @@ from fractions import Fraction
 
 import pytest
 
+from _helpers import kirchhoff_tree_count
+
 from sglap import determinants as D
 from sglap.decimation import QUADRATICS
 from sglap.enumerator import _series_table, spectrum_closed_form
 from sglap.gasket import build_gasket
 from sglap.gauge import FluxPair, build_connection
-from sglap.operator import assemble, kirchhoff_tree_count, log_determinant
+from sglap.operator import assemble, log_determinant
 
 FLUX = {"half-half": (0.5, 0.5), "half-zero": (0.5, 0.0), "zero-half": (0.0, 0.5)}
 

@@ -4,6 +4,7 @@ import random
 import re
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -173,16 +174,36 @@ def _theta_half(a, b, r):
 )
 def test_verify_goes_red_when_U_is_wrong(monkeypatch, mutate, flux, level):
     # theta + 1/2 moves both evolved fluxes by 3/2; the counts must notice.  At
-    # level 7 the spectrum comes from the U engine, yet the reduced counts come
-    # from gluing, which never reads U, so the check still bites
+    # level 7 both the spectrum and the reduced counts come from gluing, which
+    # never reads U, while the prediction takes one step of U, so the check
+    # still bites
     monkeypatch.setattr(enumerator, "apply_U", lambda a, b, lam: mutate(*decimation.apply_U(a, b, lam)))
     report = decimation_verify(FluxPair(*flux), level)
     assert not report.all_pass
 
 
+def test_verify_needs_the_half_turn_twist(monkeypatch):
+    # where the real Psi is negative, theta = 1/2; a dyadic step that keeps the
+    # signed quadratic and the untwisted fluxes there breaks sign phi = (-1)^k
+    step = decimation._dyadic_step
+
+    def untwisted(alpha, beta, lam):
+        d, abs_psi, a, b, r = step(alpha, beta, lam)
+        plain_a, plain_b = (3 * alpha + beta) % 1.0, (3 * beta + alpha) % 1.0
+        return d, abs_psi, plain_a, plain_b, np.where(a != plain_a, 2 - r, r)
+
+    fluxes = [FluxPair(a, b) for a in (0.0, 0.5) for b in (0.0, 0.5)]
+    for level in (2, 3, 4):
+        assert all(decimation_verify(fp, level).all_pass for fp in fluxes), level
+    monkeypatch.setattr(decimation, "_dyadic_step", untwisted)
+    for level in (2, 3, 4):
+        for fp in fluxes:
+            assert not decimation_verify(fp, level).all_pass, (fp, level)
+
+
 def test_verify_is_a_real_check_at_level_7():
-    # observed counts from the U engine (`decimation_eigenvalues`), predicted
-    # ones from `apply_U` and the level-6 gluing count
+    # observed counts from the level-7 gluing count (`decimation_eigenvalues`),
+    # predicted ones from one step of U (`apply_U`) and the level-6 gluing count
     report = decimation_verify(FluxPair(0.37, 0.71), 7)
     assert report.all_pass, [e for e in report.entries if e.ok is False]
     assert all(e.ok is not None for e in report.entries)

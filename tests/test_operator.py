@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from _helpers import gauge_transform
+from _helpers import gauge_transform, kirchhoff_tree_count
 
 from sglap import operator
 from sglap.decimation import decimation_kit, exceptional_set
@@ -20,7 +20,6 @@ from sglap.gauge import (
 from sglap.operator import (
     assemble,
     eigenvalues,
-    kirchhoff_tree_count,
     log_determinant,
     matrix_csv,
     schur_complement,
