@@ -157,7 +157,7 @@ def spectrum(alpha, beta, level, method, out):
     if method in ("dense", "both"):
         graph = _call(gasket.build_gasket, level)
         op = operator.assemble(graph, gauge.build_connection(graph, flux))
-        sp_dn = operator.spectrum(op)
+        sp_dn = _call(operator.spectrum, op)
         payload["dense"] = json.loads(sp_dn.to_json())
     if method == "both":
         payload["match"] = _match_report(sp_cf, sp_dn)

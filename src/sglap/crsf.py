@@ -20,8 +20,11 @@ here:
   structural, not distributional.
 * noloop_log_probability - log of the no-loop probability for the essential
   CRSF measure obtained by wiring the corner (0,0) to an absorbing boundary
-  point through a conductance-c edge; the per-vertex rate reproduces the
-  loop entropy as the level grows and c drops to 0.
+  point through a conductance-c edge (Kenyon, Ann. Probab. 39, 2011): two
+  determinants of the gluing recursion at lambda = 0
+  (`decimation.gluing_log_det`), O(level) work with no dense matrix; the
+  per-vertex rate reproduces the loop entropy as the level grows and c drops
+  to 0.
 """
 
 from __future__ import annotations
@@ -33,11 +36,12 @@ import math
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
+from .decimation import gluing_log_det
 from .gasket import GasketGraph
-from .gauge import Connection, FluxPair, build_connection, cell_holonomies
-from .operator import MagneticOperator, assemble
+# assemble and build_connection are not called here; perfbench/selftest.py
+# checks that its tracer wraps these from-import sites
+from .gauge import Connection, FluxPair, build_connection, cell_holonomies  # noqa: F401
+from .operator import assemble  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -302,17 +306,6 @@ def sample_crsf(graph: GasketGraph, conn: Connection, seed: int) -> OrientedCRSF
     return OrientedCRSF.from_successor(tuple(successor), conn)
 
 
-def _augmented_logdet(op: MagneticOperator, origin: int, c: float) -> float:
-    m = np.array(op.symmetrized())
-    m[origin, origin] += c
-    evs = np.linalg.eigvalsh(m)
-    if evs[0] <= 0.0:
-        raise ArithmeticError(
-            f"augmented Dirichlet Laplacian not positive definite ({evs[0]})"
-        )
-    return float(np.sum(np.log(evs)))
-
-
 def noloop_log_probability(
     graph: GasketGraph, conn: Connection, boundary_conductance: float
 ) -> float:
@@ -320,13 +313,17 @@ def noloop_log_probability(
 
     A boundary vertex b is wired to the corner (0,0) by an edge of the given
     conductance and carries the Dirichlet condition, which adds the
-    conductance to that corner's diagonal entry.  The value is
-    log det(L^Id_aug) - log det(L^omega_aug), always <= 0 up to roundoff.
+    conductance to that corner's diagonal entry of the symmetrized operator,
+    and conductance * deg = 2 * conductance to that of Deg - W.  The value is
+    log det(L^Id_aug) - log det(L^omega_aug), always <= 0 up to roundoff; the
+    degrees cancel, so it is the difference of the two `gluing_log_det`
+    values.  The connection must carry a uniform flux pair.
     """
     if boundary_conductance <= 0:
         raise ValueError("boundary conductance must be positive")
-    origin = graph.coord_to_id[(0, 0)]
-    trivial = build_connection(graph, FluxPair(0.0, 0.0))
-    return _augmented_logdet(
-        assemble(graph, trivial), origin, boundary_conductance
-    ) - _augmented_logdet(assemble(graph, conn), origin, boundary_conductance)
+    if conn.flux is None:
+        raise ValueError("the connection carries no uniform flux pair")
+    corner = 2 * boundary_conductance  # the conductance times the corner's degree
+    return gluing_log_det(FluxPair(0.0, 0.0), graph.level, corner) - gluing_log_det(
+        conn.flux, graph.level, corner
+    )

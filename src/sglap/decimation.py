@@ -31,6 +31,11 @@ probe that meets a junction block singular to working precision
 (JUNCTION_TOL) is counted at lambda -+ JUNCTION_SHIFT instead, and its count
 is kept only where both sides agree; otherwise it is -1, undetermined.
 `decimation_eigenvalues` bisects the rule-free count at a uniform flux pair.
+The same steps give the determinant: `_gluing_step` returns the scale it
+divides the state by, and `gluing_log_det` adds up Haynsworth's determinant
+over the junction blocks at lambda = 0, where every junction block is
+positive definite, in O(N) work; a corner term gives the no-loop probability
+of the CRSF measure.
 
 `classify` sorts a triple (alpha, beta, lambda) into the paper's cases of
 exceptional values: which of Psi and D vanish, the root multiplicity of D,
@@ -396,7 +401,7 @@ def _circulant_eigenvalues(d, z):
 
 
 def _gluing_step(t, d, u):
-    """One gluing step in closed form over 1-d arrays: (j, d', u').
+    """One gluing step in closed form over 1-d arrays: (j, d', u', scale).
 
     M_m is gauge-equivalent to d I plus off-diagonal entries of modulus |u|
     with loop product M_AB M_BC M_CA = |u|^2 u; t = (alpha + beta) s^2 mod 1
@@ -406,7 +411,8 @@ def _gluing_step(t, d, u):
     projects corner c's column of the corner-junction block onto them, and
     M_(m+1) = d I - sum_k conj(q_k) q_k^T / j_k on (A, B, C).  Its loop
     product is read off the phases of its entries, and (d', u') is rescaled
-    to max(|d'|, |u'|) = 1.  An exact j_k = 0 is taken as eps, its sign just
+    to max(|d'|, |u'|) = 1: the true block is M_(m+1) = S_m scale M~_(m+1)
+    when M_m = S_m M~_m.  An exact j_k = 0 is taken as eps, its sign just
     below lambda, so nothing divides by zero; the rescaled state then keeps
     only that pole, and the count at such a lambda is not to be trusted.
     """
@@ -424,7 +430,14 @@ def _gluing_step(t, d, u):
     m_ab, m_bc, m_ca = (-(p.conj() * q * r).sum(axis=1) for p, q in ((qa, qb), (qb, qc), (qc, qa)))
     u = m_bc * np.exp(1j * (np.angle(m_ab) + np.angle(m_ca)))
     scale = np.maximum(np.maximum(np.abs(d), np.abs(u)), TINY)
-    return j, d / scale, u / scale
+    return j, d / scale, u / scale, scale
+
+
+def _row_shift(alpha, beta, step: int):
+    """t = (alpha + beta) s^2 mod 1 at s = 2^step, the row shift of the top copy;
+    s^2 is a power of 4, so each term is exact mod 1."""
+    s2 = 4.0**step
+    return (alpha * s2 % 1.0 + beta * s2 % 1.0) % 1.0
 
 
 def _glue(alpha, beta, level: int, lam) -> tuple[np.ndarray, np.ndarray]:
@@ -438,8 +451,7 @@ def _glue(alpha, beta, level: int, lam) -> tuple[np.ndarray, np.ndarray]:
     d, u = 2 * (1 - lam[live]), -_e(alpha)
     neg = np.zeros(live.size, dtype=np.int64)
     for step in range(level):
-        s2 = 4.0**step  # the row shift (alpha + beta) s^2, exact mod 1 term by term
-        j, d, u = _gluing_step((alpha * s2 % 1.0 + beta * s2 % 1.0) % 1.0, d, u)
+        j, d, u, _ = _gluing_step(_row_shift(alpha, beta, step), d, u)
         neg = 3 * neg + (j < 0).sum(axis=1)
         size = np.abs(j)
         singular[live] |= size.min(axis=1) <= JUNCTION_TOL * size.max(axis=1)
@@ -475,6 +487,65 @@ def gluing_count(alpha, beta, level: int, lam) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = both[:f.size], both[f.size:]
         count[f] = np.where((lo == hi) & ~again[:f.size] & ~again[f.size:], lo, -1)
     return count, fired
+
+
+# At lambda = 0 every junction and final eigenvalue is >= 0; in the state's
+# units (max(|d|, |u|) = 1) one below -PSD_TOL is not rounding.
+PSD_TOL = 1e-12
+
+
+def _check_psd(values) -> None:
+    if values.min() < -PSD_TOL:
+        raise ValueError(f"negative eigenvalue {values.min()} at lambda = 0: operator should be PSD")
+
+
+def kernel_dimension(flux: FluxPair, level: int) -> int:
+    """dim ker(Deg - W) at a uniform flux pair: 1, the constants, for the
+    trivial connection (alpha = 0 and, from level 1 on, beta = 0, exactly;
+    level 0 has no hole), else 0."""
+    return int(flux.alpha == 0.0 and (flux.beta == 0.0 or level == 0))
+
+
+def gluing_log_det(flux: FluxPair, level: int, corner: float = 0.0) -> float:
+    """log |det'(Deg - W + corner E_AA)| at a uniform flux pair, by the gluing
+    recursion at lambda = 0: O(level) work and no graph.  E_AA is the entry of
+    the corner A = (0, 0).
+
+    With M_m = S_m M~_m the true corner block (S_0 = 1, S_(m+1) = S_m scale_m,
+    `_gluing_step`) and J_m = S_m J~_m, Haynsworth gives
+
+        log|det H| = sum_(m<N) 3^(N-1-m) (3 log S_m + sum_k log|j_(m,k)|)
+                     + log|det(M_N + corner E_AA)|,
+
+    and det(S M~ + c E_AA) = S^3 (mu_0 mu_1 mu_2 + (c/S) e_2(mu)/3) over the
+    eigenvalues mu_k of the circulant M~_N, whose eigenvectors all have
+    |v_k(A)|^2 = 1/3, so that its (A, A) cofactor is e_2(mu)/3.
+
+    Where Deg - W has a kernel (`kernel_dimension`), the constants, which sit
+    in the final block, the mu_k of least modulus is set to exactly 0.  With
+    corner = 0 the value is then the pseudo-determinant |d det H(lam)/d lam| at
+    0, which replaces S |mu_0| by |d mu_0/d lam| = sum deg / 3 = 2 * 3^N.
+    Raises ValueError where a junction or final eigenvalue is negative beyond
+    PSD_TOL.
+    """
+    alpha, beta = np.array([flux.alpha]), np.array([flux.beta])
+    d, u = np.array([2.0]), -_e(alpha)
+    total, log_s = 0.0, 0.0  # sum_(m<step) 3^(step-1-m) (...), log S_step
+    for step in range(level):
+        j, d, u, scale = _gluing_step(_row_shift(alpha, beta, step), d, u)
+        _check_psd(j)
+        total = 3 * total + 3 * log_s + math.fsum(np.log(np.abs(j[0])))
+        log_s += math.log(scale[0])
+    mu = _circulant_eigenvalues(d, _cube_root(u))[0]
+    _check_psd(mu)
+    if kernel_dimension(flux, level):
+        k = np.argmin(np.abs(mu))
+        mu[k] = 0.0
+        if not corner:
+            rest = math.log(abs(np.prod(np.delete(mu, k))))
+            return total + 2 * log_s + math.log(2) + level * math.log(3) + rest
+    e2 = mu[0] * mu[1] + mu[1] * mu[2] + mu[2] * mu[0]
+    return total + 3 * log_s + math.log(abs(np.prod(mu) + corner * math.exp(-log_s) * e2 / 3))
 
 
 def decimation_eigenvalues(flux: FluxPair, level: int) -> np.ndarray:

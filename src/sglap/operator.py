@@ -2,25 +2,39 @@
 
 The operator has 1 on the diagonal and -omega_xy/deg(x) off it; it is
 self-adjoint in the degree measure, so eigenvalues come from the Hermitian
-symmetrization T = W^{1/2} L W^{-1/2}.  `eigenvalues` is the one entry point
-for spectra and log-determinants: from level ENGINE_MIN_LEVEL on, an operator
-whose connection carries a uniform Case I (dyadic) or Case IV (no real Psi
-zero) flux pair is solved by bisecting the gluing count
-(`decimation.decimation_eigenvalues`, O(dim N) work per count); every other
-operator goes to `dense_eigenvalues`, the dense eigensolver that stays the
-oracle the engine is checked against.  Also here: multiplicity clustering,
-the Schur complement onto the previous level (a block elimination of the
-midpoint vertices from the operator's entries) and log-determinants.
+symmetrization T = W^{1/2} L W^{-1/2}.  `assemble` is O(1): the dense matrix
+`MagneticOperator.entries` is built when first read, and the engine never
+reads it.  `eigenvalues` is the one entry point for spectra: from level
+ENGINE_MIN_LEVEL on, an operator whose connection carries a uniform Case I
+(dyadic) or Case IV (no real Psi zero) flux pair is solved by bisecting the
+gluing count (`decimation.decimation_eigenvalues`, O(dim N) work per count);
+every other operator goes to `dense_eigenvalues`, the dense eigensolver that
+stays the oracle the engine is checked against, and the only path
+SPECTRUM_DIM_CAP binds.  `log_determinant` reads the gluing recursion at
+lambda = 0 (`decimation.gluing_log_det`, O(N) work) at every uniform flux
+pair and every level; the dense oracle takes the rest.  Also here:
+multiplicity clustering and the Schur complement onto the previous level (a
+block elimination of the midpoint vertices from the operator's entries).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .decimation import cell_cubic_d, decimation_eigenvalues, psi_real_zeros, zeros_of_D
+from .decimation import (
+    cell_cubic_d,
+    decimation_eigenvalues,
+    gluing_count,
+    gluing_log_det,
+    kernel_dimension,
+    psi_real_zeros,
+    zeros_of_D,
+)
 # build_gasket is not called here; perfbench/selftest.py checks that its
 # tracer wraps this from-import site
 from .gasket import GasketGraph, build_gasket  # noqa: F401
@@ -41,10 +55,20 @@ ENGINE_MIN_LEVEL = 6
 @dataclass(frozen=True)
 class MagneticOperator:
     dimension: int
-    entries: np.ndarray = field(repr=False)
     weights: list[int]
     graph: GasketGraph = field(repr=False)
     conn: Connection = field(repr=False)
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The dense matrix, read-only, built on first read."""
+        deg, conn = self.weights, self.conn
+        L = np.eye(self.dimension, dtype=complex)
+        for x, y in self.graph.edges:
+            L[x, y] = -conn.omega(x, y) / deg[x]
+            L[y, x] = -conn.omega(y, x) / deg[y]
+        L.setflags(write=False)
+        return L
 
     def symmetrized(self) -> np.ndarray:
         w = np.sqrt(np.asarray(self.weights, dtype=float))
@@ -75,18 +99,13 @@ class Spectrum:
 def assemble(graph: GasketGraph, conn: Connection) -> MagneticOperator:
     if conn.graph is not graph:
         raise ValueError("connection was built on a different graph")
-    n = len(graph.vertices)
-    deg = graph.degrees
-    L = np.eye(n, dtype=complex)
-    for x, y in graph.edges:
-        L[x, y] = -conn.omega(x, y) / deg[x]
-        L[y, x] = -conn.omega(y, x) / deg[y]
-    L.setflags(write=False)
-    return MagneticOperator(n, L, deg, graph, conn)
+    return MagneticOperator(len(graph.vertices), graph.degrees, graph, conn)
 
 
 def dense_eigenvalues(op: MagneticOperator) -> np.ndarray:
     """Raw sorted eigenvalues of the Hermitian symmetrization by a dense solve: the oracle."""
+    if op.dimension > SPECTRUM_DIM_CAP:
+        raise ValueError(f"dimension {op.dimension} exceeds the cap {SPECTRUM_DIM_CAP}")
     try:
         return np.linalg.eigvalsh(op.symmetrized())
     except np.linalg.LinAlgError as exc:
@@ -121,8 +140,6 @@ def cluster(evs: np.ndarray) -> Spectrum:
 
 
 def spectrum(op: MagneticOperator) -> Spectrum:
-    if op.dimension > SPECTRUM_DIM_CAP:
-        raise ValueError(f"dimension {op.dimension} exceeds the cap {SPECTRUM_DIM_CAP}")
     return cluster(eigenvalues(op))
 
 
@@ -159,20 +176,34 @@ def schur_complement(op: MagneticOperator, lam: float) -> np.ndarray:
 
 
 def log_determinant(op: MagneticOperator, drop_zero: bool = False) -> tuple[float, int]:
-    evs = eigenvalues(op)
-    if evs[0] < -ZERO_EIG_TOL:
-        raise ValueError(f"negative eigenvalue {evs[0]}: operator should be PSD")
-    zero_count = int(np.sum(np.abs(evs) < ZERO_EIG_TOL))
-    if drop_zero:
-        kept = evs[np.abs(evs) >= ZERO_EIG_TOL]
-    else:
-        kept = evs
-        if zero_count:
-            raise ValueError(
-                f"{zero_count} eigenvalue(s) within {ZERO_EIG_TOL} of zero; "
-                "pass drop_zero to take the pseudo-determinant"
-            )
-    return float(np.sum(np.log(kept))), zero_count
+    """(log det L, zero_count), or the pseudo-determinant over the eigenvalues
+    at least ZERO_EIG_TOL under drop_zero; zero_count = #{eigenvalues <
+    ZERO_EIG_TOL}.
+
+    At a uniform flux pair, log det L = log|det'(Deg - W)| - sum log deg from
+    `gluing_log_det`, with zero_count the gluing count at ZERO_EIG_TOL; when
+    that count is not `kernel_dimension` (the constants of the trivial
+    connection, or nothing), the operator goes to the dense oracle, as does
+    every operator without a uniform flux pair.
+    """
+    flux, level = op.conn.flux, op.graph.level
+    value = None
+    if flux is not None:
+        zero_count = int(gluing_count(flux.alpha, flux.beta, level, ZERO_EIG_TOL)[0][0])
+        if zero_count == kernel_dimension(flux, level):
+            value = gluing_log_det(flux, level) - math.fsum(map(math.log, op.weights))
+    if value is None:
+        evs = dense_eigenvalues(op)
+        if evs[0] < -ZERO_EIG_TOL:
+            raise ValueError(f"negative eigenvalue {evs[0]}: operator should be PSD")
+        zero_count = int(np.sum(np.abs(evs) < ZERO_EIG_TOL))
+        value = float(np.sum(np.log(evs[np.abs(evs) >= ZERO_EIG_TOL])))
+    if zero_count and not drop_zero:
+        raise ValueError(
+            f"{zero_count} eigenvalue(s) within {ZERO_EIG_TOL} of zero; "
+            "pass drop_zero to take the pseudo-determinant"
+        )
+    return value, zero_count
 
 
 def matrix_csv(op: MagneticOperator) -> str:

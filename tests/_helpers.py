@@ -98,3 +98,14 @@ def _bareiss_det(m):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[-1][-1]
+
+
+def augmented_logdet(op, origin, c):
+    """log det of the symmetrized operator with c added at (origin, origin),
+    by a dense eigensolve: the oracle of the no-loop probability."""
+    m = np.array(op.symmetrized())
+    m[origin, origin] += c
+    evs = np.linalg.eigvalsh(m)
+    if evs[0] <= 0.0:
+        raise ArithmeticError(f"augmented Dirichlet Laplacian not positive definite ({evs[0]})")
+    return float(np.sum(np.log(evs)))

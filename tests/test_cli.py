@@ -260,3 +260,11 @@ def test_level_guard_env(capsys, monkeypatch):
                        "--level", "3", "--method", "dense")
     assert code == 2
     assert "exceeds maximum" in err
+
+
+def test_dense_size_cap_is_a_usage_error(capsys):
+    # level 8 at a Case II flux goes to the dense path, which refuses it
+    code, _, err = run(capsys, "spectrum", "--alpha", "1/6", "--beta", "0",
+                       "--level", "8", "--method", "dense")
+    assert code == 2
+    assert "exceeds the cap" in err

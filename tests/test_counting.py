@@ -55,19 +55,22 @@ def test_gluing_step_matches_dense_corner_blocks(flux):
     # the Schur complement of H = Deg (1 - lam) - W onto the three corners of
     # the level-m gasket, against the state (d, u) after m closed-form steps:
     # its diagonal is c d, its off-diagonal moduli c |u| and its loop product
-    # c^3 |u|^2 u, for one scale c > 0
+    # c^3 |u|^2 u, where c is the product of the steps' scales (the state
+    # starts unscaled and is rescaled to max(|d|, |u|) = 1)
     fp = FluxPair(*flux)
     for lam in (0.13, 0.61, 1.37, 1.93):
         d, u = np.array([2 * (1 - lam)]), np.array([-np.exp(2j * np.pi * fp.alpha)])
+        scale = 1.0
         for m in range(1, 5):
-            s2 = 4.0 ** (m - 1)
-            _, d, u = decimation._gluing_step((fp.alpha * s2 % 1.0 + fp.beta * s2 % 1.0) % 1.0, d, u)
+            _, d, u, step = decimation._gluing_step(decimation._row_shift(fp.alpha, fp.beta, m - 1), d, u)
+            scale *= step[0]
             op = _op(flux, m)
             h = np.diag(op.weights) @ (op.entries - lam * np.eye(op.dimension))
             ids = [op.graph.coord_to_id[x] for x in ((0, 0), (2**m, 0), (0, 2**m))]
             rest = np.setdiff1d(np.arange(op.dimension), ids)
             s = h[np.ix_(ids, ids)] - h[np.ix_(ids, rest)] @ np.linalg.solve(h[np.ix_(rest, rest)], h[np.ix_(rest, ids)])
             c = max(abs(s[0, 0]), abs(s[0, 1]))
+            assert abs(c - scale) <= 1e-12 * c, (flux, lam, m)
             off = np.array([s[0, 1], s[1, 2], s[2, 0]]) / c
             assert np.allclose(np.diag(s) / c, d[0], rtol=0, atol=1e-12), (flux, lam, m)
             assert np.allclose(np.abs(off), abs(u[0]), rtol=0, atol=1e-12), (flux, lam, m)

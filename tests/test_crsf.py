@@ -14,10 +14,12 @@ import math
 import numpy as np
 import pytest
 
+from _helpers import augmented_logdet
+
 from sglap import crsf
 from sglap.determinants import loop_entropy
 from sglap.gasket import build_gasket, dim_n
-from sglap.gauge import FluxPair, build_connection
+from sglap.gauge import Connection, FluxPair, build_connection
 from sglap.operator import assemble
 
 
@@ -131,6 +133,36 @@ def test_noloop_log_probability(g1):
     v2 = crsf.noloop_log_probability(g2, build_connection(g2, FluxPair(0.5, 0.5)), 1.0)
     v3 = crsf.noloop_log_probability(g3, build_connection(g3, FluxPair(0.5, 0.5)), 1.0)
     assert v2 < 0 and v3 < v2
+
+
+@pytest.mark.parametrize("level", range(1, 6))
+def test_noloop_log_probability_matches_dense_oracle(level):
+    g = build_gasket(level)
+    origin = g.coord_to_id[(0, 0)]
+    trivial = assemble(g, build_connection(g, FluxPair(0.0, 0.0)))
+    fluxes = np.random.default_rng(3).random((4, 2)).tolist() + [(0.5, 0.5), (0.5, 0.0), (0.0, 0.5)]
+    for c in (0.5, 1.0):
+        for a, b in fluxes:
+            conn = build_connection(g, FluxPair(a, b))
+            want = augmented_logdet(trivial, origin, c) - augmented_logdet(assemble(g, conn), origin, c)
+            got = crsf.noloop_log_probability(g, conn, c)
+            assert abs(got - want) <= 1e-11, (level, c, a, b, got, want)
+
+
+def test_noloop_log_probability_exact_at_small_conductance():
+    # log of the ratio of exact Fraction determinants of Deg - W + 2c E_00 at
+    # (0, 0) and (1/2, 1/2), where W is an integer matrix, with c = 10^-6; the
+    # dense oracle misses them by 1.4e-9 and 7.7e-9
+    for level, exact in ((1, -14.431697997387), (2, -16.628922567316)):
+        g = build_gasket(level)
+        got = crsf.noloop_log_probability(g, build_connection(g, FluxPair(0.5, 0.5)), 1e-6)
+        assert abs(got - exact) <= 1e-11, (level, got)
+
+
+def test_noloop_needs_a_uniform_flux_pair(g1):
+    conn = build_connection(g1, FluxPair(0.2, 0.1))
+    with pytest.raises(ValueError, match="uniform flux pair"):
+        crsf.noloop_log_probability(g1, Connection(g1, conn.phase), 1.0)
 
 
 def test_noloop_rate_approaches_loop_entropy():

@@ -20,12 +20,14 @@ import pytest
 
 from _helpers import kirchhoff_tree_count
 
+import numpy as np
+
 from sglap import determinants as D
-from sglap.decimation import QUADRATICS
+from sglap.decimation import QUADRATICS, gluing_log_det
 from sglap.enumerator import _series_table, spectrum_closed_form
-from sglap.gasket import build_gasket
+from sglap.gasket import build_gasket, dim_n
 from sglap.gauge import FluxPair, build_connection
-from sglap.operator import assemble, log_determinant
+from sglap.operator import ZERO_EIG_TOL, assemble, dense_eigenvalues
 
 FLUX = {"half-half": (0.5, 0.5), "half-zero": (0.5, 0.0), "zero-half": (0.0, 0.5)}
 
@@ -215,11 +217,23 @@ def test_det_closed_form_matches_spectral_product():
 def test_det_closed_form_matches_dense_level3():
     for case, flux in FLUX.items():
         g = build_gasket(3)
-        op = assemble(g, build_connection(g, FluxPair(*flux)))
-        ld, zc = log_determinant(op)
-        assert zc == 0
+        evs = dense_eigenvalues(assemble(g, build_connection(g, FluxPair(*flux))))
+        assert evs[0] >= ZERO_EIG_TOL
+        ld = float(np.sum(np.log(evs)))
         lv = D.det_closed_form(case, 3)
         assert abs(lv.log_magnitude - ld) / max(1, abs(ld)) < 1e-6, case
+
+
+def test_gluing_limits_against_the_complexity_table():
+    # (log|det' H| - log sum deg)/dim at level 25, from the gluing recursion:
+    # the table's zero-zero and half-half constants, and exactly log(80)/27
+    # (half-zero) and 4 log(2)/27 (zero-half) below its mixed ones
+    gaps = {"zero-zero": 0.0, "half-half": 0.0,
+            "half-zero": math.log(80) / 27, "zero-half": 4 * math.log(2) / 27}
+    flux = dict(FLUX, **{"zero-zero": (0.0, 0.0)})
+    for case, gap in gaps.items():
+        rate = (gluing_log_det(FluxPair(*flux[case]), 25) - math.log(2 * 3**26)) / dim_n(25)
+        assert abs(D.complexity(case, 40) - gap - rate) <= 1e-6, (case, rate)
 
 
 # --- the product lemma over the prefix chains of the spectrum table ------

@@ -8,6 +8,7 @@ from _helpers import gauge_transform, kirchhoff_tree_count
 
 from sglap import operator
 from sglap.decimation import decimation_kit, exceptional_set
+from sglap.enumerator import spectrum_closed_form
 from sglap.gasket import build_gasket, dim_n
 from sglap.gauge import (
     Connection,
@@ -19,6 +20,7 @@ from sglap.gauge import (
 )
 from sglap.operator import (
     assemble,
+    dense_eigenvalues,
     eigenvalues,
     log_determinant,
     matrix_csv,
@@ -91,6 +93,56 @@ def test_zero_flux_kernel_and_pseudo_determinant():
     tau = kirchhoff_tree_count(build_gasket(1))
     assert tau == 54
     assert math.isclose(math.log(tau), math.log(256 / 9) + ld, rel_tol=1e-11)
+
+
+# four default_rng(3) flux pairs and the four dyadic pairs
+LOGDET_FLUXES = [tuple(f) for f in np.random.default_rng(3).random((4, 2)).tolist()] + [
+    (0.0, 0.0), (0.5, 0.5), (0.5, 0.0), (0.0, 0.5),
+]
+
+
+@pytest.mark.parametrize("level", range(0, 7))
+def test_log_determinant_matches_dense_oracle(level):
+    # the gluing log-det against the sum of log dense eigenvalues; the flux
+    # pairs with a zero mode ((0, 0), and (0, 1/2) at level 0, which has no
+    # hole) under drop_zero
+    for flux in LOGDET_FLUXES:
+        op = _op(level, *flux)
+        evs = dense_eigenvalues(_op(level, *flux))
+        zeros = int(np.sum(np.abs(evs) < operator.ZERO_EIG_TOL))
+        want = math.fsum(np.log(evs[zeros:]))
+        got, zc = log_determinant(op, drop_zero=bool(zeros))
+        assert zc == zeros, (level, flux)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (level, flux, got, want)
+        assert "entries" not in op.__dict__
+
+
+def test_log_determinant_at_uniform_flux_never_solves(monkeypatch):
+    calls = {"eigenvalues": 0, "dense_eigenvalues": 0}
+    for name in calls:
+        def counted(op, _name=name, _fn=getattr(operator, name)):
+            calls[_name] += 1
+            return _fn(op)
+        monkeypatch.setattr(operator, name, counted)
+    for flux in LOGDET_FLUXES:
+        log_determinant(_op(3, *flux), drop_zero=True)
+    assert calls == {"eigenvalues": 0, "dense_eigenvalues": 0}
+    # a connection without a uniform flux pair goes to the dense oracle
+    op = _op(3, 0.3, 0.1)
+    log_determinant(assemble(op.graph, Connection(op.graph, op.conn.phase)))
+    assert calls == {"eigenvalues": 0, "dense_eigenvalues": 1}
+
+
+def test_spectrum_cap_binds_only_the_dense_path():
+    op = _op(8, 0.5, 0.0)
+    assert op.dimension > operator.SPECTRUM_DIM_CAP
+    got = spectrum(op).pairs
+    want = spectrum_closed_form(FluxPair(0.5, 0.0), 8).pairs
+    assert [m for _, m in got] == [m for _, m in want]
+    assert max(abs(a - b) for (a, _), (b, _) in zip(got, want)) <= 1e-12
+    assert "entries" not in op.__dict__
+    with pytest.raises(ValueError, match=f"exceeds the cap {operator.SPECTRUM_DIM_CAP}"):
+        dense_eigenvalues(op)
 
 
 def test_kirchhoff_level_cap():
