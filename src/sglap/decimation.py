@@ -26,10 +26,13 @@ three blocks and eliminating the three junctions is one closed-form step on
 (d, u), `_gluing_step`; Haynsworth adds up the negative inertias of the
 junction blocks (Domany, Alexander, Bensimon and Kadanoff, PRB 28, 3110, 1983;
 Fukushima and Shima, Potential Anal. 1, 1992).  It never divides by |Psi|.
-`gluing_count` counts with a flux pair per probe and a singular-J rule: a
-probe that meets a junction block singular to working precision
-(JUNCTION_TOL) is counted at lambda -+ JUNCTION_SHIFT instead, and its count
-is kept only where both sides agree; otherwise it is -1, undetermined.
+One loop over the steps, `_gluing`, keeps each step's junction eigenvalues
+(mode-major) and scale; the count, the singular flag and the determinant are
+all read off them.  `gluing_count` counts with a flux pair per probe and a
+singular-J rule: a probe that meets a junction block singular to working
+precision (JUNCTION_TOL) is counted at lambda -+ JUNCTION_SHIFT instead, and
+its count is kept only where both sides agree; otherwise it is -1,
+undetermined.
 `decimation_eigenvalues` bisects the rule-free count at a uniform flux pair.
 The same steps give the determinant: `_gluing_step` returns the scale it
 divides the state by, and `gluing_log_det` adds up Haynsworth's determinant
@@ -383,7 +386,8 @@ def one_step_count(level: int, k, c):
 # lambda -+ JUNCTION_SHIFT, far below operator.CLUSTER_TOL.
 JUNCTION_TOL = 1e-11
 JUNCTION_SHIFT = 1e-9
-_OMEGA = np.exp(2j * np.pi * np.arange(3) / 3)  # omega^k, k = 0, 1, 2
+_OMEGA = np.exp(2j * np.pi * np.arange(3) / 3)[:, None]  # omega^k down axis 0, k = 0, 1, 2
+_W, _W2 = _OMEGA.conj(), _OMEGA.conj() ** 2  # w = conj(omega) and w^2, down axis 0
 
 
 def _e(t):
@@ -396,38 +400,41 @@ def _cube_root(u):
 
 
 def _circulant_eigenvalues(d, z):
-    """d + 2 Re(z omega^k), k = 0, 1, 2: the spectrum of d I + z P + conj(z) P^T, (P, 3)."""
-    return d[:, None] + 2 * (z[:, None] * _OMEGA).real
+    """d + 2 Re(z omega^k), k = 0, 1, 2: the spectrum of d I + z P + conj(z) P^T,
+    mode-major: row k holds the k-th eigenvalue of every probe."""
+    return d + 2 * (z * _OMEGA).real
 
 
 def _gluing_step(t, d, u):
-    """One gluing step in closed form over 1-d arrays: (j, d', u', scale).
+    """One gluing step in closed form over 1-d arrays: (j, d', u', scale), with
+    the junction eigenvalues j mode-major, (3, P).
 
     M_m is gauge-equivalent to d I plus off-diagonal entries of modulus |u|
     with loop product M_AB M_BC M_CA = |u|^2 u; t = (alpha + beta) s^2 mod 1
-    is the row shift of the top copy.  In the gauge where every corner-to-
-    corner entry is z = `_cube_root`(u), the junction block J is circulant with
-    eigenvalues j_k = 2d + 2 Re(z gamma omega^k), gamma = e(-t/3); q_{c,k}
-    projects corner c's column of the corner-junction block onto them, and
-    M_(m+1) = d I - sum_k conj(q_k) q_k^T / j_k on (A, B, C).  Its loop
-    product is read off the phases of its entries, and (d', u') is rescaled
-    to max(|d'|, |u'|) = 1: the true block is M_(m+1) = S_m scale M~_(m+1)
-    when M_m = S_m M~_m.  An exact j_k = 0 is taken as eps, its sign just
-    below lambda, so nothing divides by zero; the rescaled state then keeps
-    only that pole, and the count at such a lambda is not to be trusted.
+    is the row shift of the top copy, a scalar at a uniform flux pair (its
+    phases are then computed once) or one per probe.  In the gauge where every
+    corner-to-corner entry is z = `_cube_root`(u), the junction block J is
+    circulant with eigenvalues j_k = 2d + 2 Re(z gamma omega^k), gamma =
+    e(-t/3); q_{c,k} projects corner c's column of the corner-junction block
+    onto them, and M_(m+1) = d I - sum_k conj(q_k) q_k^T / j_k on (A, B, C).
+    Its loop product is read off the phases of its entries, and (d', u') is
+    rescaled to max(|d'|, |u'|) = 1: the true block is M_(m+1) = S_m scale
+    M~_(m+1) when M_m = S_m M~_m.  An exact j_k = 0 is taken as eps, its sign
+    just below lambda, so nothing divides by zero; the rescaled state then
+    keeps only that pole, and the count at such a lambda is not to be trusted.
     """
     z = _cube_root(u)
     g = _e(-t / 3)
     j = _circulant_eigenvalues(2 * d, z * g)
     # q_{c,k} sqrt(3) = v_c0 + w^k v_c1 + w^2k v_c2, w = conj(omega), with
     # v_A = (conj z, conj(g) z, 0), v_B = (z, 0, g conj z), v_C = (0, conj(g z), g e(t) z)
-    w = _OMEGA.conj()
-    qa = z.conj()[:, None] + (g.conj() * z)[:, None] * w
-    qb = z[:, None] + (g * z.conj())[:, None] * w**2
-    qc = (g * z).conj()[:, None] * w + (g * _e(t) * z)[:, None] * w**2
+    qa = z.conj() + (g.conj() * z) * _W
+    qb = z + (g * z.conj()) * _W2
+    # np.multiply: `*` on two numpy scalars rounds differently from the ufunc
+    qc = (g * z).conj() * _W + (np.multiply(g, _e(t)) * z) * _W2
     r = 1 / (3 * np.where(j == 0, EPS, j))
-    d = d - (np.abs(qa) ** 2 * r).sum(axis=1)
-    m_ab, m_bc, m_ca = (-(p.conj() * q * r).sum(axis=1) for p, q in ((qa, qb), (qb, qc), (qc, qa)))
+    d = d - (np.abs(qa) ** 2 * r).sum(axis=0)
+    m_ab, m_bc, m_ca = (-(p.conj() * q * r).sum(axis=0) for p, q in ((qa, qb), (qb, qc), (qc, qa)))
     u = m_bc * np.exp(1j * (np.angle(m_ab) + np.angle(m_ca)))
     scale = np.maximum(np.maximum(np.abs(d), np.abs(u)), TINY)
     return j, d / scale, u / scale, scale
@@ -440,22 +447,40 @@ def _row_shift(alpha, beta, step: int):
     return (alpha * s2 % 1.0 + beta * s2 % 1.0) % 1.0
 
 
+def _gluing(alpha, beta, level: int, lam) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gluing recursion of H = Deg (1 - lam) - W over the probes lam, a 1-d
+    array, at the flux pair (alpha, beta): scalars, or one pair per probe.
+
+    Returns (j, scale, mu): j[m], (3, P), the junction eigenvalues of step m
+    < level and scale[m] its rescaling (`_gluing_step`), and mu, (3, P), the
+    eigenvalues of the last corner block M~_level.  Every result of the
+    recursion is read off these: the count and the singular flag (`_glue`)
+    and the log-determinant (`gluing_log_det`).
+    """
+    # u per probe even at scalar fluxes: numpy's scalar arithmetic rounds
+    # otherwise, and the two calls must agree to the bit
+    d, u = 2 * (1 - lam), np.broadcast_to(-_e(alpha), lam.shape)
+    j = np.empty((level, 3, lam.size))
+    scale = np.empty((level, lam.size))
+    for step in range(level):
+        j[step], d, u, scale[step] = _gluing_step(_row_shift(alpha, beta, step), d, u)
+    return j, scale, _circulant_eigenvalues(d, _cube_root(u))
+
+
 def _glue(alpha, beta, level: int, lam) -> tuple[np.ndarray, np.ndarray]:
-    """Haynsworth's count of H = Deg (1 - lam) - W over 1-d arrays, saturated
-    to 0 or dim_level outside (0, 2], and which probes met a singular junction
-    block (their count is not to be used)."""
+    """Haynsworth's count of H = Deg (1 - lam) - W over the 1-d array lam,
+    saturated to 0 or dim_level outside (0, 2], and which probes met a
+    singular junction block (their count is not to be used).  alpha and beta
+    are scalars, or 1-d arrays with one pair per probe."""
     count = np.where(lam > 2, dim_n(level), 0)
     singular = np.zeros(lam.size, dtype=bool)
     live = np.flatnonzero((lam > 0) & (lam <= 2))
-    alpha, beta = alpha[live], beta[live]
-    d, u = 2 * (1 - lam[live]), -_e(alpha)
-    neg = np.zeros(live.size, dtype=np.int64)
-    for step in range(level):
-        j, d, u, _ = _gluing_step(_row_shift(alpha, beta, step), d, u)
-        neg = 3 * neg + (j < 0).sum(axis=1)
-        size = np.abs(j)
-        singular[live] |= size.min(axis=1) <= JUNCTION_TOL * size.max(axis=1)
-    count[live] = neg + (_circulant_eigenvalues(d, _cube_root(u)) < 0).sum(axis=1)
+    if np.ndim(alpha):
+        alpha, beta = alpha[live], beta[live]
+    j, _, mu = _gluing(alpha, beta, level, lam[live])
+    count[live] = 3 ** np.arange(level)[::-1] @ (j < 0).sum(axis=1) + (mu < 0).sum(axis=0)
+    size = np.abs(j)
+    singular[live] = (size.min(axis=1) <= JUNCTION_TOL * size.max(axis=1)).any(axis=0)
     return count, singular
 
 
@@ -528,16 +553,11 @@ def gluing_log_det(flux: FluxPair, level: int, corner: float = 0.0) -> float:
     Raises ValueError where a junction or final eigenvalue is negative beyond
     PSD_TOL.
     """
-    alpha, beta = np.array([flux.alpha]), np.array([flux.beta])
-    d, u = np.array([2.0]), -_e(alpha)
-    total, log_s = 0.0, 0.0  # sum_(m<step) 3^(step-1-m) (...), log S_step
-    for step in range(level):
-        j, d, u, scale = _gluing_step(_row_shift(alpha, beta, step), d, u)
-        _check_psd(j)
-        total = 3 * total + 3 * log_s + math.fsum(np.log(np.abs(j[0])))
-        log_s += math.log(scale[0])
-    mu = _circulant_eigenvalues(d, _cube_root(u))[0]
-    _check_psd(mu)
+    j, scale, mu = (x[..., 0] for x in _gluing(flux.alpha, flux.beta, level, np.zeros(1)))
+    _check_psd(np.append(j, mu))
+    log_sm = np.concatenate([[0.0], np.cumsum(np.log(scale))])  # log S_m, m = 0..N
+    total = math.fsum(3.0 ** np.arange(level)[::-1] * (3 * log_sm[:-1] + np.log(np.abs(j)).sum(axis=1)))
+    log_s = log_sm[-1]
     if kernel_dimension(flux, level):
         k = np.argmin(np.abs(mu))
         mu[k] = 0.0
@@ -569,8 +589,7 @@ def decimation_eigenvalues(flux: FluxPair, level: int) -> np.ndarray:
             return np.sort(0.5 * (lo + hi))
         mid = 0.5 * (lo[wide] + hi[wide])
         points, where = np.unique(mid, return_inverse=True)
-        fluxes = np.full(points.size, flux.alpha), np.full(points.size, flux.beta)
-        above = _glue(*fluxes, level, points)[0][where] > index[wide]
+        above = _glue(flux.alpha, flux.beta, level, points)[0][where] > index[wide]
         hi[wide[above]] = mid[above]
         lo[wide[~above]] = mid[~above]
 

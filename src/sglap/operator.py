@@ -7,7 +7,8 @@ symmetrization T = W^{1/2} L W^{-1/2}.  `assemble` is O(1): the dense matrix
 reads it.  `eigenvalues` is the one entry point for spectra: from level
 ENGINE_MIN_LEVEL on, an operator whose connection carries a uniform Case I
 (dyadic) or Case IV (no real Psi zero) flux pair is solved by bisecting the
-gluing count (`decimation.decimation_eigenvalues`, O(dim N) work per count);
+gluing count (`decimation.decimation_eigenvalues`: O(N) work per probe, and
+about 52 lockstep iterations of up to dim probes each for a spectrum);
 every other operator goes to `dense_eigenvalues`, the dense eigensolver that
 stays the oracle the engine is checked against, and the only path
 SPECTRUM_DIM_CAP binds.  `log_determinant` reads the gluing recursion at
@@ -47,8 +48,8 @@ CLUSTER_TOL = 1e-6
 # `schur_complement` refuses lambda within this of a midpoint-block root
 D_ROOT_TOL = 1e-9
 # Below this level a dense solve is faster than bisecting the gluing count
-# (level 5 on a 2-vCPU host: 27-41 ms dense; 43-54 ms gluing at dyadic flux,
-# 103-120 ms at generic flux).
+# (level 5 on a 2-vCPU host: 27-32 ms dense; 37-40 ms gluing at dyadic flux,
+# 48-72 ms at generic flux).
 ENGINE_MIN_LEVEL = 6
 
 

@@ -125,6 +125,25 @@ def test_gluing_count_takes_a_flux_pair_per_probe():
         assert np.array_equal(mixed[on], alone), fp
 
 
+@pytest.mark.parametrize("level", range(1, 7))
+def test_scalar_and_per_probe_flux_agree(level):
+    # `decimation_eigenvalues` and `gluing_log_det` pass one flux pair as
+    # scalars, `gluing_count` one pair per probe: the recursion's junction
+    # eigenvalues, scales and last corner eigenvalues, and so the counts,
+    # singular flags and log-dets read off them, are the same to the bit
+    rng = np.random.default_rng(level)
+    lam = np.concatenate([[0.0, 0.5, 0.75, 1.25, 1.5], rng.uniform(-0.1, 2.1, 400)])
+    for flux in GLUING_FLUXES:
+        fp = FluxPair(*flux)
+        alpha, beta = np.full(lam.size, fp.alpha), np.full(lam.size, fp.beta)
+        for got, want in zip(decimation._gluing(fp.alpha, fp.beta, level, lam),
+                             decimation._gluing(alpha, beta, level, lam)):
+            assert np.array_equal(got, want), (flux, level)
+        for got, want in zip(decimation._glue(fp.alpha, fp.beta, level, lam),
+                             decimation._glue(alpha, beta, level, lam)):
+            assert np.array_equal(got, want), (flux, level)
+
+
 @pytest.mark.parametrize("level", range(1, 5))
 @pytest.mark.parametrize(
     "flux, lam", [((0.0, 0.0), 0.5), ((0.0, 0.0), 1.25), ((0.5, 0.5), 0.75), ((0.5, 0.5), 1.5),

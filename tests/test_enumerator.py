@@ -210,6 +210,15 @@ def test_verify_is_a_real_check_at_level_7():
     assert sum(e.mult for e in report.entries) == dim_n(7)
 
 
+@pytest.mark.parametrize("flux", [(0.5, 0.0), (0.37, 0.71)])
+def test_verify_is_green_at_level_8(flux):
+    # 384 clusters at (1/2, 0) and 6,248 at (0.37, 0.71), each judged by counts
+    report = decimation_verify(FluxPair(*flux), 8)
+    assert report.all_pass, [e for e in report.entries if e.ok is False]
+    assert all(e.ok is not None for e in report.entries)
+    assert sum(e.mult for e in report.entries) == dim_n(8)
+
+
 def test_verify_solves_one_operator(monkeypatch):
     # every name bound to `operator.eigenvalues` in the package counts its calls
     original, calls = operator.eigenvalues, []
