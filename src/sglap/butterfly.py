@@ -11,10 +11,12 @@ One engine iterates whole columns of cells through `decimation.u_step`, and
 its rasters equal the published loop (tests/_reference.py) bit for bit.
 Bit-identity is deliberate and fragile: u_step writes powers as explicit
 multiply chains (libm pow and numpy's integer-power path round differently)
-and evaluates atan2 through math.atan2, because numpy's vectorized arctan2 is
-off by an ulp often enough to flip near-threshold cells after twenty
-amplifying iterations.  Keep it that way.  The tests check every cell against
-that loop, extended by the exact-zero policy below and the U2 update.
+and takes atan2 as the imaginary part of the complex log, which glibc computes
+with libm's atan2, because numpy's vectorized arctan2 is off by an ulp often
+enough to flip near-threshold cells after twenty amplifying iterations.  Keep
+it that way; tests/test_decimation.py checks the log against math.atan2 bit
+for bit.  The tests check every cell against the published loop, extended by
+the exact-zero policy below and the U2 update.
 
 An exact |Psi| = 0 during iteration divides by zero in the raw update.  At
 exactly-representable half-integer fluxes the singularity is removable and the
@@ -32,12 +34,12 @@ from functools import partial
 
 import numpy as np
 
-from .decimation import OrbitTerminated, apply_U, u_step
+from .decimation import OrbitTerminated, apply_U, frac, u_step
 
 log = logging.getLogger(__name__)
 
 # cells per row block of `render`: bounds the working arrays of `u_step` (and
-# the float lists of its atan2) that one block holds at a time
+# the complex array of its atan2) that one block holds at a time
 BLOCK_CELLS = 32768
 
 
@@ -97,7 +99,7 @@ def _next_cells(a, b, l, u2: bool, diagonal: bool):
     """One orbit step of live cells: (alpha, beta, lambda, exact Psi zero)."""
     st = u_step(a, b, l)
     if u2:
-        al_new = (4 * a) % 1.0
+        al_new = frac(4 * a)
         be_new = al_new if diagonal else b
     else:
         al_new, be_new = st.alpha_down, st.beta_down
@@ -112,49 +114,42 @@ def _render_block(cfg: RasterConfig, alphas: np.ndarray) -> tuple[np.ndarray, np
     lmd = np.tile(cfg.lambdas, ga)
     th, num_iter, u2 = cfg.threshold, cfg.max_iters, cfg.map == "U2"
 
+    # the live cells, compacted: escaped cells and orbits terminated at an exact
+    # Psi zero (retained) leave idx, al, be and lmd as they go
+    idx = np.arange(n)
     esc = np.full(n, -1, dtype=np.int32)
-    alive = np.ones(n, dtype=bool)
-    term_retained = np.zeros(n, dtype=bool)  # orbit terminated at exact Psi zero
-
     with np.errstate(all="ignore"):
         for k in range(num_iter):
-            checking = alive & ~term_retained
-            bad = np.zeros(n, dtype=bool)
-            bad[checking] = ~(np.abs(lmd[checking]) < th)
-            esc[bad] = k
-            alive &= ~bad
-            if k == num_iter - 1:
+            inside = np.abs(lmd) < th
+            if not inside.all():
+                esc[idx[~inside]] = k
+                idx, al, be, lmd = idx[inside], al[inside], be[inside], lmd[inside]
+            if k == num_iter - 1 or idx.size == 0:
                 break
-            idx = np.flatnonzero(alive & ~term_retained)
-            if idx.size == 0:
-                break
-            a = al[idx]
-            b = be[idx]
-            l = lmd[idx]
-            al_new, be_new, lmd_new, zero = _next_cells(a, b, l, u2, cfg.beta_mode == "diagonal")
+            al_new, be_new, lmd_new, zero = _next_cells(al, be, lmd, u2, cfg.beta_mode == "diagonal")
             if zero.any():
+                live = np.ones(idx.size, dtype=bool)
                 for pos in np.flatnonzero(zero):
-                    nxt = _continue_exact_zero(float(a[pos]), float(b[pos]), float(l[pos]))
+                    nxt = _continue_exact_zero(float(al[pos]), float(be[pos]), float(lmd[pos]))
                     if nxt is None:
-                        term_retained[idx[pos]] = True
+                        live[pos] = False
                     elif u2:
                         lmd_new[pos] = nxt[2]
                     else:
                         al_new[pos], be_new[pos], lmd_new[pos] = nxt
-            al[idx] = al_new
-            be[idx] = be_new
-            lmd[idx] = lmd_new
+                idx, al_new, be_new, lmd_new = idx[live], al_new[live], be_new[live], lmd_new[live]
+            al, be, lmd = al_new, be_new, lmd_new
 
-    retained = alive | term_retained
-    esc[retained] = -1
+    retained = esc < 0
     return retained.reshape(ga, gl), esc.reshape(ga, gl)
 
 
 def render(config: RasterConfig, threads: int = 1) -> Raster:
     """Rasterize the filled-orbit set in row blocks of at most BLOCK_CELLS cells,
     serially or over a pool of `threads`; the block count is a multiple of the
-    thread count, so the threads finish together.  Cells are independent, so
-    every thread count gives the same bits."""
+    thread count.  A block's work follows its share of cells that stay live,
+    so blocks of equal size need not finish together.  Cells are independent,
+    so every thread count gives the same bits."""
     workers = max(threads, 1)
     rounds = -(-config.grid_alpha * config.grid_lambda // (BLOCK_CELLS * workers))
     blocks = np.array_split(config.alphas, min(rounds * workers, config.grid_alpha))

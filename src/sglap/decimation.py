@@ -5,11 +5,13 @@
 quartic A, the cubic D (determinant of one 3x3 cell of the midpoint block), the
 complex coupling Psi, its argument, the renormalized eigenvalue R and the
 evolved fluxes.  Its operation order is the butterfly's multiply chain (explicit
-products, 16*sqrt(re*re+im*im), libm atan2), so butterfly rasters stay bitwise
-equal to the published loop; it computes with numpy ufuncs, so escaped orbits
-give inf/NaN rather than math domain errors.  `decimation_kit` is its scalar
-view with the spectral-similarity prefactor phi = |Psi|/4D, except that at
-the dyadic pairs its theta, R and evolved fluxes are those of `_step`.
+products, 16*sqrt(re*re+im*im), libm atan2 as the argument of the complex log),
+so butterfly rasters stay bitwise equal to the published loop; subexpressions
+shared between its products keep that order, and `frac` is % 1.0 to the bit.
+It computes with numpy ufuncs, so escaped orbits give inf/NaN rather than math
+domain errors.  `decimation_kit` is its scalar view with the
+spectral-similarity prefactor phi = |Psi|/4D, except that at the dyadic pairs
+its theta, R and evolved fluxes are those of `_step`.
 
 `_step` is the one exact step, in the |Psi| convention at every flux (`u_step`,
 with D over its exact roots where beta alone is dyadic, or the QUADRATICS at
@@ -99,11 +101,25 @@ def cell_cubic_d(beta: float, lam):
 
 
 def _atan2(im, re):
-    # math.atan2 per element: numpy's arctan2 is not bit-identical to libm
+    # atan2 per element as arg(re + i im): glibc's clog takes its imaginary part
+    # from atan2, so it is libm's atan2 to the bit, and the complex log runs
+    # without the GIL; numpy's arctan2 is not bit-identical to libm.  log(0j)
+    # divides by zero in the real part, which is not read.
     if np.ndim(im) == 0:
         return math.atan2(im, re)
-    out = np.fromiter(map(math.atan2, im.ravel().tolist(), re.ravel().tolist()), float, count=im.size)
-    return out.reshape(im.shape)
+    z = np.empty(im.shape, dtype=complex)
+    z.real = re
+    z.imag = im
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(z, out=z).imag
+
+
+def frac(x):
+    """x % 1.0 to the bit, elementwise, without numpy's divmod: for x >= 0,
+    x - floor(x) is the exact fraction (+0 at integers), and for x < 0 it is
+    the one rounding of fmod(x, 1) + 1, which is what % rounds; inf and NaN
+    give NaN either way."""
+    return x - np.floor(x)
 
 
 @dataclass(frozen=True)
@@ -124,13 +140,18 @@ class UStep:
     def arg(self):
         return _atan2(self.im, self.re)
 
+    @cached_property
+    def _turn(self):
+        # the theta term 3 arg / 2 / pi of both evolved fluxes, in their order
+        return 3 * self.arg / 2 / math.pi
+
     @property
     def alpha_down(self):
-        return (3 * self.alpha + self.beta + 3 * self.arg / 2 / math.pi) % 1.0
+        return frac(3 * self.alpha + self.beta + self._turn)
 
     @property
     def beta_down(self):
-        return (3 * self.beta + self.alpha - 3 * self.arg / 2 / math.pi) % 1.0
+        return frac(3 * self.beta + self.alpha - self._turn)
 
 
 def u_step(alpha, beta, lam) -> UStep:
@@ -141,15 +162,22 @@ def u_step(alpha, beta, lam) -> UStep:
     xs = np.sin(TWO_PI * a)
     y = np.cos(TWO_PI * b)
     ys = np.sin(TWO_PI * b)
+    # subexpressions shared by the products below, each in the operation order
+    # of every product it stands in (2 * xs * x is (2 * xs) * x, and -one_l / 4
+    # is (-one_l) / 4, which is -(one_l / 4): rounding is sign-symmetric)
+    x2 = x * x - xs * xs
+    tx, txs, fx = 2 * x, 2 * xs, 4 * x
+    sx2 = txs * x
     cab = x * y - xs * ys
-    c2ab = (x * x - xs * xs) * y - 2 * xs * x * ys
-    s2ab = 2 * xs * x * y + ys * (x * x - xs * xs)
+    c2ab = x2 * y - sx2 * ys
+    s2ab = sx2 * y + ys * x2
     sab = xs * y + x * ys
     one_l = 1 - l
-    A = 16 * l * l - (32 + 4 * x) * l + 15 + 4 * x + cab
+    q = one_l / 4
+    A = 16 * l * l - (32 + fx) * l + 15 + fx + cab
     D = _cubic_d(l, y)
-    re = one_l * one_l - 1 / 16 + one_l / 4 * (2 * x + c2ab) + 1 / 16 * (x * x - xs * xs + 2 * cab)
-    im = -one_l / 4 * (2 * xs + s2ab) - 1 / 16 * (2 * x * xs + 2 * sab)
+    re = one_l * one_l - 1 / 16 + q * (tx + c2ab) + 1 / 16 * (x2 + 2 * cab)
+    im = -q * (txs + s2ab) - 1 / 16 * (tx * xs + 2 * sab)
     with np.errstate(divide="ignore", invalid="ignore"):
         R = 1 + (A - 64 * D * one_l) / (16 * np.sqrt(re * re + im * im))
     return UStep(a, b, A, D, re, im, R)
@@ -454,8 +482,8 @@ def _gluing(alpha, beta, level: int, lam) -> tuple[np.ndarray, np.ndarray, np.nd
     Returns (j, scale, mu): j[m], (3, P), the junction eigenvalues of step m
     < level and scale[m] its rescaling (`_gluing_step`), and mu, (3, P), the
     eigenvalues of the last corner block M~_level.  Every result of the
-    recursion is read off these: the count and the singular flag (`_glue`)
-    and the log-determinant (`gluing_log_det`).
+    recursion is read off these: the count (`_glue`), the singular flag
+    (`_singular`) and the log-determinant (`gluing_log_det`).
     """
     # u per probe even at scalar fluxes: numpy's scalar arithmetic rounds
     # otherwise, and the two calls must agree to the bit
@@ -467,21 +495,32 @@ def _gluing(alpha, beta, level: int, lam) -> tuple[np.ndarray, np.ndarray, np.nd
     return j, scale, _circulant_eigenvalues(d, _cube_root(u))
 
 
+def _live(lam):
+    """The probes that `_glue` glues: lam in (0, 2]."""
+    return (lam > 0) & (lam <= 2)
+
+
 def _glue(alpha, beta, level: int, lam) -> tuple[np.ndarray, np.ndarray]:
     """Haynsworth's count of H = Deg (1 - lam) - W over the 1-d array lam,
-    saturated to 0 or dim_level outside (0, 2], and which probes met a
-    singular junction block (their count is not to be used).  alpha and beta
-    are scalars, or 1-d arrays with one pair per probe."""
+    saturated to 0 or dim_level outside (0, 2], and the junction eigenvalues j,
+    (level, 3, L), of the L probes inside (`_live`).  alpha and beta are
+    scalars, or 1-d arrays with one pair per probe."""
     count = np.where(lam > 2, dim_n(level), 0)
-    singular = np.zeros(lam.size, dtype=bool)
-    live = np.flatnonzero((lam > 0) & (lam <= 2))
+    live = np.flatnonzero(_live(lam))
     if np.ndim(alpha):
         alpha, beta = alpha[live], beta[live]
     j, _, mu = _gluing(alpha, beta, level, lam[live])
     count[live] = 3 ** np.arange(level)[::-1] @ (j < 0).sum(axis=1) + (mu < 0).sum(axis=0)
+    return count, j
+
+
+def _singular(lam, j):
+    """Which probes of `_glue`(..., lam) met a junction block singular to
+    working precision, from its j (their count is not to be used)."""
     size = np.abs(j)
-    singular[live] = (size.min(axis=1) <= JUNCTION_TOL * size.max(axis=1)).any(axis=0)
-    return count, singular
+    singular = np.zeros(lam.size, dtype=bool)
+    singular[_live(lam)] = (size.min(axis=1) <= JUNCTION_TOL * size.max(axis=1)).any(axis=0)
+    return singular
 
 
 def gluing_count(alpha, beta, level: int, lam) -> tuple[np.ndarray, np.ndarray]:
@@ -504,11 +543,13 @@ def gluing_count(alpha, beta, level: int, lam) -> tuple[np.ndarray, np.ndarray]:
     singular block again, the count is -1: undetermined, never a wrong number.
     """
     alpha, beta, lam = np.broadcast_arrays(*(np.asarray(v, dtype=float).ravel() for v in (alpha, beta, lam)))
-    count, fired = _glue(alpha, beta, level, lam)
+    count, j = _glue(alpha, beta, level, lam)
+    fired = _singular(lam, j)
     if fired.any():
         f = np.flatnonzero(fired)
         shifted = np.concatenate([lam[f] - JUNCTION_SHIFT, lam[f] + JUNCTION_SHIFT])
-        both, again = _glue(np.tile(alpha[f], 2), np.tile(beta[f], 2), level, shifted)
+        both, j = _glue(np.tile(alpha[f], 2), np.tile(beta[f], 2), level, shifted)
+        again = _singular(shifted, j)
         lo, hi = both[:f.size], both[f.size:]
         count[f] = np.where((lo == hi) & ~again[:f.size] & ~again[f.size:], lo, -1)
     return count, fired

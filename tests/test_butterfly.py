@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from sglap.butterfly import RasterConfig, Raster, render, write_raster
-from sglap.decimation import OrbitTerminated, apply_U
+from sglap.butterfly import BLOCK_CELLS, RasterConfig, Raster, render, write_raster
+from sglap.decimation import OrbitTerminated, apply_U, u_step
 
 from _reference import reference_cell
 
@@ -142,6 +142,74 @@ def test_exact_psi_zero_policy_diverges_from_reference_deliberately():
             # non-dyadic alpha with a zero at the first step: map undefined, cell retained
             if a not in (0.0, 0.5, 1.0) and _policy_cell(a, 0.0, 1.25, num_iter=2)[2]:
                 assert bool(r.retained[i, j]) and int(r.escape_iter[i, j]) == -1
+
+
+def test_multi_block_render_is_bitwise_across_threads():
+    # more cells than BLOCK_CELLS, so every thread count splits the rows into
+    # blocks (2, 2 and 3 of them), and the lambda = 5/4 column at beta = 0 puts
+    # exact Psi zeros in each: continued orbits at the dyadic alphas 0, 1/2, 1
+    # and orbits terminated at the others
+    cfg = RasterConfig(grid_alpha=129, grid_lambda=257, beta_mode=0.0)
+    assert cfg.grid_alpha * cfg.grid_lambda > BLOCK_CELLS
+    j = list(cfg.lambdas).index(1.25)
+    rasters = [render(cfg, threads=t) for t in (1, 2, 3)]
+    for r in rasters[1:]:
+        assert np.array_equal(r.retained, rasters[0].retained)
+        assert np.array_equal(r.escape_iter, rasters[0].escape_iter)
+    r = rasters[0]
+    rng = np.random.default_rng(17)
+    cells = [(i, j) for i in range(cfg.grid_alpha)]
+    cells += [(int(i), int(k)) for i, k in zip(rng.integers(cfg.grid_alpha, size=64), rng.integers(cfg.grid_lambda, size=64))]
+    zero_rows = set()
+    for i, k in cells:
+        a, l = float(cfg.alphas[i]), float(cfg.lambdas[k])
+        ret, it, hits = _policy_cell(a, 0.0, l, cfg.threshold, cfg.max_iters, diagonal=False)
+        assert (ret, it) == (bool(r.retained[i, k]), int(r.escape_iter[i, k])), (a, l)
+        if hits and k == j:
+            zero_rows.add(i)
+    for rows in np.array_split(np.arange(cfg.grid_alpha), 3):
+        assert zero_rows & set(rows.tolist())
+    assert {0, 64, 128} <= zero_rows  # the dyadic alphas continue through the zero
+    # a non-dyadic alpha whose first step meets the zero is retained at once
+    assert any(_policy_cell(float(cfg.alphas[i]), 0.0, 1.25, num_iter=2)[2] and r.escape_iter[i, j] == -1
+               for i in zero_rows - {0, 64, 128})
+
+
+def test_u_step_is_the_reference_step_bitwise():
+    # u_step shares subexpressions of the reference's arithmetic; each shared
+    # value keeps the operation order of what it replaces, so every output is
+    # the reference's to the bit
+    rng = np.random.default_rng(3)
+    alphas, betas = rng.uniform(0.0, 1.0, (2, 2000))
+    lams = np.concatenate([rng.uniform(-1.0, 3.0, 1000), rng.uniform(-1e6, 1e6, 1000)])
+    st = u_step(alphas, betas, lams)
+    got = np.array([st.A, st.D, st.re, st.im, st.arg, st.R, st.alpha_down, st.beta_down])
+    for n, (al, be, lmd) in enumerate(zip(alphas.tolist(), betas.tolist(), lams.tolist())):
+        x = math.cos(2 * math.pi * al)
+        xs = math.sin(2 * math.pi * al)
+        y = math.cos(2 * math.pi * be)
+        ys = math.sin(2 * math.pi * be)
+        cosaplusb = x * y - xs * ys
+        cosa2plusb = (x * x - xs * xs) * y - 2 * xs * x * ys
+        sinaplusb = xs * y + x * ys
+        sina2plusb = 2 * xs * x * y + ys * (x * x - xs * xs)
+        A = 16 * lmd * lmd - (32 + 4 * x) * lmd + 15 + 4 * x + cosaplusb
+        D = -(lmd * lmd * lmd) + 3 * lmd * lmd - 45 / 16 * lmd + 13 / 16 - y / 32
+        re_psi = (
+            (1 - lmd) * (1 - lmd)
+            - 1 / 16
+            + (1 - lmd) / 4 * (2 * x + cosa2plusb)
+            + 1 / 16 * (x * x - xs * xs + 2 * cosaplusb)
+        )
+        im_psi = -(1 - lmd) / 4 * (2 * xs + sina2plusb) - 1 / 16 * (
+            2 * x * xs + 2 * sinaplusb
+        )
+        theta = math.atan2(im_psi, re_psi)
+        den = 16 * math.sqrt(re_psi * re_psi + im_psi * im_psi)
+        num = A - 64 * D * (1 - lmd)
+        want = [A, D, re_psi, im_psi, theta, 1 + num / den,
+                (3 * al + be + 3 * theta / 2 / math.pi) % 1.0, (3 * be + al - 3 * theta / 2 / math.pi) % 1.0]
+        assert np.array_equal(got[:, n].view(np.int64), np.array(want).view(np.int64)), (al, be, lmd)
 
 
 def test_u2_map_renders_and_differs_from_u():

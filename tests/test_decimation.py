@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sglap import butterfly
 from sglap.decimation import (
     OrbitTerminated,
+    _atan2,
     _roots_below,
     _step,
     apply_U,
@@ -17,6 +19,7 @@ from sglap.decimation import (
     classify,
     decimation_kit,
     exceptional_set,
+    frac,
     psi_real_zeros,
     r_dlam,
     u_step,
@@ -210,6 +213,58 @@ def test_escaped_kit_orbit_ends_in_none_not_nan():
             assert math.isfinite(step.R)
             flux, lam = FluxPair(step.alpha_down, step.beta_down), step.R
     assert step.R is None and abs(lam) > 1e77
+
+
+def _same_bits(got, want):
+    """Bit for bit, sign of zero included; every NaN counts as one value."""
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and np.array_equal(got.view(np.int64)[~nan], want.view(np.int64)[~nan])
+
+
+_SPECIAL = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 1e-310, -1e-310, 5e-324, -5e-324, 1e308, -1e308]
+
+
+def test_atan2_is_libm_bitwise(monkeypatch):
+    # the array path of _atan2 is the imaginary part of the complex log; it must
+    # be libm's atan2 to the bit, or butterfly rasters drift from the reference
+    rng = np.random.default_rng(20190912)
+    n = 100_000
+    im, re = rng.choice([-1.0, 1.0], (2, n)) * 10.0 ** rng.uniform(-300, 300, (2, n))
+    grid_im, grid_re = np.array([(i, r) for i in _SPECIAL for r in _SPECIAL]).T
+    steps = []
+
+    def recording_u_step(*args):
+        st = u_step(*args)
+        steps.append((st.im, st.re))
+        return st
+
+    monkeypatch.setattr(butterfly, "u_step", recording_u_step)
+    butterfly.render(butterfly.RasterConfig(grid_alpha=61, grid_lambda=61))
+    assert len(steps) >= 3
+    for im, re in [(im, re), (grid_im, grid_re), *steps[:3]]:
+        want = np.array([math.atan2(i, r) for i, r in zip(im.tolist(), re.tolist())])
+        assert _same_bits(_atan2(im, re), want)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _same_bits(_atan2(np.array([0.0, -0.0, 0.0, -0.0]), np.array([0.0, 0.0, -0.0, -0.0])),
+                          np.array([0.0, -0.0, math.pi, -math.pi]))
+
+
+def test_frac_is_mod_one_bitwise():
+    # frac stands in for % 1.0 in the evolved fluxes of u_step and the U2 map
+    rng = np.random.default_rng(7)
+    x = np.concatenate([
+        rng.uniform(-5.0, 5.0, 50_000),
+        rng.choice([-1.0, 1.0], 50_000) * 10.0 ** rng.uniform(-320, 300, 50_000),
+        np.nextafter(np.arange(-8.0, 8.0, 0.25), math.inf),
+        np.nextafter(np.arange(-8.0, 8.0, 0.25), -math.inf),
+        np.arange(-8.0, 8.0, 0.25),
+        [2.0**52 + 0.5, -(2.0**52) - 0.5, 2.0**53, -(2.0**53), -1e-17, 1 - 1e-16, *_SPECIAL],
+    ])
+    want = np.array([v % 1.0 if math.isfinite(v) else math.nan for v in x.tolist()])
+    with np.errstate(invalid="ignore"):
+        assert _same_bits(frac(x), want)
+        assert _same_bits(frac(x), x % 1.0)
 
 
 def test_orbit_terminates_on_exact_psi_zero():
