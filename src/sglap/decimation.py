@@ -8,17 +8,21 @@ evolved fluxes.  Its operation order is the butterfly's multiply chain (explicit
 products, 16*sqrt(re*re+im*im), libm atan2 as the argument of the complex log),
 so butterfly rasters stay bitwise equal to the published loop; subexpressions
 shared between its products keep that order, and `frac` is % 1.0 to the bit.
-It computes with numpy ufuncs, so escaped orbits give inf/NaN rather than math
-domain errors.  `decimation_kit` is its scalar view with the
-spectral-similarity prefactor phi = |Psi|/4D, except that at the dyadic pairs
-its theta, R and evolved fluxes are those of `_step`.
+Arrays go through numpy ufuncs; three scalars go through Python floats with
+`math`'s cos, sin, sqrt and atan2, which give the same bits, and R's division
+by a zero |Psi| gives numpy's +-inf or NaN there too.  Either way escaped
+orbits give inf/NaN rather than errors.  `decimation_kit` is its scalar view
+with the spectral-similarity prefactor phi = |Psi|/4D, except that at the
+dyadic pairs its theta, R and evolved fluxes are those of `_step`, and that
+where Psi = 0 off them it has no theta, R or evolved fluxes.
 
 `_step` is the one exact step, in the |Psi| convention at every flux (`u_step`,
 with D over its exact roots where beta alone is dyadic, or the QUADRATICS at
-the dyadic pairs); `apply_U` is its scalar view.  The
-similarity S_N = phi (L_{N-1}' - R I) gives one count per step,
-`one_step_count`, with k = `_roots_below`; the verifier checks the spectrum
-against it.
+the dyadic pairs), over arrays of probes: `enumerator.decimation_verify` steps
+all its cuts in one call, and `apply_U` is its view for one lambda, which
+raises OrbitTerminated where R is not finite.  The similarity S_N = phi
+(L_{N-1}' - R I) gives one count per step, `one_step_count`, with k =
+`_roots_below`; the verifier checks the spectrum against it.
 
 Counting never follows U.  The gasket is finitely ramified, so at fixed
 lambda each sub-gasket reduces to a 3x3 Hermitian block on its corners, and
@@ -79,6 +83,9 @@ TINY = np.finfo(float).tiny
 class OrbitTerminated(Exception):
     """Psi = 0: theta and hence the renormalization map are undefined here."""
 
+    def __init__(self, alpha, beta, lam):
+        super().__init__(f"Psi = 0 at (alpha={alpha}, beta={beta}, lambda={lam})")
+
 
 def _cubic_d(lam, cos_beta):
     return -(lam * lam * lam) + 3 * lam * lam - 45 / 16 * lam + 13 / 16 - cos_beta / 32
@@ -118,7 +125,9 @@ def frac(x):
     """x % 1.0 to the bit, elementwise, without numpy's divmod: for x >= 0,
     x - floor(x) is the exact fraction (+0 at integers), and for x < 0 it is
     the one rounding of fmod(x, 1) + 1, which is what % rounds; inf and NaN
-    give NaN either way."""
+    give NaN either way.  A float is reduced by % itself."""
+    if isinstance(x, float):
+        return x % 1.0
     return x - np.floor(x)
 
 
@@ -154,14 +163,36 @@ class UStep:
         return frac(3 * self.beta + self.alpha - self._turn)
 
 
+def _float_divide(num, den):
+    """num / den for floats as numpy divides them, den >= 0: +-inf or NaN at 0."""
+    if den:
+        return num / den
+    return math.copysign(math.inf, num) if num != 0 and num == num else math.nan
+
+
+def _array_divide(num, den):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return num / den
+
+
+_FLOAT_OPS = (math.cos, math.sin, math.sqrt, _float_divide)
+_ARRAY_OPS = (np.cos, np.sin, np.sqrt, _array_divide)
+
+
 def u_step(alpha, beta, lam) -> UStep:
-    """U at (alpha, beta, lambda), elementwise over floats or arrays of one shape,
-    in double precision."""
-    a, b, l = (np.asarray(v, dtype=float) for v in (alpha, beta, lam))
-    x = np.cos(TWO_PI * a)
-    xs = np.sin(TWO_PI * a)
-    y = np.cos(TWO_PI * b)
-    ys = np.sin(TWO_PI * b)
+    """U at (alpha, beta, lambda), elementwise over arrays of one shape, in
+    double precision.  Three real scalars are computed as Python floats with
+    `math`, to the same bits (as `_atan2` takes libm's atan2 for them)."""
+    if all(isinstance(v, (float, int)) for v in (alpha, beta, lam)):
+        a, b, l = float(alpha), float(beta), float(lam)
+        cos, sin, sqrt, divide = _FLOAT_OPS
+    else:
+        a, b, l = (np.asarray(v, dtype=float) for v in (alpha, beta, lam))
+        cos, sin, sqrt, divide = _ARRAY_OPS
+    x = cos(TWO_PI * a)
+    xs = sin(TWO_PI * a)
+    y = cos(TWO_PI * b)
+    ys = sin(TWO_PI * b)
     # subexpressions shared by the products below, each in the operation order
     # of every product it stands in (2 * xs * x is (2 * xs) * x, and -one_l / 4
     # is (-one_l) / 4, which is -(one_l / 4): rounding is sign-symmetric)
@@ -178,8 +209,7 @@ def u_step(alpha, beta, lam) -> UStep:
     D = _cubic_d(l, y)
     re = one_l * one_l - 1 / 16 + q * (tx + c2ab) + 1 / 16 * (x2 + 2 * cab)
     im = -q * (txs + s2ab) - 1 / 16 * (tx * xs + 2 * sab)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        R = 1 + (A - 64 * D * one_l) / (16 * np.sqrt(re * re + im * im))
+    R = 1 + divide(A - 64 * D * one_l, 16 * sqrt(re * re + im * im))
     return UStep(a, b, A, D, re, im, R)
 
 
@@ -201,41 +231,45 @@ class DecimationStep:
     D: float
     Psi: complex
     absPsi: float
-    theta: float
+    theta: float | None
     R: float | None
     phi: float | None
-    alpha_down: float
-    beta_down: float
+    alpha_down: float | None
+    beta_down: float | None
 
 
-def _finite(x: float) -> float | None:
-    return x if math.isfinite(x) else None
+def _finite(x: float | None) -> float | None:
+    return x if x is not None and math.isfinite(x) else None
 
 
 def decimation_kit(flux: FluxPair, lam: float) -> DecimationStep:
     """One step of U as scalars: A, D and Psi from `u_step`.  At the dyadic pairs
     theta, R and the evolved fluxes are those of `_step` (the quadratics, as in
     `apply_U`), since there `u_step`'s Psi carries sin(pi) noise; elsewhere they
-    are `u_step`'s too, and R is None where Psi = 0.  phi is None where D = 0.
-    Both are None where an escaped orbit overflows double precision (R does
-    from |lambda| ~ 1e77), and the overflow raises no RuntimeWarning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        st = u_step(flux.alpha, flux.beta, lam)
-        if flux.is_dyadic():
-            pair = dyadic(flux.alpha), dyadic(flux.beta)
-            name = next(n for n, (p, _, _) in QUADRATICS.items() if p == pair)
-            _, _, a_down, b_down, R = map(float, _pair_step(name, lam))
-            theta = mod1(a_down - 3 * pair[0] - pair[1])  # the half-turn twist, 0 or 1/2
-        else:
-            a_down, b_down, R = float(st.alpha_down), float(st.beta_down), float(st.R)
-            theta = mod1(st.arg / TWO_PI)
+    are `u_step`'s too.  Where Psi = 0 off the dyadic grid theta is undefined
+    (`apply_U` raises OrbitTerminated), and theta, R and the evolved fluxes are
+    None.  phi is None where D = 0.  R and phi are None where an escaped orbit
+    overflows double precision (R does from |lambda| ~ 1e77); the overflow
+    raises no RuntimeWarning, since a float lambda is stepped in floats."""
+    lam = float(lam)
+    st = u_step(flux.alpha, flux.beta, lam)
     Psi = complex(st.re, st.im)
+    if flux.is_dyadic():
+        pair = dyadic(flux.alpha), dyadic(flux.beta)
+        name = next(n for n, (p, _, _) in QUADRATICS.items() if p == pair)
+        _, _, a_down, b_down, R = map(float, _pair_step(name, lam))
+        theta = mod1(a_down - 3 * pair[0] - pair[1])  # the half-turn twist, 0 or 1/2
+    elif Psi:
+        a_down, b_down, R = st.alpha_down, st.beta_down, st.R
+        theta = mod1(st.arg / TWO_PI)
+    else:
+        a_down = b_down = R = theta = None
     absPsi = abs(Psi)
-    D = float(st.D)
+    D = st.D
     return DecimationStep(
         flux=flux,
         lam=lam,
-        A=float(st.A),
+        A=st.A,
         D=D,
         Psi=Psi,
         absPsi=absPsi,
@@ -331,7 +365,7 @@ def apply_U(alpha: float, beta: float, lam: float) -> tuple[float, float, float]
     flux = FluxPair(alpha, beta)
     _, _, a, b, r = _step(np.array([flux.alpha]), np.array([flux.beta]), np.array([lam]))
     if not np.isfinite(r[0]):
-        raise OrbitTerminated(f"Psi = 0 at (alpha={alpha}, beta={beta}, lambda={lam})")
+        raise OrbitTerminated(alpha, beta, lam)
     return float(a[0]), float(b[0]), float(r[0])
 
 

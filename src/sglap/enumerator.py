@@ -33,8 +33,10 @@ from .decimation import (
     QUADRATICS,
     OrbitTerminated,
     _roots_below,
-    apply_U,
-    cell_cubic_d,
+    _step,
+    # apply_U is not called here; perfbench/selftest.py checks that its
+    # tracer wraps this from-import site
+    apply_U,  # noqa: F401
     classify,
     gluing_count,
     one_step_count,
@@ -205,21 +207,24 @@ def decimation_verify(flux: FluxPair, level: int) -> VerificationReport:
 
     Below a cut x, #{eig L_N < x} must equal `one_step_count`(N, k, c), with k
     from `_roots_below` and c = #{eig L_(N-1)(alpha', beta') < R} at
-    (alpha', beta', R) = `apply_U`(alpha, beta, x).  The cuts are BRACKET's
-    ends and the midpoint of every gap between adjacent clusters of `spectrum`.
-    The level-N graph is built by `build_connection` and solved once through
-    `operator.eigenvalues`.  No level-(N-1) graph is built: one
-    `decimation.gluing_count` call at level N-1 counts c at every cut with a
-    finite R, each at its own (alpha', beta', R).  It never follows U, so the
-    check is not an identity at any level.  Where its singular-J rule fired
-    the note says so; where that rule leaves c undetermined (-1), the cut is
-    red.
+    (alpha', beta', R) = U(alpha, beta, x).  The cuts are BRACKET's ends and
+    the midpoint of every gap between adjacent clusters of `spectrum`.  The
+    level-N graph is built by `build_connection` and solved once through
+    `operator.eigenvalues`.  One `decimation._step` call over every cut takes
+    the step of U (the batched `apply_U`: its rows D, alpha', beta' and R),
+    and k, the predicted and the observed counts are worked out as arrays.  No
+    level-(N-1) graph is built: one `decimation.gluing_count` call at level
+    N-1 counts c at every cut with a finite R, each at its own (alpha', beta',
+    R).  It never follows U, so the check is not an identity at any level.
+    Where its singular-J rule fired the note says so; where that rule leaves c
+    undetermined (-1), the cut is red.
 
     Each cluster gets one entry, judged by the two cuts around it; its note
     gives the predicted and observed count at both.  Clusters within LABEL_TOL
     of a D root or a real Psi zero are labelled d-root or psi-zero and carry
     their `classify` tag.  A cut where Psi vanishes exactly off the dyadic grid
-    has no R, and the clusters beside it are informational.
+    has no R, and the clusters beside it are informational; the note gives the
+    text of `apply_U`'s OrbitTerminated there.
     """
     if level < 1:
         raise ValueError("verification needs a previous level")
@@ -228,30 +233,27 @@ def decimation_verify(flux: FluxPair, level: int) -> VerificationReport:
     d_roots = zeros_of_D(flux.beta)
 
     ends = np.cumsum([m for _, m in sp.pairs])[:-1]
-    cuts = [BRACKET[0], *((sp.raw[ends - 1] + sp.raw[ends]) / 2).tolist(), BRACKET[1]]
-    steps: list[tuple[float, float, float] | str] = []
-    for x in cuts:
-        try:
-            steps.append(apply_U(flux.alpha, flux.beta, x))
-        except OrbitTerminated as exc:
-            steps.append(str(exc))
-    ad, bd, rs = np.array([s for s in steps if isinstance(s, tuple)]).reshape(-1, 3).T
-    reduced = iter(zip(*gluing_count(ad, bd, level - 1, rs)))
+    cuts = np.array([BRACKET[0], *((sp.raw[ends - 1] + sp.raw[ends]) / 2), BRACKET[1]])
+    d, _, ad, bd, rs = _step(np.full(cuts.size, flux.alpha), np.full(cuts.size, flux.beta), cuts)
+    finite = np.isfinite(rs)
+    c = np.full(cuts.size, -1)
+    fired = np.zeros(cuts.size, dtype=bool)
+    c[finite], fired[finite] = gluing_count(ad[finite], bd[finite], level - 1, rs[finite])
+    k = _roots_below(cuts, d)
+    want = one_step_count(level, k, c)
+    got = np.searchsorted(sp.raw, cuts)
 
-    def judge(x: float, step) -> tuple[bool | None, str]:
-        if isinstance(step, str):
-            return None, f"below {x:.10g}: {step}"
-        c, fired = map(int, next(reduced))
-        k = int(_roots_below(x, cell_cubic_d(flux.beta, x)))
-        want = int(one_step_count(level, k, c))
-        got = int(np.searchsorted(sp.raw, x))
+    def judge(x, k, c, fired, want, got, finite) -> tuple[bool | None, str]:
+        if not finite:
+            return None, f"below {x:.10g}: {OrbitTerminated(flux.alpha, flux.beta, x)}"
         note = f"below {x:.10g}: predicted {want} (k={k}, c={c}), observed {got}"
         if fired:
             undetermined = ", where the two differ" if c < 0 else ""
             note += f" (singular junction block: c counted at R -+ {JUNCTION_SHIFT:g}{undetermined})"
         return c >= 0 and want == got, note
 
-    verdicts = [judge(x, step) for x, step in zip(cuts, steps)]
+    columns = (cuts, k, c, fired, want, got, finite)
+    verdicts = [judge(*row) for row in zip(*(col.tolist() for col in columns))]
     special = [(r, "d-root") for r, _ in d_roots] + [(z, "psi-zero") for z in psi_real_zeros(flux)]
 
     entries: list[VerificationEntry] = []

@@ -85,6 +85,20 @@ class GasketGraph:
                 sign.append(1.0 if u < v else -1.0)
         return np.array(edge), np.array(sign), np.array(start)
 
+    @cached_property
+    def midpoint_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """The side-2 upright triangles of a level N >= 1 gasket, one row each:
+        (midpoints, corners), two (3^(N-1), 3) id arrays.  A triangle at origin
+        o has corners o, o + (2, 0), o + (0, 2) on the level N-1 sublattice and
+        the midpoints o + (1, 0), o + (1, 1), o + (0, 1), which are adjacent
+        only to each other and to its corners: the midpoint block of an
+        operator is 3x3 block-diagonal over these rows."""
+        ids = self.coord_to_id
+        origins = [(i - 1, j) for _, (i, j) in self.vertices if i % 2 and not j % 2]
+        mids = [(ids[(i + 1, j)], ids[(i + 1, j + 1)], ids[(i, j + 1)]) for i, j in origins]
+        corners = [(ids[(i, j)], ids[(i + 2, j)], ids[(i, j + 2)]) for i, j in origins]
+        return np.array(mids), np.array(corners)
+
     def upright_cells(self) -> list[UnitCell]:
         return [c for c in self.cells if c.orientation == "upright"]
 

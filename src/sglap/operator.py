@@ -14,8 +14,9 @@ stays the oracle the engine is checked against, and the only path
 SPECTRUM_DIM_CAP binds.  `log_determinant` reads the gluing recursion at
 lambda = 0 (`decimation.gluing_log_det`, O(N) work) at every uniform flux
 pair and every level; the dense oracle takes the rest.  Also here:
-multiplicity clustering and the Schur complement onto the previous level (a
-block elimination of the midpoint vertices from the operator's entries).
+multiplicity clustering and the Schur complement onto the previous level (the
+midpoint vertices eliminated from the operator's entries one side-2 triangle
+at a time).
 """
 
 from __future__ import annotations
@@ -131,13 +132,12 @@ def eigenvalues(op: MagneticOperator) -> np.ndarray:
 
 def cluster(evs: np.ndarray) -> Spectrum:
     """Sorted eigenvalues as (mean, multiplicity) pairs: a gap of CLUSTER_TOL splits."""
-    pairs: list[tuple[float, int]] = []
-    start = 0
-    for i in range(1, len(evs) + 1):
-        if i == len(evs) or evs[i] - evs[i - 1] >= CLUSTER_TOL:
-            pairs.append((float(np.mean(evs[start:i])), i - start))
-            start = i
-    return Spectrum(pairs, evs)
+    starts = np.flatnonzero(np.diff(evs, prepend=-np.inf) >= CLUSTER_TOL)
+    sizes = np.diff(starts, append=len(evs))
+    means = evs[starts].tolist()  # a singleton is its own mean
+    for k in np.flatnonzero(sizes > 1).tolist():
+        means[k] = float(np.mean(evs[starts[k]:starts[k] + sizes[k]]))
+    return Spectrum(list(zip(means, sizes.tolist())), evs)
 
 
 def spectrum(op: MagneticOperator) -> Spectrum:
@@ -149,7 +149,10 @@ def schur_complement(op: MagneticOperator, lam: float) -> np.ndarray:
 
     With M = L - lam I, corners c = prev_level_ids in ascending order and
     midpoints m the other vertices, returns M_cc - M_cm M_mm^{-1} M_mc.  M_mm
-    is block-diagonal over the side-2 upright triangles, and each block's
+    is block-diagonal over the side-2 upright triangles
+    (`GasketGraph.midpoint_cells`), so the midpoints are eliminated one
+    triangle at a time: each 3x3 block is solved against the entries to its
+    three corners and the result is subtracted from theirs.  Each block's
     determinant is the cell cubic D(beta, lam), so lam near a root of D is
     refused.
     """
@@ -168,12 +171,15 @@ def schur_complement(op: MagneticOperator, lam: float) -> np.ndarray:
             f"(D(beta={beta}, lambda) = {dval})"
         )
 
-    L, c = op.entries, sorted(graph.prev_level_ids)
-    m = np.setdiff1d(np.arange(op.dimension), c)
-    M_cc, M_mm = L[np.ix_(c, c)], L[np.ix_(m, m)]  # copies: subtract lam in place
-    M_cc[np.diag_indices_from(M_cc)] -= lam
-    M_mm[np.diag_indices_from(M_mm)] -= lam
-    return M_cc - L[np.ix_(c, m)] @ np.linalg.solve(M_mm, L[np.ix_(m, c)])
+    L, c = op.entries, np.array(sorted(graph.prev_level_ids))
+    mids, corners = graph.midpoint_cells
+    S = L[np.ix_(c, c)]  # a copy: subtract lam and the eliminated cells in place
+    S[np.diag_indices_from(S)] -= lam
+    M_mm = L[mids[:, :, None], mids[:, None, :]] - lam * np.eye(3)
+    fill = L[corners[:, :, None], mids[:, None, :]] @ np.linalg.solve(M_mm, L[mids[:, :, None], corners[:, None, :]])
+    at = np.searchsorted(c, corners)
+    np.subtract.at(S, (at[:, :, None], at[:, None, :]), fill)
+    return S
 
 
 def log_determinant(op: MagneticOperator, drop_zero: bool = False) -> tuple[float, int]:

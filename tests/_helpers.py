@@ -2,8 +2,27 @@
 
 import numpy as np
 
-from sglap.decimation import exceptional_set, numerator_psi_dlam, u_step
-from sglap.gauge import Connection, mod1
+from sglap import enumerator
+from sglap.decimation import (
+    BRACKET,
+    JUNCTION_SHIFT,
+    OrbitTerminated,
+    _roots_below,
+    apply_U,
+    cell_cubic_d,
+    classify,
+    exceptional_set,
+    gluing_count,
+    numerator_psi_dlam,
+    one_step_count,
+    psi_real_zeros,
+    u_step,
+    zeros_of_D,
+)
+from sglap.enumerator import LABEL_TOL, VerificationEntry, VerificationReport
+from sglap.gasket import build_gasket
+from sglap.gauge import Connection, build_connection, mod1
+from sglap.operator import assemble
 
 
 def reduced_connection_from_schur(S, phi, coarse):
@@ -109,3 +128,55 @@ def augmented_logdet(op, origin, c):
     if evs[0] <= 0.0:
         raise ArithmeticError(f"augmented Dirichlet Laplacian not positive definite ({evs[0]})")
     return float(np.sum(np.log(evs)))
+
+
+def dense_schur_complement(op, lam):
+    """M_cc - M_cm M_mm^{-1} M_mc with M = L - lam I by one dense solve of the
+    whole midpoint block: the oracle of `operator.schur_complement`."""
+    L, c = op.entries, sorted(op.graph.prev_level_ids)
+    m = np.setdiff1d(np.arange(op.dimension), c)
+    M_cc, M_mm = L[np.ix_(c, c)], L[np.ix_(m, m)]
+    M_cc[np.diag_indices_from(M_cc)] -= lam
+    M_mm[np.diag_indices_from(M_mm)] -= lam
+    return M_cc - L[np.ix_(c, m)] @ np.linalg.solve(M_mm, L[np.ix_(m, c)])
+
+
+def per_cut_verify(flux, level):
+    """`enumerator.decimation_verify` one cut at a time: a scalar `apply_U` and a
+    scalar count per cut, with the spectrum from `enumerator.spectrum` (so a
+    patched spectrum reaches both).  The oracle of the batched verifier."""
+    graph = build_gasket(level)
+    sp = enumerator.spectrum(assemble(graph, build_connection(graph, flux)))
+    ends = np.cumsum([m for _, m in sp.pairs])[:-1]
+    cuts = [BRACKET[0], *((sp.raw[ends - 1] + sp.raw[ends]) / 2).tolist(), BRACKET[1]]
+    verdicts = []
+    for x in cuts:
+        try:
+            a, b, r = apply_U(flux.alpha, flux.beta, x)
+        except OrbitTerminated as exc:
+            verdicts.append((None, f"below {x:.10g}: {exc}"))
+            continue
+        c, fired = (int(v[0]) for v in gluing_count(a, b, level - 1, r))
+        k = int(_roots_below(x, cell_cubic_d(flux.beta, x)))
+        want = int(one_step_count(level, k, c))
+        got = int(np.searchsorted(sp.raw, x))
+        note = f"below {x:.10g}: predicted {want} (k={k}, c={c}), observed {got}"
+        if fired:
+            undetermined = ", where the two differ" if c < 0 else ""
+            note += f" (singular junction block: c counted at R -+ {JUNCTION_SHIFT:g}{undetermined})"
+        verdicts.append((c >= 0 and want == got, note))
+    special = [(r, "d-root") for r, _ in zeros_of_D(flux.beta)]
+    special += [(z, "psi-zero") for z in psi_real_zeros(flux)]
+    entries = []
+    for (lam, mult), (ok_lo, lo), (ok_hi, hi) in zip(sp.pairs, verdicts, verdicts[1:]):
+        note = f"{lo}; {hi}"
+        if ok_lo is None or ok_hi is None:
+            entries.append(VerificationEntry(lam, mult, "informational", None, note))
+            continue
+        kind = "regular"
+        for value, label in special:
+            if abs(lam - value) <= LABEL_TOL:
+                kind, note = label, f"tag={classify(flux, value).case}; {note}"
+                break
+        entries.append(VerificationEntry(lam, mult, kind, ok_lo and ok_hi, note))
+    return VerificationReport(flux, level, LABEL_TOL, entries)

@@ -64,6 +64,14 @@ def test_kit_prints_strict_json_for_an_escaped_lambda(capsys):
     assert payload["R"] is None and payload["phi"] is None
 
 
+def test_kit_prints_null_theta_at_an_exact_psi_zero(capsys):
+    # Psi = 0 exactly at (0.3, 0, 5/4), off the dyadic grid: no theta, R or evolved flux
+    payload = run_json(capsys, "kit", "--alpha", "0.3", "--beta", "0", "--lambda", "1.25")
+    assert payload["Psi"] == {"re": 0.0, "im": 0.0}
+    for key in ("theta", "R", "alpha_down", "beta_down"):
+        assert payload[key] is None, key
+
+
 def test_spectrum_both_reports_match(capsys):
     payload = run_json(capsys, "spectrum", "--alpha", "1/2", "--beta", "0",
                        "--level", "2")

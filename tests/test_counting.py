@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from _helpers import dense_schur_complement, random_nonexceptional_lambda
 
 from sglap import decimation
 from sglap.decimation import decimation_eigenvalues, gluing_count
@@ -109,6 +110,20 @@ def test_gluing_count_matches_dense_counts(flux, level):
     got, fired = gluing_count(fp.alpha, fp.beta, level, probes)
     assert not fired.any()
     assert np.array_equal(got, np.searchsorted(dense, probes)), (flux, level)
+
+
+@pytest.mark.parametrize("level", range(1, 6))
+def test_schur_complement_matches_the_dense_oracle(level):
+    # the midpoints eliminated one side-2 triangle at a time against one dense
+    # solve of the whole midpoint block
+    rng = random.Random(level)
+    for flux in GLUING_FLUXES:
+        op = _op(flux, level)
+        for _ in range(3):
+            lam = random_nonexceptional_lambda(rng, FluxPair(*flux))
+            got, want = schur_complement(op, lam), dense_schur_complement(op, lam)
+            err = float(np.max(np.abs(got - want)))
+            assert err <= 1e-12 * float(np.max(np.abs(want))), (flux, level, lam, err)
 
 
 def test_gluing_count_takes_a_flux_pair_per_probe():

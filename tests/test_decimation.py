@@ -81,11 +81,13 @@ def test_kit_equals_kernel_on_arrays_bitwise():
         if FluxPair(a, b).is_dyadic():
             assert (kit.alpha_down, kit.beta_down, kit.R) == apply_U(a, b, lam), (a, b, lam)
             continue
-        assert same(kit.alpha_down, st.alpha_down[k]) and same(kit.beta_down, st.beta_down[k]), (a, b, lam)
         if kit.R is None:
+            # Psi = 0 off the dyadic grid: theta is undefined, as where apply_U raises
             assert st.re[k] == 0 and st.im[k] == 0
-        else:
-            assert same(kit.R, st.R[k]), (a, b, lam)
+            assert (kit.theta, kit.alpha_down, kit.beta_down) == (None, None, None)
+            continue
+        assert same(kit.alpha_down, st.alpha_down[k]) and same(kit.beta_down, st.beta_down[k]), (a, b, lam)
+        assert same(kit.R, st.R[k]), (a, b, lam)
     assert decimation_kit(FluxPair(0.3, 0.0), 1.25).R is None
 
 
@@ -273,6 +275,44 @@ def test_orbit_terminates_on_exact_psi_zero():
     assert st.re == 0 and st.im == 0
     with pytest.raises(OrbitTerminated):
         apply_U(0.3, 0.0, 1.25)
+
+
+def test_kit_has_no_theta_at_an_exact_psi_zero_off_the_grid():
+    # where apply_U raises, theta is undefined: the kit reports no theta, R or
+    # evolved flux there, rather than the atan2(0, 0) branch
+    for a, b, lam in [(0.3, 0.0, 1.25), (5 / 6, 0.0, 1.25)]:
+        with pytest.raises(OrbitTerminated):
+            apply_U(a, b, lam)
+        kit = decimation_kit(FluxPair(a, b), lam)
+        assert kit.Psi == 0 and math.isfinite(kit.A)
+        assert (kit.theta, kit.R, kit.alpha_down, kit.beta_down) == (None, None, None, None), (a, b, lam)
+
+
+_U_FIELDS = ("alpha", "beta", "A", "D", "re", "im", "R", "arg", "alpha_down", "beta_down")
+
+
+def test_scalar_u_step_is_the_array_path_bitwise():
+    # three floats are stepped in Python floats with math's cos, sin, sqrt and
+    # atan2, arrays with numpy: every field agrees to the bit, the escaped
+    # lambdas, the division at Psi = 0 and the signed zeros included, and the
+    # scalar path raises no RuntimeWarning (an error under pytest here)
+    rng = np.random.default_rng(20190913)
+    n, far = 100_000, 20_000
+    al, be = rng.uniform(-1.0, 2.0, (2, n))
+    lm = np.concatenate([rng.uniform(-0.5, 2.5, n - far),
+                         rng.choice([-1.0, 1.0], far) * 10.0 ** rng.uniform(-20.0, 250.0, far)])
+    edge = [(0.3, 0.0, 1.25), (5 / 6, 0.0, 1.25), (0.3, 0.1, 1e200), (0.3, 0.1, -1e200),
+            (0.3, 0.1, 0.0), (0.3, 0.1, -0.0), (0.5, 0.5, 0.75), (0.0, 0.0, 1.25)]
+    al, be, lm = (np.concatenate([v, e]) for v, e in zip((al, be, lm), zip(*edge)))
+    scalar = [u_step(a, b, l) for a, b, l in zip(al.tolist(), be.tolist(), lm.tolist())]
+    with np.errstate(over="ignore", invalid="ignore"):
+        array = u_step(al, be, lm)
+        want = {f: getattr(array, f) for f in _U_FIELDS}
+    for f in _U_FIELDS:
+        got = np.array([getattr(st, f) for st in scalar])
+        assert _same_bits(got, want[f]), f
+    assert all(type(getattr(st, f)) is float for st in scalar[-len(edge):] for f in _U_FIELDS)
+    assert np.isneginf(want["R"][n]) and np.isnan(want["R"][n + 2])
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.5, 0.23, 0.77, 1e-13, 0.5 + 1e-13])

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from _helpers import per_cut_verify
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -176,10 +177,42 @@ def test_verify_goes_red_when_U_is_wrong(monkeypatch, mutate, flux, level):
     # theta + 1/2 moves both evolved fluxes by 3/2; the counts must notice.  At
     # level 7 both the spectrum and the reduced counts come from gluing, which
     # never reads U, while the prediction takes one step of U, so the check
-    # still bites
-    monkeypatch.setattr(enumerator, "apply_U", lambda a, b, lam: mutate(*decimation.apply_U(a, b, lam)))
+    # still bites.  The verifier steps every cut in one `_step` call; the
+    # mutation moves its alpha', beta' and R rows
+    def wrong(alpha, beta, lam):
+        d, abs_psi, a, b, r = decimation._step(alpha, beta, lam)
+        return (d, abs_psi, *mutate(a, b, r))
+
+    monkeypatch.setattr(enumerator, "_step", wrong)
     report = decimation_verify(FluxPair(*flux), level)
     assert not report.all_pass
+
+
+_rng = random.Random(99)
+# Case II (one dyadic flux), Case III (3 alpha + beta = 1/2) and generic fluxes
+ORACLE_FLUXES = [(5 / 6, 0.0), (1 / 3, 0.5), (1 / 12, 0.25), (0.3, 0.0), (0.0, 0.3), (0.1, 0.2)]
+ORACLE_FLUXES += [(_rng.random(), _rng.random()) for _ in range(4)]
+
+
+@pytest.mark.parametrize("flux", ORACLE_FLUXES)
+def test_batched_verify_equals_the_per_cut_oracle(flux):
+    fp = FluxPair(*flux)
+    for level in (1, 2, 3, 4):
+        assert decimation_verify(fp, level).to_json() == per_cut_verify(fp, level).to_json(), level
+
+
+def test_verify_keeps_the_note_of_a_terminated_cut(monkeypatch):
+    # clusters at 1.0 and 1.5 put a cut on the exact Psi zero 1.25 of (0.3, 0),
+    # where U has no R: the two clusters beside it are informational
+    monkeypatch.setattr(enumerator, "spectrum", lambda op: operator.cluster(np.array([0.1, 1.0, 1.5, 1.9])))
+    fp = FluxPair(0.3, 0.0)
+    report = decimation_verify(fp, 2)
+    assert report.to_json() == per_cut_verify(fp, 2).to_json()
+    informational = [e for e in report.entries if e.kind == "informational"]
+    assert [e.lam for e in informational] == [1.0, 1.5]
+    for e in informational:
+        assert e.ok is None
+        assert "below 1.25: Psi = 0 at (alpha=0.3, beta=0.0, lambda=1.25)" in e.note, e.note
 
 
 def test_verify_needs_the_half_turn_twist(monkeypatch):

@@ -83,6 +83,26 @@ def test_spectrum_clustering_and_exports(monkeypatch):
         spectrum(op)
 
 
+def test_cluster_is_the_per_eigenvalue_loop_bitwise():
+    # singletons keep their value, and a cluster of several is np.mean of its slice
+    def loop(evs):
+        pairs, start = [], 0
+        for i in range(1, len(evs) + 1):
+            if i == len(evs) or evs[i] - evs[i - 1] >= operator.CLUSTER_TOL:
+                pairs.append((float(np.mean(evs[start:i])), i - start))
+                start = i
+        return pairs
+
+    rng = np.random.default_rng(3)
+    close = np.sort(np.concatenate([rng.uniform(0, 2, 300), rng.uniform(0.5, 0.5 + 1e-4, 300)]))
+    samples = [close, close[:1], close[:0]]
+    samples += [eigenvalues(_op(level, *f)) for level in (3, 5) for f in ((0.37, 0.71), (0.5, 0.0), (0.0, 0.0))]
+    for evs in samples:
+        sp = operator.cluster(evs)
+        assert [(ev.hex(), m) for ev, m in sp.pairs] == [(ev.hex(), m) for ev, m in loop(evs)]
+        assert all(type(ev) is float and type(m) is int for ev, m in sp.pairs)
+
+
 def test_zero_flux_kernel_and_pseudo_determinant():
     op = _op(1, 0.0, 0.0)
     with pytest.raises(ValueError, match="drop_zero"):
