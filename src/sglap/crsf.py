@@ -17,7 +17,10 @@ here:
   [-1/4, 1/4]; the precondition enforced is the necessary face-level window
   (each face is itself a simple cycle), and composite cycles beyond the
   window get a clamped acceptance, so treat large-level samples as
-  structural, not distributional.
+  structural, not distributional.  A call costs its walk plus one
+  vectorised window check over the faces: the neighbour lists are cached on
+  the graph, and a loop's flux is summed from its edge phases only when the
+  loop closes.
 * noloop_log_probability - log of the no-loop probability for the essential
   CRSF measure obtained by wiring the corner (0,0) to an absorbing boundary
   point through a conductance-c edge (Kenyon, Ann. Probab. 39, 2011): two
@@ -36,11 +39,13 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .decimation import gluing_log_det
 from .gasket import GasketGraph
 # assemble and build_connection are not called here; perfbench/selftest.py
 # checks that its tracer wraps these from-import sites
-from .gauge import Connection, FluxPair, build_connection, cell_holonomies  # noqa: F401
+from .gauge import Connection, FluxPair, build_connection, edge_phases, mod1  # noqa: F401
 from .operator import assemble  # noqa: F401
 
 log = logging.getLogger(__name__)
@@ -56,14 +61,6 @@ class EnumerationSizeError(ValueError):
 
 class UnsupportedFluxError(ValueError):
     """The cycle-popping sampler cannot realize this flux."""
-
-
-def _neighbors(graph: GasketGraph) -> list[list[int]]:
-    nbrs: list[list[int]] = [[] for _ in range(len(graph.vertices))]
-    for a, b in graph.edges:
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-    return [sorted(ns) for ns in nbrs]
 
 
 @dataclass(frozen=True)
@@ -100,7 +97,7 @@ class OrientedCRSF:
         n = len(graph.vertices)
         if len(self.successor) != n:
             raise ValueError("successor map does not cover the vertex set")
-        nbrs = _neighbors(graph)
+        nbrs = graph.neighbors
         for x, y in enumerate(self.successor):
             if y not in nbrs[x]:
                 raise ValueError(f"successor edge {x}->{y} is not a graph edge")
@@ -162,7 +159,7 @@ class CRSFWeightModel:
         return w
 
 
-def _check_enumeration_size(graph: GasketGraph) -> list[list[int]]:
+def _check_enumeration_size(graph: GasketGraph) -> tuple[tuple[int, ...], ...]:
     size = 1
     for d in graph.degrees:
         size *= d
@@ -171,7 +168,7 @@ def _check_enumeration_size(graph: GasketGraph) -> list[list[int]]:
                 f"successor-map space exceeds {ENUMERATION_CAP:.0e} "
                 f"(level {graph.level}); enumeration is for small levels only"
             )
-    return _neighbors(graph)
+    return graph.neighbors
 
 
 def brute_force_partition(graph: GasketGraph, conn: Connection) -> complex:
@@ -218,11 +215,19 @@ def brute_force_edge_marginals(
     return {e: (h / total).real for e, h in hits.items()}
 
 
-def _flux_window_check(graph: GasketGraph, conn: Connection) -> None:
+def _flux_window_check(conn: Connection) -> None:
     """Refuse zero flux and base fluxes outside [-1/4, 1/4]; warn beyond the
-    regime where every simple cycle provably stays inside the window."""
-    faces = cell_holonomies(conn)
-    reps = [math.remainder(h, 1.0) for _, h in faces]
+    regime where every simple cycle provably stays inside the window.
+
+    Every face's holonomy is one signed sum of the forward phases over
+    `GasketGraph.face_edges` (a connection's phases are antisymmetric),
+    reduced mod 1 before it is centred, so that a face flux of exactly 1/2
+    reads +1/2, as `math.remainder` of the reduced holonomy gives.
+    """
+    graph = conn.graph
+    edge, sign, start = graph.face_edges
+    h = np.add.reduceat(sign * edge_phases(conn)[edge], start) % 1.0
+    reps = (h - np.round(h)).tolist()
     if all(abs(r) <= 1e-12 for r in reps):
         raise UnsupportedFluxError(
             "zero flux: every cycle has acceptance probability 0, so the "
@@ -231,7 +236,7 @@ def _flux_window_check(graph: GasketGraph, conn: Connection) -> None:
         )
     base = [
         r
-        for (cell, _), r in zip(faces, reps)
+        for cell, r in zip(graph.cells, reps)
         if cell.side == 1  # uprights carry alpha, side-1 holes carry beta
     ]
     bad = max(base, key=abs)
@@ -257,9 +262,14 @@ def sample_crsf(graph: GasketGraph, conn: Connection, seed: int) -> OrientedCRSF
     [-1/4, 1/4] (and not all be zero); composite cycles beyond the window
     get clamped acceptance, logged at debug level, so the sampled law is
     exact only while the window holds for all simple cycles.
+
+    A sample is a function of (graph, phases, seed) alone: every step is one
+    `rng.choice` over `graph.neighbors`, so the ascending neighbour order is
+    part of that contract, and a loop's flux is the exactly rounded sum of
+    its own edge phases.
     """
-    _flux_window_check(graph, conn)
-    nbrs = _neighbors(graph)
+    _flux_window_check(conn)
+    nbrs, phase = graph.neighbors, conn.phase
     n = len(graph.vertices)
     rng = random.Random(seed)
     successor: list[int | None] = [None] * n
@@ -285,7 +295,8 @@ def sample_crsf(graph: GasketGraph, conn: Connection, seed: int) -> OrientedCRSF
                 break
             if w in pos:  # closed a loop
                 i = pos[w]
-                theta = conn.holonomy(path[i:] + [w])
+                # fsum rounds once, as Connection.holonomy does
+                theta = mod1(math.fsum([phase[e] for e in zip(path[i:], path[i + 1:] + [w])]))
                 p = 1.0 - math.cos(2.0 * math.pi * theta)
                 if p > 1.0:
                     log.debug(

@@ -61,13 +61,22 @@ class GasketGraph:
     prev_level_ids: tuple[int, ...]
     coord_to_id: dict[tuple[int, int], int] = field(repr=False)
 
-    @property
-    def degrees(self) -> list[int]:
+    @cached_property
+    def degrees(self) -> tuple[int, ...]:
         deg = [0] * len(self.vertices)
         for a, b in self.edges:
             deg[a] += 1
             deg[b] += 1
-        return deg
+        return tuple(deg)
+
+    @cached_property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's neighbours in ascending id order."""
+        nbrs: list[list[int]] = [[] for _ in self.vertices]
+        for a, b in self.edges:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+        return tuple(tuple(sorted(ns)) for ns in nbrs)
 
     @cached_property
     def face_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

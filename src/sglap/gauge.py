@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gasket import GasketGraph, UnitCell, build_gasket
+from .gasket import GasketGraph, build_gasket
 
 HOLONOMY_TOL = 1e-12
 DYADIC_TOL = 1e-12
@@ -123,6 +123,14 @@ class Connection:
         )
 
 
+def edge_phases(conn: Connection, reverse: bool = False) -> np.ndarray:
+    """phase(u, v) for every edge (u, v) of `graph.edges` (low id -> high id),
+    in that order, as an array; phase(v, u) under reverse.  A face's holonomy
+    is a signed sum of the forward phases over `GasketGraph.face_edges`."""
+    edges = conn.graph.edges
+    return np.array([conn.phase[(v, u) if reverse else (u, v)] for u, v in edges])
+
+
 def _antisymmetrize(phase_fwd: dict[tuple[int, int], float]) -> dict[tuple[int, int], float]:
     full = {}
     for (u, v), p in phase_fwd.items():
@@ -158,7 +166,7 @@ def build_connection(graph: GasketGraph, flux: FluxPair) -> Connection:
     conn = Connection(graph, _antisymmetrize(dict(zip(graph.edges, fwd))), flux)
 
     edge, sign, start = graph.face_edges
-    holonomy = np.add.reduceat(sign * np.array(fwd)[edge], start)
+    holonomy = np.add.reduceat(sign * edge_phases(conn)[edge], start)
     side_flux = {2**k: hole_flux(2**k, flux.alpha, flux.beta) for k in range(graph.level)}
     target = [flux.alpha if c.orientation == "upright" else side_flux[c.side] for c in graph.cells]
     miss = np.abs(holonomy - target) % 1.0
@@ -195,7 +203,3 @@ def restrict_connection(conn: Connection, theta: float) -> Connection:
             key = (min(u, v), max(u, v))
             phase_fwd[key] = ph if (u, v) == key else -ph
     return Connection(reduced, _antisymmetrize(phase_fwd))
-
-
-def cell_holonomies(conn: Connection) -> list[tuple[UnitCell, float]]:
-    return [(c, conn.holonomy(list(c.vertices))) for c in conn.graph.cells]

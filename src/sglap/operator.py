@@ -40,7 +40,7 @@ from .decimation import (
 # build_gasket is not called here; perfbench/selftest.py checks that its
 # tracer wraps this from-import site
 from .gasket import GasketGraph, build_gasket  # noqa: F401
-from .gauge import Connection
+from .gauge import Connection, edge_phases
 
 SPECTRUM_DIM_CAP = 4000
 ZERO_EIG_TOL = 1e-9
@@ -57,18 +57,18 @@ ENGINE_MIN_LEVEL = 6
 @dataclass(frozen=True)
 class MagneticOperator:
     dimension: int
-    weights: list[int]
+    weights: tuple[int, ...]
     graph: GasketGraph = field(repr=False)
     conn: Connection = field(repr=False)
 
     @cached_property
     def entries(self) -> np.ndarray:
         """The dense matrix, read-only, built on first read."""
-        deg, conn = self.weights, self.conn
+        x, y = np.array(self.graph.edges).T
+        deg = np.array(self.weights)
         L = np.eye(self.dimension, dtype=complex)
-        for x, y in self.graph.edges:
-            L[x, y] = -conn.omega(x, y) / deg[x]
-            L[y, x] = -conn.omega(y, x) / deg[y]
+        L[x, y] = -np.exp(2j * np.pi * edge_phases(self.conn)) / deg[x]
+        L[y, x] = -np.exp(2j * np.pi * edge_phases(self.conn, reverse=True)) / deg[y]
         L.setflags(write=False)
         return L
 

@@ -1,8 +1,13 @@
 """Shared test utilities (not collected by pytest)."""
 
+import logging
+import math
+import random
+
 import numpy as np
 
 from sglap import enumerator
+from sglap.crsf import FLUX_WINDOW, WATCHDOG_STEPS, OrientedCRSF, UnsupportedFluxError
 from sglap.decimation import (
     BRACKET,
     JUNCTION_SHIFT,
@@ -180,3 +185,105 @@ def per_cut_verify(flux, level):
                 break
         entries.append(VerificationEntry(lam, mult, kind, ok_lo and ok_hi, note))
     return VerificationReport(flux, level, LABEL_TOL, entries)
+
+
+def cell_holonomies(conn):
+    """(face, holonomy) for every face of the graph, each an exact `fsum` of
+    the directed phases around its CCW boundary by `Connection.holonomy`:
+    the per-face oracle of the vectorised face sums."""
+    return [(c, conn.holonomy(list(c.vertices))) for c in conn.graph.cells]
+
+
+_crsf_log = logging.getLogger("sglap.crsf")
+
+
+def reference_neighbors(graph):
+    """Sorted neighbour lists rebuilt from the edge list on every call."""
+    nbrs = [[] for _ in range(len(graph.vertices))]
+    for a, b in graph.edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    return [sorted(ns) for ns in nbrs]
+
+
+def reference_flux_window_check(conn):
+    """The sampler's face-window check one face at a time, through
+    `cell_holonomies`: the oracle of `crsf._flux_window_check`, logging to the
+    same logger."""
+    faces = cell_holonomies(conn)
+    reps = [math.remainder(h, 1.0) for _, h in faces]
+    if all(abs(r) <= 1e-12 for r in reps):
+        raise UnsupportedFluxError(
+            "zero flux: every cycle has acceptance probability 0, so the "
+            "cycle-popping sampler never roots a component; use a uniform "
+            "spanning tree sampler instead"
+        )
+    base = [
+        r
+        for (cell, _), r in zip(faces, reps)
+        if cell.side == 1  # uprights carry alpha, side-1 holes carry beta
+    ]
+    bad = max(base, key=abs)
+    if abs(bad) > FLUX_WINDOW + 1e-12:
+        raise UnsupportedFluxError(
+            f"base flux angle {bad:+.6f} lies outside [-1/4, 1/4]; the "
+            "cycle acceptance probability would exceed 1"
+        )
+    if math.fsum(abs(r) for r in reps) > FLUX_WINDOW + 1e-12:
+        _crsf_log.warning(
+            "total face flux exceeds 1/4: some composite cycles fall outside "
+            "the acceptance window and are clamped, so the sampled law is "
+            "only approximate at this flux/level"
+        )
+
+
+def reference_sample_crsf(graph, conn, seed):
+    """The cycle-popping sampler with the neighbour lists rebuilt, the window
+    checked face by face and each loop's flux read by `Connection.holonomy`:
+    the oracle that `crsf.sample_crsf` must match sample for sample."""
+    reference_flux_window_check(conn)
+    nbrs = reference_neighbors(graph)
+    n = len(graph.vertices)
+    rng = random.Random(seed)
+    successor = [None] * n
+    in_forest = [False] * n
+    steps = 0
+    for start in range(n):
+        if in_forest[start]:
+            continue
+        path = [start]
+        pos = {start: 0}
+        while True:
+            steps += 1
+            if steps > WATCHDOG_STEPS:
+                raise RuntimeError(
+                    f"cycle popping exceeded {WATCHDOG_STEPS:.0e} steps"
+                )
+            u = path[-1]
+            w = rng.choice(nbrs[u])
+            if in_forest[w]:
+                for a, b in zip(path, path[1:] + [w]):
+                    successor[a] = b
+                    in_forest[a] = True
+                break
+            if w in pos:  # closed a loop
+                i = pos[w]
+                theta = conn.holonomy(path[i:] + [w])
+                p = 1.0 - math.cos(2.0 * math.pi * theta)
+                if p > 1.0:
+                    _crsf_log.debug(
+                        "clamping acceptance %.6f for cycle flux %.6f", p, theta
+                    )
+                    p = 1.0
+                if rng.random() < p:
+                    for a, b in zip(path, path[1:] + [w]):
+                        successor[a] = b
+                        in_forest[a] = True
+                    break
+                for x in path[i + 1:]:
+                    del pos[x]
+                del path[i + 1:]
+            else:
+                pos[w] = len(path)
+                path.append(w)
+    return OrientedCRSF.from_successor(tuple(successor), conn)

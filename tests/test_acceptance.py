@@ -16,6 +16,7 @@ import numpy as np
 
 from _helpers import (
     case_iii_limit,
+    cell_holonomies,
     gauge_transform,
     kirchhoff_tree_count,
     random_nonexceptional_lambda,
@@ -32,7 +33,6 @@ from sglap.gasket import build_gasket, dim_n
 from sglap.gauge import (
     FluxPair,
     build_connection,
-    cell_holonomies,
     circ_dist,
     hole_flux,
     mod1,

@@ -10,16 +10,22 @@ the sampler's empirical frequencies with fixed seeds (deterministic, so the
 import itertools
 import logging
 import math
+import random
 
 import numpy as np
 import pytest
 
-from _helpers import augmented_logdet
+from _helpers import (
+    augmented_logdet,
+    gauge_transform,
+    reference_flux_window_check,
+    reference_sample_crsf,
+)
 
 from sglap import crsf
 from sglap.determinants import loop_entropy
 from sglap.gasket import build_gasket, dim_n
-from sglap.gauge import Connection, FluxPair, build_connection
+from sglap.gauge import Connection, FluxPair, build_connection, restrict_connection
 from sglap.operator import assemble
 
 
@@ -34,8 +40,6 @@ def test_zero_flux_partition_vanishes(g1):
 
 
 def test_partition_equals_determinant(g1):
-    import random
-
     rng = random.Random(7)
     pairs = [(0.5, 0.5), (0.05, 0.05)] + [
         (rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(8)
@@ -88,6 +92,84 @@ def test_level3_sample_structure_and_reproducibility(caplog):
     assert crsf.sample_crsf(g3, conn3, 43).successor != s3.successor
 
 
+QUARTER_FLUXES = [(0.25, 0.25), (-0.25, -0.25), (0.25, -0.25), (-0.25, 0.25)]
+
+
+def _crsf_records(caplog):
+    records = [(r.levelno, r.getMessage()) for r in caplog.records if r.name == "sglap.crsf"]
+    caplog.clear()
+    return records
+
+
+@pytest.mark.parametrize("level", range(1, 6))
+def test_samples_match_the_reference_sampler(level, caplog):
+    # the cached neighbours, the vectorised window check and the loop flux
+    # read from the loop's own phases leave every sample and every clamp and
+    # window record of the face-by-face sampler unchanged
+    g = build_gasket(level)
+    clamps = 0
+    for flux in QUARTER_FLUXES + [(0.05, 0.05), (0.13, -0.21)]:
+        conn = build_connection(g, FluxPair(*flux))
+        for seed in range(10):
+            with caplog.at_level(logging.DEBUG, logger="sglap.crsf"):
+                want = reference_sample_crsf(g, conn, seed)
+                want_records = _crsf_records(caplog)
+                got = crsf.sample_crsf(g, conn, seed)
+                got_records = _crsf_records(caplog)
+            assert got.successor == want.successor, (level, flux, seed)
+            assert got.cycles == want.cycles, (level, flux, seed)
+            assert got.cycle_fluxes == want.cycle_fluxes, (level, flux, seed)
+            assert got_records == want_records, (level, flux, seed)
+            clamps += sum(msg.startswith("clamping") for _, msg in got_records)
+    if level >= 2:
+        assert clamps, "no clamped acceptance was compared"
+
+
+def _window_outcome(check, conn, caplog):
+    with caplog.at_level(logging.DEBUG, logger="sglap.crsf"):
+        try:
+            check(conn)
+        except crsf.UnsupportedFluxError as exc:
+            caplog.clear()
+            return "raise", str(exc)
+    records = _crsf_records(caplog)
+    return ("warn" if records else "pass"), records
+
+
+def _window_connections():
+    for level in (1, 2, 3):
+        g = build_gasket(level)
+        # at level 1 the total face flux 3|alpha| + |beta| of (0.05, 0.1) is
+        # exactly the window, and 5e-7 past it in the next pair
+        thresholds = [(1e-10, 0.0), (0.05, 0.1), (0.05, 0.1 + 5e-7), (0.25 + 1e-9, 0.0), (0.05, 0.3)]
+        for flux in [(0.0, 0.0), (0.3, 0.0), (0.5, 0.5), (0.05, 0.05)] + thresholds + QUARTER_FLUXES:
+            yield f"{flux} at level {level}", build_connection(g, FluxPair(*flux))
+    g3 = build_gasket(3)
+    for theta in (0.0, 0.02, 0.3):
+        yield f"restricted at theta {theta}", restrict_connection(
+            build_connection(g3, FluxPair(0.02, 0.01)), theta
+        )
+    yield "gauge-transformed", gauge_transform(build_connection(g3, FluxPair(0.1, 0.2)), random.Random(2))
+    rng = random.Random(4)
+    g2 = build_gasket(2)
+    for scale in (0.01, 1.0):
+        phase = {}
+        for u, v in g2.edges:
+            phase[(u, v)] = rng.uniform(-scale, scale)
+            phase[(v, u)] = -phase[(u, v)]
+        yield f"hand-written at scale {scale}", Connection(g2, phase)
+
+
+def test_window_check_matches_the_face_by_face_oracle(caplog):
+    outcomes = set()
+    for name, conn in _window_connections():
+        want = _window_outcome(reference_flux_window_check, conn, caplog)
+        got = _window_outcome(crsf._flux_window_check, conn, caplog)
+        assert got == want, name
+        outcomes.add(want[0])
+    assert outcomes == {"raise", "warn", "pass"}
+
+
 def test_sampler_marginals_match_enumeration(g1, caplog):
     # flux (0.05, 0.05): total face flux 0.2 <= 1/4, the provably exact
     # regime (no clamp warning).  Seeds are fixed, so the observed worst
@@ -111,7 +193,7 @@ def test_sampler_marginals_match_enumeration(g1, caplog):
     assert worst <= 3.0, worst
 
     # cycle-count distribution against the enumerated weights
-    nbrs = crsf._neighbors(g1)
+    nbrs = g1.neighbors
     model = crsf.CRSFWeightModel(g1, conn)
     tot = 0.0
     dist = {}

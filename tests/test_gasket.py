@@ -30,6 +30,10 @@ def test_degrees(level):
     for v, _ in g.vertices:
         assert deg[v] == (2 if v in corners else 4)
     assert set(g.boundary) == corners
+    # neighbours ascend, and each edge appears once from each end
+    assert deg == tuple(len(ns) for ns in g.neighbors)
+    assert all(list(ns) == sorted(ns) for ns in g.neighbors)
+    assert {(a, b) for a, ns in enumerate(g.neighbors) for b in ns if a < b} == set(g.edges)
 
 
 def test_ids_lexicographic_in_coords():

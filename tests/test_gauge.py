@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import gauge_transform
+from _helpers import cell_holonomies, gauge_transform
 
 import sglap
 from sglap.gasket import build_gasket
@@ -20,7 +20,6 @@ from sglap.gauge import (
     FluxPair,
     InvalidCycleError,
     build_connection,
-    cell_holonomies,
     circ_dist,
     hole_flux,
     mod1,

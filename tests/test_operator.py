@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from _helpers import gauge_transform, kirchhoff_tree_count
+from _helpers import cell_holonomies, gauge_transform, kirchhoff_tree_count
 
 from sglap import operator
 from sglap.decimation import decimation_kit, exceptional_set
@@ -14,7 +14,6 @@ from sglap.gauge import (
     Connection,
     FluxPair,
     build_connection,
-    cell_holonomies,
     circ_dist,
     restrict_connection,
 )
