@@ -95,14 +95,18 @@ def _manifest(outputs: list[str], t0: float) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _emit(payload, out: str | None, t0: float) -> None:
-    """Strict JSON (no NaN or Infinity) to stdout, or to --out plus a manifest."""
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+def _write(text: str, out: str | None, t0: float) -> None:
+    """Text to stdout, or to --out plus a manifest."""
     if out is None:
         click.echo(text, nl=False)
     else:
         Path(out).write_text(text)
         _manifest([out], t0)
+
+
+def _emit(payload, out: str | None, t0: float) -> None:
+    """Strict JSON (no NaN or Infinity) to stdout, or to --out plus a manifest."""
+    _write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", out, t0)
 
 
 @click.group()
@@ -354,12 +358,7 @@ def sample(level, alpha, beta, samples, seed, out):
     for i in range(samples):
         ocrsf = _call(crsf_lib.sample_crsf, graph, conn, seed + i)
         lines.append(json.dumps(list(ocrsf.successor)))
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        click.echo(text, nl=False)
-    else:
-        Path(out).write_text(text)
-        _manifest([out], t0)
+    _write("\n".join(lines) + "\n", out, t0)
 
 
 # ------------------------------------------------------------ graph-export
@@ -386,12 +385,7 @@ def graph_export(level, alpha, beta, what, out):
     if what == "connection":
         _emit(json.loads(conn.to_json()), out, t0)
         return
-    text = operator.matrix_csv(operator.assemble(graph, conn))
-    if out is None:
-        click.echo(text, nl=False)
-    else:
-        Path(out).write_text(text)
-        _manifest([out], t0)
+    _write(operator.matrix_csv(operator.assemble(graph, conn)), out, t0)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

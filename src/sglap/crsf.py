@@ -186,35 +186,6 @@ def brute_force_partition(graph: GasketGraph, conn: Connection) -> complex:
     return total
 
 
-def brute_force_edge_marginals(
-    graph: GasketGraph, conn: Connection
-) -> dict[tuple[int, int], float]:
-    """P[edge in the unoriented CRSF] for each edge, by full enumeration.
-
-    An undirected edge {x,y} is used exactly when the successor map contains
-    x->y or y->x.  Orientation-reversal conjugates the weight, so each
-    restricted sum is real; marginals are ratios against the partition sum.
-    """
-    nbrs = _check_enumeration_size(graph)
-    model = CRSFWeightModel(graph, conn)
-    total = 0.0 + 0.0j
-    hits: dict[tuple[int, int], complex] = {
-        (min(a, b), max(a, b)): 0.0 + 0.0j for a, b in graph.edges
-    }
-    for choice in itertools.product(*nbrs):
-        w = model.weight(OrientedCRSF.from_successor(choice, conn))
-        if w == 0:
-            continue
-        total += w
-        for x, y in enumerate(choice):
-            key = (min(x, y), max(x, y))
-            if x < y or choice[y] != x:  # count doubled (2-cycle) edges once
-                hits[key] += w
-    if abs(total.imag) > 1e-10 or total.real <= 0:
-        raise ArithmeticError(f"partition sum not a positive real: {total}")
-    return {e: (h / total).real for e, h in hits.items()}
-
-
 def _flux_window_check(conn: Connection) -> None:
     """Refuse zero flux and base fluxes outside [-1/4, 1/4]; warn beyond the
     regime where every simple cycle provably stays inside the window.

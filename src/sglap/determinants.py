@@ -83,13 +83,6 @@ class LogValue:
     log_magnitude: float
     exact_factors: tuple[tuple[object, Fraction], ...] = ()
 
-    def value(self) -> float:
-        """exp(log_magnitude); inf if it overflows a double."""
-        try:
-            return math.exp(self.log_magnitude)
-        except OverflowError:
-            return math.inf
-
     def decimal(self) -> str:
         """Decimal rendering, scientific once past the double range."""
         if abs(self.log_magnitude) < 700.0:

@@ -4,6 +4,12 @@ A lattice coordinate (i, j) stands for the planar point i*(1,0) + j*(1/2, sqrt(3
 in units of one edge length.  Level N lives in the triangle of side 2^N; the level
 N-1 vertex set is the even-coordinate sublattice.  All geometry is integer-exact.
 
+G_N is built as what it is, three copies of G_{N-1} at the origins (0, 0),
+(2^(N-1), 0) and (0, 2^(N-1)), joined by the new hole of side 2^(N-1).  The
+upright unit cells come in copy order, so every three consecutive uprights
+form one side-2 upright triangle (the cells at o, o + (1, 0) and o + (0, 1)),
+and the holes come in preorder: each hole, then the holes of its three copies.
+
 Counts for G_N: dim_N = (3^(N+1)+3)/2 vertices, 3^(N+1) edges, 3^N upright unit
 cells, and (3^N-1)/2 downright faces total (unit cells plus the hexagonal holes
 of side 2^j).  The faces form a cycle basis, which is what the gauge module
@@ -20,10 +26,6 @@ from functools import cached_property
 import numpy as np
 
 DEFAULT_MAX_LEVEL = 8
-
-# Unit steps: E = (1,0), NE = (0,1), NW = (-1,1) close a CCW upright triangle.
-_E = (1, 0)
-_NE = (0, 1)
 
 
 class LevelLimitError(ValueError):
@@ -97,22 +99,19 @@ class GasketGraph:
     @cached_property
     def midpoint_cells(self) -> tuple[np.ndarray, np.ndarray]:
         """The side-2 upright triangles of a level N >= 1 gasket, one row each:
-        (midpoints, corners), two (3^(N-1), 3) id arrays.  A triangle at origin
-        o has corners o, o + (2, 0), o + (0, 2) on the level N-1 sublattice and
-        the midpoints o + (1, 0), o + (1, 1), o + (0, 1), which are adjacent
-        only to each other and to its corners: the midpoint block of an
-        operator is 3x3 block-diagonal over these rows."""
-        ids = self.coord_to_id
-        origins = [(i - 1, j) for _, (i, j) in self.vertices if i % 2 and not j % 2]
-        mids = [(ids[(i + 1, j)], ids[(i + 1, j + 1)], ids[(i, j + 1)]) for i, j in origins]
-        corners = [(ids[(i, j)], ids[(i + 2, j)], ids[(i, j + 2)]) for i, j in origins]
+        (midpoints, corners), two (3^(N-1), 3) id arrays.  Each three
+        consecutive upright cells t0, t1, t2 (at o, o + (1, 0), o + (0, 1)) make
+        one, with corners t0[0], t1[1], t2[2] on the level N-1 sublattice and
+        midpoints t0[1], t1[2], t2[0], which are adjacent only to each other and
+        to its corners: the midpoint block of an operator is 3x3 block-diagonal
+        over these rows.  Rows ascend by their first midpoint."""
+        up = [c.vertices for c in self.cells[: 3**self.level]]
+        rows = sorted(
+            ((t0[1], t1[2], t2[0]), (t0[0], t1[1], t2[2]))
+            for t0, t1, t2 in zip(up[0::3], up[1::3], up[2::3])
+        )
+        mids, corners = zip(*rows)
         return np.array(mids), np.array(corners)
-
-    def upright_cells(self) -> list[UnitCell]:
-        return [c for c in self.cells if c.orientation == "upright"]
-
-    def downright_cells(self) -> list[UnitCell]:
-        return [c for c in self.cells if c.orientation == "downright"]
 
     def to_json(self) -> str:
         doc = {
@@ -127,53 +126,9 @@ class GasketGraph:
         return json.dumps(doc, indent=1)
 
 
-def _upright_origins(level: int) -> list[tuple[int, int]]:
-    """Lower-left corners of the 3^level upright subtriangles of side 1."""
-    origins = [(0, 0)]
-    for k in range(1, level + 1):
-        s = 2 ** (k - 1)
-        origins = (
-            origins
-            + [(i + s, j) for i, j in origins]
-            + [(i, j + s) for i, j in origins]
-        )
-    return origins
-
-
-def _holes(level: int, origin: tuple[int, int] = (0, 0)) -> list[tuple[int, tuple[int, int]]]:
-    """All downright holes as (side, origin) pairs; side 2^j, 3^(N-1-j) each."""
-    if level == 0:
-        return []
-    s = 2 ** (level - 1)
-    oi, oj = origin
-    out = [(s, origin)]
-    out += _holes(level - 1, origin)
-    out += _holes(level - 1, (oi + s, oj))
-    out += _holes(level - 1, (oi, oj + s))
-    return out
-
-
-def _hole_boundary(side: int, origin: tuple[int, int]) -> list[tuple[int, int]]:
-    """CCW boundary cycle of the downright hole of side s northeast of ``origin``.
-
-    Corners are o+(s,0), o+(s,s), o+(0,s); the cycle runs s NE steps, then s
-    W steps, then s SE diagonal steps.  For s = 1 this is the inverted unit
-    triangle; for s >= 2 it is a lattice hexagon of length 3s.
-    """
-    s = side
-    oi, oj = origin
-    cyc: list[tuple[int, int]] = []
-    for t in range(s):
-        cyc.append((oi + s, oj + t))
-    for t in range(s):
-        cyc.append((oi + s - t, oj + s))
-    for t in range(s):
-        cyc.append((oi + t, oj + s - t))
-    return cyc
-
-
 def build_gasket(level: int) -> GasketGraph:
-    """Construct G_level with deterministic ids (lexicographic coordinate sort)."""
+    """Construct G_level as three copies of G_level-1, with deterministic ids
+    (lexicographic coordinate sort)."""
     if level < 0:
         raise ValueError("level must be nonnegative")
     if level > max_level():
@@ -181,53 +136,43 @@ def build_gasket(level: int) -> GasketGraph:
             f"level {level} exceeds maximum {max_level()} (set SG_MAX_LEVEL to raise)"
         )
 
-    origins = _upright_origins(level)
-    verts: set[tuple[int, int]] = set()
-    edges: set[tuple[tuple[int, int], tuple[int, int]]] = set()
-    for o in origins:
-        i, j = o
-        a, b, c = (i, j), (i + 1, j), (i, j + 1)
-        verts.update((a, b, c))
-        for u, v in ((a, b), (b, c), (c, a)):
-            edges.add((min(u, v), max(u, v)))
+    origins = [(0, 0)]  # lower-left corners of the upright unit cells
+    holes: list[tuple[int, int, int]] = []  # (s, i, j): corners (i+s, j), (i+s, j+s), (i, j+s)
+    for k in range(level):
+        s = 2**k
+        shifts = ((0, 0), (s, 0), (0, s))
+        origins = [(i + di, j + dj) for di, dj in shifts for i, j in origins]
+        holes = [(s, 0, 0)] + [(h, i + di, j + dj) for di, dj in shifts for h, i, j in holes]
 
-    coords = sorted(verts)
-    coord_to_id = {c: k for k, c in enumerate(coords)}
-    id_edges = tuple(
-        sorted(
-            (min(coord_to_id[u], coord_to_id[v]), max(coord_to_id[u], coord_to_id[v]))
-            for u, v in edges
+    coords = sorted({c for i, j in origins for c in ((i, j), (i + 1, j), (i, j + 1))})
+    ids = {c: k for k, c in enumerate(coords)}
+    # (i, j) < (i, j + 1) < (i + 1, j), so each cell's ids are a < c < b
+    uprights = [(ids[(i, j)], ids[(i + 1, j)], ids[(i, j + 1)]) for i, j in origins]
+    edges = tuple(sorted({e for a, b, c in uprights for e in ((a, b), (c, b), (a, c))}))
+
+    cells = [UnitCell("upright", t) for t in uprights]
+    for s, i, j in holes:
+        # CCW from corner (i+s, j): s NE steps, s W steps, then s SE steps
+        cyc = (
+            [ids[(i + s, j + t)] for t in range(s)]
+            + [ids[(i + s - t, j + s)] for t in range(s)]
+            + [ids[(i + t, j + s - t)] for t in range(s)]
         )
-    )
+        cells.append(UnitCell("downright", tuple(cyc), side=s))
 
-    side = 2 ** level
-    corner_coords = [(0, 0), (side, 0), (0, side)]
-    boundary = tuple(coord_to_id[c] for c in corner_coords)
-
-    cells: list[UnitCell] = []
-    for o in origins:
-        i, j = o
-        cells.append(
-            UnitCell(
-                "upright",
-                (coord_to_id[(i, j)], coord_to_id[(i + 1, j)], coord_to_id[(i, j + 1)]),
-                side=1,
-            )
-        )
-    for s, o in _holes(level):
-        cyc = tuple(coord_to_id[c] for c in _hole_boundary(s, o))
-        cells.append(UnitCell("downright", cyc, side=s))
-
-    prev = tuple(
-        coord_to_id[(i, j)] for i, j in coords if i % 2 == 0 and j % 2 == 0
-    ) if level >= 1 else tuple(coord_to_id[c] for c in corner_coords)
+    side = 2**level
+    boundary = (ids[(0, 0)], ids[(side, 0)], ids[(0, side)])
+    if level >= 1:
+        prev = tuple(ids[(i, j)] for i, j in coords if not i % 2 and not j % 2)
+    else:
+        prev = boundary
 
     return GasketGraph(
         level=level,
-        vertices=tuple((coord_to_id[c], c) for c in coords),
-        edges=id_edges,
-        boundary=boundary,  # type: ignore[arg-type]
+        vertices=tuple(enumerate(coords)),
+        edges=edges,
+        boundary=boundary,
         cells=tuple(cells),
         prev_level_ids=prev,
-        coord_to_id=coord_to_id,
+        coord_to_id=ids,
     )

@@ -102,9 +102,6 @@ class Connection:
     phase: dict[tuple[int, int], float] = field(repr=False)
     flux: FluxPair | None = None
 
-    def omega(self, x: int, y: int) -> complex:
-        return np.exp(2j * np.pi * self.phase[(x, y)])
-
     def holonomy(self, cycle: list[int]) -> float:
         """Sum of edge phases along a closed vertex path, mod 1, rounded once
         (a side-128 hole sums 384 phases; added in turn they drift by ~1e-13)."""
@@ -179,27 +176,21 @@ def build_connection(graph: GasketGraph, flux: FluxPair) -> Connection:
 def restrict_connection(conn: Connection, theta: float) -> Connection:
     """Twisted reduced connection on G_{N-1}.
 
-    For a reduced edge ab traversed CCW around its (unique) upright reduced
-    cell, with c the level-N midpoint: Omega_ab = phase(a,c)+phase(c,b)+theta.
+    The upright unit cells of G_{N-1} are the side-2 triangles of G_N
+    (`GasketGraph.midpoint_cells`), and a reduced vertex's id is the rank of
+    its fine corner in `prev_level_ids`.  For a reduced edge ab traversed CCW
+    around its triangle, with c the level-N midpoint between them:
+    Omega_ab = phase(a,c)+phase(c,b)+theta.
     """
     graph = conn.graph
     if graph.level == 0:
         raise ValueError("level 0 has no previous level")
-    reduced = build_gasket(graph.level - 1)
-    rcoord = dict(reduced.vertices)
-
-    def fine_id(rid: int) -> int:
-        i, j = rcoord[rid]
-        return graph.coord_to_id[(2 * i, 2 * j)]
-
+    rank = {fine: rid for rid, fine in enumerate(graph.prev_level_ids)}
+    mids, corners = graph.midpoint_cells
     phase_fwd: dict[tuple[int, int], float] = {}
-    for cell in reduced.upright_cells():
-        p, q, r = cell.vertices
-        for u, v in ((p, q), (q, r), (r, p)):
-            (ui, uj), (vi, vj) = rcoord[u], rcoord[v]
-            mid = graph.coord_to_id[(ui + vi, uj + vj)]
-            fu, fv = fine_id(u), fine_id(v)
+    for (m0, m1, m2), (c0, c1, c2) in zip(mids.tolist(), corners.tolist()):
+        for fu, mid, fv in ((c0, m0, c1), (c1, m1, c2), (c2, m2, c0)):
             ph = conn.phase[(fu, mid)] + conn.phase[(mid, fv)] + theta
-            key = (min(u, v), max(u, v))
-            phase_fwd[key] = ph if (u, v) == key else -ph
-    return Connection(reduced, _antisymmetrize(phase_fwd))
+            u, v = rank[fu], rank[fv]
+            phase_fwd[(u, v) if u < v else (v, u)] = ph if u < v else -ph
+    return Connection(build_gasket(graph.level - 1), _antisymmetrize(phase_fwd))

@@ -88,11 +88,6 @@ class Spectrum:
             [{"eigenvalue": ev, "multiplicity": m} for ev, m in self.pairs], indent=1
         )
 
-    def to_csv(self) -> str:
-        lines = ["eigenvalue,multiplicity"]
-        lines += [f"{ev!r},{m}" for ev, m in self.pairs]
-        return "\n".join(lines) + "\n"
-
     @property
     def total_multiplicity(self) -> int:
         return sum(m for _, m in self.pairs)

@@ -1,5 +1,6 @@
 """Shared test utilities (not collected by pytest)."""
 
+import itertools
 import logging
 import math
 import random
@@ -7,7 +8,14 @@ import random
 import numpy as np
 
 from sglap import enumerator
-from sglap.crsf import FLUX_WINDOW, WATCHDOG_STEPS, OrientedCRSF, UnsupportedFluxError
+from sglap.crsf import (
+    FLUX_WINDOW,
+    WATCHDOG_STEPS,
+    CRSFWeightModel,
+    OrientedCRSF,
+    UnsupportedFluxError,
+    _check_enumeration_size,
+)
 from sglap.decimation import (
     BRACKET,
     JUNCTION_SHIFT,
@@ -287,3 +295,28 @@ def reference_sample_crsf(graph, conn, seed):
                 pos[w] = len(path)
                 path.append(w)
     return OrientedCRSF.from_successor(tuple(successor), conn)
+
+
+def brute_force_edge_marginals(graph, conn):
+    """P[edge in the unoriented CRSF] for each edge, by full enumeration.
+
+    An undirected edge {x,y} is used exactly when the successor map contains
+    x->y or y->x.  Orientation-reversal conjugates the weight, so each
+    restricted sum is real; marginals are ratios against the partition sum.
+    """
+    nbrs = _check_enumeration_size(graph)
+    model = CRSFWeightModel(graph, conn)
+    total = 0.0 + 0.0j
+    hits = {(min(a, b), max(a, b)): 0.0 + 0.0j for a, b in graph.edges}
+    for choice in itertools.product(*nbrs):
+        w = model.weight(OrientedCRSF.from_successor(choice, conn))
+        if w == 0:
+            continue
+        total += w
+        for x, y in enumerate(choice):
+            key = (min(x, y), max(x, y))
+            if x < y or choice[y] != x:  # count doubled (2-cycle) edges once
+                hits[key] += w
+    if abs(total.imag) > 1e-10 or total.real <= 0:
+        raise ArithmeticError(f"partition sum not a positive real: {total}")
+    return {e: (h / total).real for e, h in hits.items()}

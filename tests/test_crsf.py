@@ -17,6 +17,7 @@ import pytest
 
 from _helpers import (
     augmented_logdet,
+    brute_force_edge_marginals,
     gauge_transform,
     reference_flux_window_check,
     reference_sample_crsf,
@@ -175,7 +176,7 @@ def test_sampler_marginals_match_enumeration(g1, caplog):
     # regime (no clamp warning).  Seeds are fixed, so the observed worst
     # deviation (2.25 sigma at M = 20000) is a deterministic pin.
     conn = build_connection(g1, FluxPair(0.05, 0.05))
-    marg = crsf.brute_force_edge_marginals(g1, conn)
+    marg = brute_force_edge_marginals(g1, conn)
     M = 20_000
     counts = {e: 0 for e in marg}
     cyc_counts = {}

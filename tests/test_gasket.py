@@ -12,10 +12,11 @@ def test_counts(level):
     g = build_gasket(level)
     assert len(g.vertices) == dim_n(level) == (3 ** (level + 1) + 3) // 2
     assert len(g.edges) == 3 ** (level + 1)
-    assert len(g.upright_cells()) == 3**level
-    assert all(c.side == 1 for c in g.upright_cells())
+    uprights = [c for c in g.cells if c.orientation == "upright"]
+    assert len(uprights) == 3**level
+    assert all(c.side == 1 for c in uprights)
     # one downright hole per scale: 3^(level-1-j) holes of side 2^j
-    holes = g.downright_cells()
+    holes = [c for c in g.cells if c.orientation == "downright"]
     assert len(holes) == (3**level - 1) // 2
     if level >= 1:
         assert sum(1 for c in holes if c.side == 1) == 3 ** (level - 1)
@@ -69,7 +70,7 @@ def test_cell_boundaries_are_closed_edge_paths():
 
 def test_hole_sides_are_powers_of_two():
     g = build_gasket(3)
-    sides = sorted(c.side for c in g.downright_cells())
+    sides = sorted(c.side for c in g.cells if c.orientation == "downright")
     assert sides == [1] * 9 + [2] * 3 + [4]
 
 
@@ -106,8 +107,8 @@ def test_edge_count_matches_degree_sum(level):
     # each unit upright cell contributes three edges, and that covers all of them
     unit_edges = {
         frozenset((a, b))
-        for cell in g.upright_cells()
-        if cell.side == 1
+        for cell in g.cells
+        if cell.orientation == "upright"
         for a, b in zip(cell.vertices, cell.vertices[1:] + cell.vertices[:1])
     }
     assert unit_edges == {frozenset(e) for e in g.edges}

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -74,9 +75,8 @@ def test_spectrum_clustering_and_exports(monkeypatch):
         [m for _, m in sp.pairs], key=lambda _: 0
     )  # shape only: all ints
     assert all(isinstance(ev, float) and isinstance(m, int) for ev, m in sp.pairs)
-    csv = sp.to_csv()
-    assert csv.splitlines()[0] == "eigenvalue,multiplicity"
-    assert len(csv.splitlines()) == len(sp.pairs) + 1
+    doc = json.loads(sp.to_json())
+    assert [(d["eigenvalue"], d["multiplicity"]) for d in doc] == sp.pairs
     monkeypatch.setattr(operator, "SPECTRUM_DIM_CAP", 10)
     with pytest.raises(ValueError, match="exceeds the cap 10"):
         spectrum(op)
