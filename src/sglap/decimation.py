@@ -27,19 +27,26 @@ raises OrbitTerminated where R is not finite.  The similarity S_N = phi
 Counting never follows U.  The gasket is finitely ramified, so at fixed
 lambda each sub-gasket reduces to a 3x3 Hermitian block on its corners, and
 that block is gauge-equivalent to d I plus a circulant off-diagonal part: two
-numbers, the real d and the complex u of its loop product |u|^2 u.  Gluing
-three blocks and eliminating the three junctions is one closed-form step on
-(d, u), `_gluing_step`; Haynsworth adds up the negative inertias of the
-junction blocks (Domany, Alexander, Bensimon and Kadanoff, PRB 28, 3110, 1983;
-Fukushima and Shima, Potential Anal. 1, 1992).  It never divides by |Psi|.
-One loop over the steps, `_gluing`, keeps each step's junction eigenvalues
-(mode-major) and scale; the count, the singular flag and the determinant are
-all read off them.  `gluing_count` counts with a flux pair per probe and a
-singular-J rule: a probe that meets a junction block singular to working
-precision (JUNCTION_TOL) is counted at lambda -+ JUNCTION_SHIFT instead, and
-its count is kept only where both sides agree; otherwise it is -1,
-undetermined.
-`decimation_eigenvalues` bisects the rule-free count at a uniform flux pair.
+numbers, the real d and a complex z, a cube root of the block's loop product.
+Gluing three blocks and eliminating the three junctions is one closed-form
+step on (d, z), `_gluing_step`, in real arithmetic with two unit phases a_k,
+b_k per mode k (`_step_phases`):
+
+    j_k = 2 (d + Re(z a_k)),   F_k = 4 Re(z b_k)^2 / (3 j_k),
+    d' = d - sum_k F_k,        z' = e^(i pi/3) sum_k omega^k F_k,
+
+the j_k being the junction eigenvalues, whose negative inertias Haynsworth
+adds up (Domany, Alexander, Bensimon and Kadanoff, PRB 28, 3110, 1983;
+Fukushima and Shima, Potential Anal. 1, 1992).  It never divides by |Psi| and
+never takes a cube root or an angle.  One loop over the steps, `_gluing`,
+keeps each step's junction eigenvalues (mode-major) and scale; the count, the
+singular flag and the determinant are all read off them.  `gluing_count`
+counts with a flux pair per probe and a singular-J rule: a probe that meets a
+junction block singular to working precision (JUNCTION_TOL) is counted at
+lambda -+ JUNCTION_SHIFT instead, and its count is kept only where both sides
+agree; otherwise it is -1, undetermined.  `decimation_eigenvalues` bisects the
+rule-free count at a uniform flux pair and recounts by the rule the probes it
+flags while brackets are still wider than the shift.
 The same steps give the determinant: `_gluing_step` returns the scale it
 divides the state by, and `gluing_log_det` adds up Haynsworth's determinant
 over the junction blocks at lambda = 0, where every junction block is
@@ -421,9 +428,12 @@ def exceptional_set(flux: FluxPair) -> list[float]:
 
 
 # The bisection bracket of `decimation_eigenvalues`.  The spectrum lies in
-# [0, 2]; ends off the dyadic grid keep every midpoint off the exact D roots
-# and Psi zeros of the dyadic pairs (0.5, 0.75, 1.25, 1.5, ...), where a
-# junction eigenvalue is an exact zero and the count is wrong.
+# [0, 2], with 0 an eigenvalue at (0, 0) and 2 one at (1/2, 1/2), so both ends
+# lie outside it.  Ends off the dyadic grid keep every midpoint off the exact
+# D roots and Psi zeros of the dyadic pairs (0.5, 0.75, 1.25, 1.5, ...), where
+# a junction eigenvalue is an exact zero and the raw count is left to
+# rounding: the singular-J recount catches such a probe only while brackets
+# are wider than its shift, and costs two more counts when it does.
 BRACKET = (-math.pi / 1000, 2 + math.e / 1000)
 BISECT_WIDTH = 4 * EPS
 
@@ -448,17 +458,13 @@ def one_step_count(level: int, k, c):
 # lambda -+ JUNCTION_SHIFT, far below operator.CLUSTER_TOL.
 JUNCTION_TOL = 1e-11
 JUNCTION_SHIFT = 1e-9
-_OMEGA = np.exp(2j * np.pi * np.arange(3) / 3)[:, None]  # omega^k down axis 0, k = 0, 1, 2
-_W, _W2 = _OMEGA.conj(), _OMEGA.conj() ** 2  # w = conj(omega) and w^2, down axis 0
+_MODES = np.arange(3.0)[:, None]  # k = 0, 1, 2 down axis 0
+_OMEGA = np.exp(2j * np.pi * _MODES / 3)  # omega^k down axis 0
+_SIN60 = math.sqrt(3) / 2
 
 
 def _e(t):
     return np.exp(2j * np.pi * t)
-
-
-def _cube_root(u):
-    """z = |u| e^(i arg(u)/3): z^3 = |u|^2 u, the loop product of the block."""
-    return np.abs(u) * np.exp(1j * np.angle(u) / 3)
 
 
 def _circulant_eigenvalues(d, z):
@@ -467,46 +473,76 @@ def _circulant_eigenvalues(d, z):
     return d + 2 * (z * _OMEGA).real
 
 
-def _gluing_step(t, d, u):
-    """One gluing step in closed form over 1-d arrays: (j, d', u', scale), with
-    the junction eigenvalues j mode-major, (3, P).
-
-    M_m is gauge-equivalent to d I plus off-diagonal entries of modulus |u|
-    with loop product M_AB M_BC M_CA = |u|^2 u; t = (alpha + beta) s^2 mod 1
-    is the row shift of the top copy, a scalar at a uniform flux pair (its
-    phases are then computed once) or one per probe.  In the gauge where every
-    corner-to-corner entry is z = `_cube_root`(u), the junction block J is
-    circulant with eigenvalues j_k = 2d + 2 Re(z gamma omega^k), gamma =
-    e(-t/3); q_{c,k} projects corner c's column of the corner-junction block
-    onto them, and M_(m+1) = d I - sum_k conj(q_k) q_k^T / j_k on (A, B, C).
-    Its loop product is read off the phases of its entries, and (d', u') is
-    rescaled to max(|d'|, |u'|) = 1: the true block is M_(m+1) = S_m scale
-    M~_(m+1) when M_m = S_m M~_m.  An exact j_k = 0 is taken as eps, its sign
-    just below lambda, so nothing divides by zero; the rescaled state then
-    keeps only that pole, and the count at such a lambda is not to be trusted.
-    """
-    z = _cube_root(u)
-    g = _e(-t / 3)
-    j = _circulant_eigenvalues(2 * d, z * g)
-    # q_{c,k} sqrt(3) = v_c0 + w^k v_c1 + w^2k v_c2, w = conj(omega), with
-    # v_A = (conj z, conj(g) z, 0), v_B = (z, 0, g conj z), v_C = (0, conj(g z), g e(t) z)
-    qa = z.conj() + (g.conj() * z) * _W
-    qb = z + (g * z.conj()) * _W2
-    # np.multiply: `*` on two numpy scalars rounds differently from the ufunc
-    qc = (g * z).conj() * _W + (np.multiply(g, _e(t)) * z) * _W2
-    r = 1 / (3 * np.where(j == 0, EPS, j))
-    d = d - (np.abs(qa) ** 2 * r).sum(axis=0)
-    m_ab, m_bc, m_ca = (-(p.conj() * q * r).sum(axis=0) for p, q in ((qa, qb), (qb, qc), (qc, qa)))
-    u = m_bc * np.exp(1j * (np.angle(m_ab) + np.angle(m_ca)))
-    scale = np.maximum(np.maximum(np.abs(d), np.abs(u)), TINY)
-    return j, d / scale, u / scale, scale
-
-
-def _row_shift(alpha, beta, step: int):
+def _row_shift(alpha, beta, step):
     """t = (alpha + beta) s^2 mod 1 at s = 2^step, the row shift of the top copy;
     s^2 is a power of 4, so each term is exact mod 1."""
     s2 = 4.0**step
     return (alpha * s2 % 1.0 + beta * s2 % 1.0) % 1.0
+
+
+def _step_phases(alpha, beta, step):
+    """(a, b), a_k = e((k - t)/3) and b_k = a_k e(t/2) = e((2k + t)/6) at the
+    row shift t of `step`, mode-major down axis -2: (..., 3, 1) at a flux pair
+    of scalars, (..., 3, P) at one pair per probe."""
+    t = _row_shift(alpha, beta, step)
+    return _e((_MODES - t) / 3), _e((2 * _MODES + t) / 6)
+
+
+def _gluing_step(a, b, d, z):
+    """One gluing step in closed form over 1-d arrays: (j, d', z', scale), with
+    the junction eigenvalues j mode-major, (3, P).
+
+    M_m is gauge-equivalent to d I + z P + conj(z) P^T, P the cyclic shift on
+    its corners: diagonal d, off-diagonal entries of modulus |z| and loop
+    product z^3.  Glue three copies, the top one shifted by the row shift t
+    (`_row_shift`; a and b are its `_step_phases`, scalars per mode at a
+    uniform flux pair, one column per probe otherwise).  The junction block J
+    is circulant with eigenvalues j_k = 2 (d + Re(z a_k)); corner c couples
+    to mode k through q_{c,k} / sqrt(3), and M_(m+1) = d I - sum_k
+    conj(q_k) q_k^T / (3 j_k).  Corners A and B couple conjugately,
+    q_{B,k} = conj(q_{A,k}), and |q_{c,k}| = 2 |Re(z b_k)| at every corner, so
+    with F_k = 4 Re(z b_k)^2 / (3 j_k) and G = sum_k omega^k F_k,
+
+        d' = d - sum_k F_k,   M_AB = M_CA = -e(-t/3) G,   M_BC = -e(2t/3) G,
+
+    whose loop product is -G^3: z' = e^(i pi/3) G.  Only real products and
+    sums of the parts of z, a and b; no cube root or angle is taken.  z' is
+    one of the three cube roots, so the modes of the next step may come
+    permuted; counts, flags and determinants are symmetric in them.
+
+    (d', z') is rescaled to max(|d'|, |z'|) = 1: the true block is M_(m+1) =
+    S_m scale M~_(m+1) when M_m = S_m M~_m.  An exact j_k = 0 is taken as
+    eps, its sign just below lambda, so nothing divides by zero; the rescaled
+    state then keeps only that pole, and the count at such a lambda is not to
+    be trusted.
+    """
+    # in place on (3, P) buffers: fresh temporaries cost as much as the arithmetic
+    x, y = z.real, z.imag
+    j, f, w = x * a.real, x * b.real, y * a.imag
+    j -= w
+    j += d
+    j *= 2  # 2 (d + Re(z a))
+    np.multiply(y, b.imag, out=w)
+    f -= w
+    f *= f
+    np.multiply(j, 0.75, out=w)
+    w[j == 0] = 0.75 * EPS
+    f /= w  # F = 4 Re(z b)^2 / (3 j)
+    f0, f1, f2 = f
+    d = d - (f0 + f1 + f2)
+    # e^(i pi/3) omega^k = 1/2 + i sin 60, -1, 1/2 - i sin 60
+    x, y = f0 + f2, f0 - f2
+    x *= 0.5
+    x -= f1
+    y *= _SIN60
+    scale = np.hypot(x, y)
+    np.maximum(scale, np.abs(d), out=scale)
+    np.maximum(scale, TINY, out=scale)
+    z = np.empty(d.shape, dtype=complex)
+    np.divide(x, scale, out=z.real)
+    np.divide(y, scale, out=z.imag)
+    d /= scale
+    return j, d, z, scale
 
 
 def _gluing(alpha, beta, level: int, lam) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -519,14 +555,16 @@ def _gluing(alpha, beta, level: int, lam) -> tuple[np.ndarray, np.ndarray, np.nd
     recursion is read off these: the count (`_glue`), the singular flag
     (`_singular`) and the log-determinant (`gluing_log_det`).
     """
-    # u per probe even at scalar fluxes: numpy's scalar arithmetic rounds
-    # otherwise, and the two calls must agree to the bit
-    d, u = 2 * (1 - lam), np.broadcast_to(-_e(alpha), lam.shape)
+    # M_0 has loop product -e(alpha), one cube root of which is z; z per probe
+    # even at scalar fluxes: numpy's scalar arithmetic rounds otherwise, and
+    # the two calls must agree to the bit
+    d, z = 2 * (1 - lam), np.broadcast_to(_e((alpha + 0.5) / 3), lam.shape)
+    a, b = _step_phases(alpha, beta, np.arange(level)[:, None, None])
     j = np.empty((level, 3, lam.size))
     scale = np.empty((level, lam.size))
     for step in range(level):
-        j[step], d, u, scale[step] = _gluing_step(_row_shift(alpha, beta, step), d, u)
-    return j, scale, _circulant_eigenvalues(d, _cube_root(u))
+        j[step], d, z, scale[step] = _gluing_step(a[step], b[step], d, z)
+    return j, scale, _circulant_eigenvalues(d, z)
 
 
 def _live(lam):
@@ -564,10 +602,11 @@ def gluing_count(alpha, beta, level: int, lam) -> tuple[np.ndarray, np.ndarray]:
     The count is the negative inertia of H = Deg (1 - lam) - W (Sylvester), in
     the `build_connection` gauge, obtained by gluing corner blocks bottom-up.
     M_0 = 2(1 - lam) I - W_0 is the triangle on (0,0), (1,0), (0,1), the state
-    d = 2(1 - lam), u = -e(alpha).  Step m glues M_m on (A, X, Z), M_m on
-    (X, B, Y) and G* M_m G on (Z, Y, C), with G = diag(1, e(-(alpha+beta) s^2), 1)
-    and s = 2^m; J_m is the block of the junctions X, Y, Z, and M_(m+1) the
-    Schur complement onto the corners (`_gluing_step`).  Haynsworth gives
+    d = 2(1 - lam), z = e((alpha + 1/2)/3), whose cube is its loop product
+    -e(alpha).  Step m glues M_m on (A, X, Z), M_m on (X, B, Y) and G* M_m G
+    on (Z, Y, C), with G = diag(1, e(-(alpha+beta) s^2), 1) and s = 2^m; J_m
+    is the block of the junctions X, Y, Z, and M_(m+1) the Schur complement
+    onto the corners (`_gluing_step`).  Haynsworth gives
     count = sum_m 3^(level-1-m) neg(J_m) + neg(M_level).
 
     The singular-J rule: a probe that meets a junction block with
@@ -590,7 +629,7 @@ def gluing_count(alpha, beta, level: int, lam) -> tuple[np.ndarray, np.ndarray]:
 
 
 # At lambda = 0 every junction and final eigenvalue is >= 0; in the state's
-# units (max(|d|, |u|) = 1) one below -PSD_TOL is not rounding.
+# units (max(|d|, |z|) = 1) one below -PSD_TOL is not rounding.
 PSD_TOL = 1e-12
 
 
@@ -651,9 +690,18 @@ def decimation_eigenvalues(flux: FluxPair, level: int) -> np.ndarray:
     count(lo) <= i < count(hi), starting from BRACKET, and halves it until it
     is at most BISECT_WIDTH wide.  Indices whose midpoints coincide (a
     multiple eigenvalue, or one not yet split off its neighbours) share a
-    single count.  Within 1e-12 of the closed forms at the dyadic pairs and
-    of dense at Case IV fluxes; at Case II and III fluxes, where D roots and
-    real Psi zeros meet, clusters land up to ~1e-8 off.
+    single count.  A probe that meets a junction block singular to working
+    precision (`_singular`) while some bracket at it is wider than
+    2 JUNCTION_SHIFT is recounted by `gluing_count`'s rule; where that count
+    is determined it replaces the raw one, which rounding decides there.
+
+    Measured against dense: within 5e-14 over the dyadic pairs and three
+    random Case IV pairs at levels 0-6, and within 1e-12 of the closed forms
+    at the dyadic pairs to level 10.  A near-zero junction eigenvalue a few
+    steps down costs more at some Case IV pairs: 2.1e-12 at (0.3, 0.3),
+    level 6, and 1.4e-11 at (0.37, 0.71), level 7.  At Case II and III
+    fluxes, where D roots and real Psi zeros meet, clusters land 1e-9 to
+    4e-9 off at levels 3-6.
     """
     dim = dim_n(level)
     index = np.arange(dim)
@@ -664,7 +712,14 @@ def decimation_eigenvalues(flux: FluxPair, level: int) -> np.ndarray:
             return np.sort(0.5 * (lo + hi))
         mid = 0.5 * (lo[wide] + hi[wide])
         points, where = np.unique(mid, return_inverse=True)
-        above = _glue(flux.alpha, flux.beta, level, points)[0][where] > index[wide]
+        count, j = _glue(flux.alpha, flux.beta, level, points)
+        recount = np.zeros(points.size, dtype=bool)
+        recount[where[hi[wide] - lo[wide] > 2 * JUNCTION_SHIFT]] = True
+        if recount.any():
+            recount &= _singular(points, j)
+            again, _ = gluing_count(flux.alpha, flux.beta, level, points[recount])
+            count[recount] = np.where(again >= 0, again, count[recount])
+        above = count[where] > index[wide]
         hi[wide[above]] = mid[above]
         lo[wide[~above]] = mid[~above]
 

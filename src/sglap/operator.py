@@ -7,16 +7,17 @@ symmetrization T = W^{1/2} L W^{-1/2}.  `assemble` is O(1): the dense matrix
 reads it.  `eigenvalues` is the one entry point for spectra: from level
 ENGINE_MIN_LEVEL on, an operator whose connection carries a uniform Case I
 (dyadic) or Case IV (no real Psi zero) flux pair is solved by bisecting the
-gluing count (`decimation.decimation_eigenvalues`: O(N) work per probe, and
-about 52 lockstep iterations of up to dim probes each for a spectrum);
-every other operator goes to `dense_eigenvalues`, the dense eigensolver that
-stays the oracle the engine is checked against, and the only path
-SPECTRUM_DIM_CAP binds.  `log_determinant` reads the gluing recursion at
-lambda = 0 (`decimation.gluing_log_det`, O(N) work) at every uniform flux
-pair and every level; the dense oracle takes the rest.  Also here:
-multiplicity clustering and the Schur complement onto the previous level (the
-midpoint vertices eliminated from the operator's entries one side-2 triangle
-at a time).
+gluing count (`decimation.decimation_eigenvalues`: one real closed-form step
+per level on each probe, about 52 lockstep iterations of up to dim probes
+each for a spectrum, and a probe at a singular junction block recounted on
+either side of it); every other operator goes to `dense_eigenvalues`, the
+dense eigensolver that stays the oracle the engine is checked against, and
+the only path SPECTRUM_DIM_CAP binds.  `log_determinant` reads the gluing
+recursion at lambda = 0 (`decimation.gluing_log_det`, O(N) work) at every
+uniform flux pair and every level; the dense oracle takes the rest.  Also
+here: multiplicity clustering and the Schur complement onto the previous
+level (the midpoint vertices eliminated from the operator's entries one
+side-2 triangle at a time).
 """
 
 from __future__ import annotations
@@ -48,9 +49,10 @@ ZERO_EIG_TOL = 1e-9
 CLUSTER_TOL = 1e-6
 # `schur_complement` refuses lambda within this of a midpoint-block root
 D_ROOT_TOL = 1e-9
-# Below this level a dense solve is faster than bisecting the gluing count
-# (level 5 on a 2-vCPU host: 27-32 ms dense; 37-40 ms gluing at dyadic flux,
-# 48-72 ms at generic flux).
+# Below this level a dense solve is faster than bisecting the gluing count.
+# At level 5 the two tie (2-vCPU host, medians of 15 alternating runs: dense
+# 20-21 ms with the matrix built, gluing 17-20 ms at (0, 0) and (1/2, 0),
+# 21 ms at (0.3, 0.3) and (0.37, 0.71)), so level 5 stays dense.
 ENGINE_MIN_LEVEL = 6
 
 
