@@ -147,8 +147,8 @@ def _match_report(cf: operator.Spectrum, dn: operator.Spectrum, tol: float = 1e-
 def spectrum(alpha, beta, level, method, out):
     """Eigenvalues with multiplicities, by decimation closed form and/or the operator.
 
-    The operator path ("dense") solves densely below level 6, and from level
-    6 on at Case I and Case IV fluxes by bisecting the gluing count of
+    The operator path ("dense") solves densely below level 5, and from level
+    5 on at Case I and Case IV fluxes by bisecting the gluing count of
     corner blocks.
     """
     t0 = time.perf_counter()

@@ -94,7 +94,7 @@ class OrientedCRSF:
 
     def validate(self, graph: GasketGraph) -> None:
         """Structural invariants: totality, adjacency, one cycle per component."""
-        n = len(graph.vertices)
+        n = len(graph.coords)
         if len(self.successor) != n:
             raise ValueError("successor map does not cover the vertex set")
         nbrs = graph.neighbors
@@ -207,8 +207,8 @@ def _flux_window_check(conn: Connection) -> None:
         )
     base = [
         r
-        for cell, r in zip(graph.cells, reps)
-        if cell.side == 1  # uprights carry alpha, side-1 holes carry beta
+        for r, side in zip(reps, graph.face_sides.tolist())
+        if side == 1  # uprights carry alpha, side-1 holes carry beta
     ]
     bad = max(base, key=abs)
     if abs(bad) > FLUX_WINDOW + 1e-12:
@@ -241,7 +241,7 @@ def sample_crsf(graph: GasketGraph, conn: Connection, seed: int) -> OrientedCRSF
     """
     _flux_window_check(conn)
     nbrs, phase = graph.neighbors, conn.phase
-    n = len(graph.vertices)
+    n = len(graph.coords)
     rng = random.Random(seed)
     successor: list[int | None] = [None] * n
     in_forest = [False] * n

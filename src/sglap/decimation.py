@@ -717,6 +717,7 @@ def decimation_eigenvalues(flux: FluxPair, level: int) -> np.ndarray:
         recount[where[hi[wide] - lo[wide] > 2 * JUNCTION_SHIFT]] = True
         if recount.any():
             recount &= _singular(points, j)
+        if recount.any():  # `_singular` may have cleared every flag
             again, _ = gluing_count(flux.alpha, flux.beta, level, points[recount])
             count[recount] = np.where(again >= 0, again, count[recount])
         above = count[where] > index[wide]

@@ -14,6 +14,15 @@ Counts for G_N: dim_N = (3^(N+1)+3)/2 vertices, 3^(N+1) edges, 3^N upright unit
 cells, and (3^N-1)/2 downright faces total (unit cells plus the hexagonal holes
 of side 2^j).  The faces form a cycle basis, which is what the gauge module
 relies on.
+
+A graph stores four integer arrays, each built by whole-array arithmetic over
+the three copies: the vertex coordinates (row k is vertex k), the edge ends,
+every face's boundary cycle one face after another, and each face's side.
+Everything else is derived from them on first read: the tuple and dict views
+(`vertices`, `edges`, `cells`, `coord_to_id`, `prev_level_ids`, `degrees`,
+`neighbors`), the degree array and the index arrays `face_edges` and
+`midpoint_cells`.  The spectrum path (`build_connection`, `assemble`, the
+operator's entries) reads only arrays, so it never builds a tuple view.
 """
 
 from __future__ import annotations
@@ -53,32 +62,75 @@ class UnitCell:
     side: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GasketGraph:
+    """G_N as read-only arrays; graphs compare by identity.
+
+    ``coords`` is (dim, 2), the lattice coordinates in id order (ids are the
+    lexicographic rank of the coordinates); ``edge_array`` is (3^(N+1), 2),
+    each edge as (low id, high id), rows ascending; ``face_cycles`` is every
+    face's CCW boundary cycle, one face after another, the 3^N upright unit
+    cells (3 ids each, in copy order) and then the holes in preorder (3*side
+    ids each, from the corner (i+s, j)); ``face_sides`` is each face's side.
+    """
+
     level: int
-    vertices: tuple[tuple[int, tuple[int, int]], ...]  # (id, (i, j)), id = sort rank
-    edges: tuple[tuple[int, int], ...]
+    coords: np.ndarray = field(repr=False)
+    edge_array: np.ndarray = field(repr=False)
     boundary: tuple[int, int, int]  # the three corner ids (V_0)
-    cells: tuple[UnitCell, ...]
-    prev_level_ids: tuple[int, ...]
-    coord_to_id: dict[tuple[int, int], int] = field(repr=False)
+    face_cycles: np.ndarray = field(repr=False)
+    face_sides: np.ndarray = field(repr=False)
+
+    @cached_property
+    def vertices(self) -> tuple[tuple[int, tuple[int, int]], ...]:
+        """(id, (i, j)) for every vertex, in id order."""
+        return tuple(enumerate(map(tuple, self.coords.tolist())))
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(map(tuple, self.edge_array.tolist()))
+
+    @cached_property
+    def coord_to_id(self) -> dict[tuple[int, int], int]:
+        return {c: k for k, c in self.vertices}
+
+    @cached_property
+    def cells(self) -> tuple[UnitCell, ...]:
+        ups = 3**self.level
+        cycles = self.face_cycles.tolist()
+        cells = [UnitCell("upright", tuple(cycles[3 * k:3 * k + 3])) for k in range(ups)]
+        at = 3 * ups
+        for s in self.face_sides[ups:].tolist():
+            cells.append(UnitCell("downright", tuple(cycles[at:at + 3 * s]), side=s))
+            at += 3 * s
+        return tuple(cells)
+
+    @cached_property
+    def prev_level_ids(self) -> tuple[int, ...]:
+        """The ids on the level N-1 sublattice (even coordinates), ascending;
+        the boundary at level 0."""
+        if self.level == 0:
+            return self.boundary
+        return tuple(np.flatnonzero(~(self.coords % 2).any(axis=1)).tolist())
+
+    @cached_property
+    def degree_array(self) -> np.ndarray:
+        deg = np.bincount(self.edge_array.ravel(), minlength=len(self.coords))
+        deg.setflags(write=False)
+        return deg
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        deg = [0] * len(self.vertices)
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return tuple(deg)
+        return tuple(self.degree_array.tolist())
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Each vertex's neighbours in ascending id order."""
-        nbrs: list[list[int]] = [[] for _ in self.vertices]
-        for a, b in self.edges:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-        return tuple(tuple(sorted(ns)) for ns in nbrs)
+        lo, hi = self.edge_array.T
+        src, dst = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+        ends = dst[np.lexsort((dst, src))].tolist()
+        stops = np.cumsum(self.degree_array).tolist()
+        return tuple(tuple(ends[a:b]) for a, b in zip([0] + stops[:-1], stops))
 
     @cached_property
     def face_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -86,15 +138,18 @@ class GasketGraph:
         into `edges` with signs (+1 where the boundary runs from the lower id
         to the higher), and the offset at which each face starts: a sum over
         every face's edges is one `np.add.reduceat`."""
-        index = {e: k for k, e in enumerate(self.edges)}
-        edge, sign, start = [], [], []
-        for cell in self.cells:
-            start.append(len(edge))
-            cyc = cell.vertices
-            for u, v in zip(cyc, cyc[1:] + cyc[:1]):
-                edge.append(index[(u, v) if u < v else (v, u)])
-                sign.append(1.0 if u < v else -1.0)
-        return np.array(edge), np.array(sign), np.array(start)
+        u, length = self.face_cycles, 3 * self.face_sides
+        start = np.cumsum(length) - length
+        ahead = np.arange(1, len(u) + 1)
+        ahead[start + length - 1] = start  # each face's last vertex closes onto its first
+        v = u[ahead]
+        return self.edge_index(u, v), np.where(u < v, 1.0, -1.0), start
+
+    def edge_index(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The index into `edges` of each edge {u, v}, in either direction."""
+        n = len(self.coords)
+        keys = self.edge_array[:, 0] * n + self.edge_array[:, 1]
+        return np.searchsorted(keys, np.minimum(u, v) * n + np.maximum(u, v))
 
     @cached_property
     def midpoint_cells(self) -> tuple[np.ndarray, np.ndarray]:
@@ -105,13 +160,12 @@ class GasketGraph:
         midpoints t0[1], t1[2], t2[0], which are adjacent only to each other and
         to its corners: the midpoint block of an operator is 3x3 block-diagonal
         over these rows.  Rows ascend by their first midpoint."""
-        up = [c.vertices for c in self.cells[: 3**self.level]]
-        rows = sorted(
-            ((t0[1], t1[2], t2[0]), (t0[0], t1[1], t2[2]))
-            for t0, t1, t2 in zip(up[0::3], up[1::3], up[2::3])
-        )
-        mids, corners = zip(*rows)
-        return np.array(mids), np.array(corners)
+        up = self.face_cycles[: 3 ** (self.level + 1)].reshape(-1, 3)
+        t0, t1, t2 = up[0::3], up[1::3], up[2::3]
+        mids = np.stack([t0[:, 1], t1[:, 2], t2[:, 0]], axis=1)
+        corners = np.stack([t0[:, 0], t1[:, 1], t2[:, 2]], axis=1)
+        order = np.argsort(mids[:, 0])  # a vertex is the midpoint of one triangle only
+        return mids[order], corners[order]
 
     def to_json(self) -> str:
         doc = {
@@ -136,43 +190,50 @@ def build_gasket(level: int) -> GasketGraph:
             f"level {level} exceeds maximum {max_level()} (set SG_MAX_LEVEL to raise)"
         )
 
-    origins = [(0, 0)]  # lower-left corners of the upright unit cells
-    holes: list[tuple[int, int, int]] = []  # (s, i, j): corners (i+s, j), (i+s, j+s), (i, j+s)
+    origins = np.zeros((1, 2), dtype=np.int64)  # lower-left corners of the upright unit cells
+    # holes of side s at (i, j): corners (i+s, j), (i+s, j+s), (i, j+s)
+    sides, hole_at = np.zeros(0, dtype=np.int64), np.zeros((0, 2), dtype=np.int64)
     for k in range(level):
         s = 2**k
-        shifts = ((0, 0), (s, 0), (0, s))
-        origins = [(i + di, j + dj) for di, dj in shifts for i, j in origins]
-        holes = [(s, 0, 0)] + [(h, i + di, j + dj) for di, dj in shifts for h, i, j in holes]
+        shifts = np.array([(0, 0), (s, 0), (0, s)])
+        origins = (shifts[:, None] + origins).reshape(-1, 2)
+        sides = np.concatenate([[s], sides, sides, sides])
+        hole_at = np.concatenate([[(0, 0)], (shifts[:, None] + hole_at).reshape(-1, 2)])
 
-    coords = sorted({c for i, j in origins for c in ((i, j), (i + 1, j), (i, j + 1))})
-    ids = {c: k for k, c in enumerate(coords)}
-    # (i, j) < (i, j + 1) < (i + 1, j), so each cell's ids are a < c < b
-    uprights = [(ids[(i, j)], ids[(i + 1, j)], ids[(i, j + 1)]) for i, j in origins]
-    edges = tuple(sorted({e for a, b, c in uprights for e in ((a, b), (c, b), (a, c))}))
+    # a coordinate's key i*width + j orders keys as coordinates lexicographically
+    width = 2**level + 1
+    corner = origins[:, None] + np.array([(0, 0), (1, 0), (0, 1)])
+    keys = corner[..., 0] * width + corner[..., 1]
+    # sorted distinct keys; np.unique would import numpy.ma on its first call
+    # in a process, ~15 ms
+    flat = np.sort(keys, axis=None)
+    vertex_keys = flat[np.concatenate([[True], flat[1:] != flat[:-1]])]
+    n = len(vertex_keys)
+    ups = np.searchsorted(vertex_keys, keys)
+    # each upright's ids (a, b, c) at (i, j), (i+1, j), (i, j+1) have a < c < b,
+    # and every edge lies on exactly one upright unit cell
+    a, b, c = ups.T
+    edge_keys = np.sort(np.concatenate([a * n + b, c * n + b, a * n + c]))
 
-    cells = [UnitCell("upright", t) for t in uprights]
-    for s, i, j in holes:
+    length = 3 * sides
+    at = 3 * len(origins) + np.cumsum(length) - length
+    cycles = np.empty(3 * len(origins) + length.sum(), dtype=np.int64)
+    cycles[: 3 * len(origins)] = ups.ravel()
+    for k in range(level):
+        s, t = 2**k, np.arange(2**k)
         # CCW from corner (i+s, j): s NE steps, s W steps, then s SE steps
-        cyc = (
-            [ids[(i + s, j + t)] for t in range(s)]
-            + [ids[(i + s - t, j + s)] for t in range(s)]
-            + [ids[(i + t, j + s - t)] for t in range(s)]
-        )
-        cells.append(UnitCell("downright", tuple(cyc), side=s))
+        di = np.concatenate([np.full(s, s), s - t, t])
+        dj = np.concatenate([t, np.full(s, s), s - t])
+        (hole,) = np.nonzero(sides == s)
+        i, j = hole_at[hole].T[:, :, None]
+        ring = np.searchsorted(vertex_keys, (i + di) * width + j + dj)
+        cycles[at[hole][:, None] + np.arange(3 * s)] = ring
 
     side = 2**level
-    boundary = (ids[(0, 0)], ids[(side, 0)], ids[(0, side)])
-    if level >= 1:
-        prev = tuple(ids[(i, j)] for i, j in coords if not i % 2 and not j % 2)
-    else:
-        prev = boundary
-
-    return GasketGraph(
-        level=level,
-        vertices=tuple(enumerate(coords)),
-        edges=edges,
-        boundary=boundary,
-        cells=tuple(cells),
-        prev_level_ids=prev,
-        coord_to_id=ids,
-    )
+    boundary = tuple(np.searchsorted(vertex_keys, [0, side * width, side]).tolist())
+    coords = np.stack(np.divmod(vertex_keys, width), axis=1)
+    edges = np.stack(np.divmod(edge_keys, n), axis=1)
+    face_sides = np.concatenate([np.ones(len(origins), dtype=np.int64), sides])
+    for x in (coords, edges, cycles, face_sides):
+        x.setflags(write=False)
+    return GasketGraph(level, coords, edges, boundary, cycles, face_sides)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,15 +92,27 @@ class FluxPair:
         return dyadic(self.alpha) is not None and dyadic(self.beta) is not None
 
 
-@dataclass
 class Connection:
-    """Edge phases on a graph.  `flux` is the uniform pair whose completed face
-    targets the phases were built to carry; None when no such pair is known
-    (a reduced connection, or phases written by hand)."""
+    """Edge phases on a graph.  `phase` is given either as a map (u, v) ->
+    phase over both directions of every edge, or as the forward phases, an
+    array in `graph.edges` order whose reverses are their negatives; from an
+    array the map is derived on first read.  `flux` is the uniform pair whose
+    completed face targets the phases were built to carry; None when no such
+    pair is known (a reduced connection, or phases written by hand)."""
 
-    graph: GasketGraph
-    phase: dict[tuple[int, int], float] = field(repr=False)
-    flux: FluxPair | None = None
+    def __init__(self, graph: GasketGraph, phase: dict[tuple[int, int], float] | np.ndarray,
+                 flux: FluxPair | None = None):
+        self.graph, self.flux = graph, flux
+        if isinstance(phase, np.ndarray):
+            self._forward, self._phase = phase, None
+        else:
+            self._forward, self._phase = None, phase
+
+    @property
+    def phase(self) -> dict[tuple[int, int], float]:
+        if self._phase is None:
+            self._phase = _antisymmetrize(dict(zip(self.graph.edges, self._forward.tolist())))
+        return self._phase
 
     def holonomy(self, cycle: list[int]) -> float:
         """Sum of edge phases along a closed vertex path, mod 1, rounded once
@@ -124,8 +136,9 @@ def edge_phases(conn: Connection, reverse: bool = False) -> np.ndarray:
     """phase(u, v) for every edge (u, v) of `graph.edges` (low id -> high id),
     in that order, as an array; phase(v, u) under reverse.  A face's holonomy
     is a signed sum of the forward phases over `GasketGraph.face_edges`."""
-    edges = conn.graph.edges
-    return np.array([conn.phase[(v, u) if reverse else (u, v)] for u, v in edges])
+    if conn._forward is not None:
+        return -conn._forward if reverse else conn._forward
+    return np.array([conn.phase[(v, u) if reverse else (u, v)] for u, v in conn.graph.edges])
 
 
 def _antisymmetrize(phase_fwd: dict[tuple[int, int], float]) -> dict[tuple[int, int], float]:
@@ -142,35 +155,31 @@ def build_connection(graph: GasketGraph, flux: FluxPair) -> Connection:
     E edge (i,j)->(i+1,j) carries -(alpha+beta)*j, NE edge carries 0, NW edge
     (i+1,j)->(i,j+1) carries alpha+(alpha+beta)*j.  Every ambient unit cell
     then picks up exactly alpha (upright) or beta (downright), so every face
-    gets its completed flux.  Each face's holonomy (one vectorised sum over
+    gets its completed flux.  Each edge's kind and row are read off the
+    coordinate arrays, and each face's holonomy (one vectorised sum over
     `GasketGraph.face_edges`) is checked against its target at HOLONOMY_TOL.
     """
     a, b, q = _turns(flux.alpha, flux.beta)
     rows = range(2**graph.level + 1)
-    east = [_mod1_of(-(a + b) * j, q) for j in rows]
+    east = np.array([_mod1_of(-(a + b) * j, q) for j in rows])
     # NW edges are stored low id -> high id, i.e. (i,j+1)->(i+1,j)
-    north_west = [_mod1_of(-a - (a + b) * j, q) for j in rows]
-    coord = dict(graph.vertices)
-    fwd = []
-    for u, v in graph.edges:
-        (i1, j1), (i2, j2) = coord[u], coord[v]
-        if j1 == j2:
-            fwd.append(east[j1])
-        elif i1 == i2:
-            fwd.append(0.0)
-        else:
-            fwd.append(north_west[j2])
-    conn = Connection(graph, _antisymmetrize(dict(zip(graph.edges, fwd))), flux)
+    north_west = np.array([_mod1_of(-a - (a + b) * j, q) for j in rows])
+    (i1, j1), (i2, j2) = graph.coords[graph.edge_array].transpose(1, 2, 0)
+    fwd = np.where(j1 == j2, east[j1], np.where(i1 == i2, 0.0, north_west[j2]))
+    fwd.setflags(write=False)
 
     edge, sign, start = graph.face_edges
-    holonomy = np.add.reduceat(sign * edge_phases(conn)[edge], start)
-    side_flux = {2**k: hole_flux(2**k, flux.alpha, flux.beta) for k in range(graph.level)}
-    target = [flux.alpha if c.orientation == "upright" else side_flux[c.side] for c in graph.cells]
+    holonomy = np.add.reduceat(sign * fwd[edge], start)
+    side_flux = np.zeros(graph.face_sides.max() + 1)
+    for k in range(graph.level):
+        side_flux[2**k] = hole_flux(2**k, flux.alpha, flux.beta)
+    target = side_flux[graph.face_sides]
+    target[: 3**graph.level] = flux.alpha  # the upright unit cells
     miss = np.abs(holonomy - target) % 1.0
     miss = np.minimum(miss, 1.0 - miss)
     if miss.max() > HOLONOMY_TOL:
         raise RuntimeError(f"holonomy verification failed on cell {graph.cells[int(np.argmax(miss))]}")
-    return conn
+    return Connection(graph, fwd, flux)
 
 
 def restrict_connection(conn: Connection, theta: float) -> Connection:
@@ -185,12 +194,20 @@ def restrict_connection(conn: Connection, theta: float) -> Connection:
     graph = conn.graph
     if graph.level == 0:
         raise ValueError("level 0 has no previous level")
-    rank = {fine: rid for rid, fine in enumerate(graph.prev_level_ids)}
+    fwd, rev = edge_phases(conn), edge_phases(conn, reverse=True)
+
+    def phase(x, y):
+        k = graph.edge_index(x, y)
+        return np.where(x < y, fwd[k], rev[k])
+
     mids, corners = graph.midpoint_cells
-    phase_fwd: dict[tuple[int, int], float] = {}
-    for (m0, m1, m2), (c0, c1, c2) in zip(mids.tolist(), corners.tolist()):
-        for fu, mid, fv in ((c0, m0, c1), (c1, m1, c2), (c2, m2, c0)):
-            ph = conn.phase[(fu, mid)] + conn.phase[(mid, fv)] + theta
-            u, v = rank[fu], rank[fv]
-            phase_fwd[(u, v) if u < v else (v, u)] = ph if u < v else -ph
-    return Connection(build_gasket(graph.level - 1), _antisymmetrize(phase_fwd))
+    # the CCW sides (c0, m0, c1), (c1, m1, c2), (c2, m2, c0) of every triangle
+    ends = np.roll(corners, -1, axis=1)
+    ph = phase(corners, mids) + phase(mids, ends) + theta
+    coarse = build_gasket(graph.level - 1)
+    prev = np.array(graph.prev_level_ids)  # ascending from level 1 on
+    u, v = np.searchsorted(prev, corners), np.searchsorted(prev, ends)
+    phase_fwd = np.empty(len(coarse.edge_array))
+    phase_fwd[coarse.edge_index(u, v)] = np.where(u < v, ph, -ph)
+    phase_fwd.setflags(write=False)
+    return Connection(coarse, phase_fwd)

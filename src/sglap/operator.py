@@ -2,22 +2,23 @@
 
 The operator has 1 on the diagonal and -omega_xy/deg(x) off it; it is
 self-adjoint in the degree measure, so eigenvalues come from the Hermitian
-symmetrization T = W^{1/2} L W^{-1/2}.  `assemble` is O(1): the dense matrix
-`MagneticOperator.entries` is built when first read, and the engine never
-reads it.  `eigenvalues` is the one entry point for spectra: from level
-ENGINE_MIN_LEVEL on, an operator whose connection carries a uniform Case I
-(dyadic) or Case IV (no real Psi zero) flux pair is solved by bisecting the
-gluing count (`decimation.decimation_eigenvalues`: one real closed-form step
-per level on each probe, about 52 lockstep iterations of up to dim probes
-each for a spectrum, and a probe at a singular junction block recounted on
-either side of it); every other operator goes to `dense_eigenvalues`, the
-dense eigensolver that stays the oracle the engine is checked against, and
-the only path SPECTRUM_DIM_CAP binds.  `log_determinant` reads the gluing
-recursion at lambda = 0 (`decimation.gluing_log_det`, O(N) work) at every
-uniform flux pair and every level; the dense oracle takes the rest.  Also
-here: multiplicity clustering and the Schur complement onto the previous
-level (the midpoint vertices eliminated from the operator's entries one
-side-2 triangle at a time).
+symmetrization T = W^{1/2} L W^{-1/2}.  `assemble` reads only the graph's
+arrays (its dimension and degrees): the dense matrix `MagneticOperator.entries`
+is built from the edge array and the connection's edge-order phases when first
+read, and the engine never reads it.  `eigenvalues` is the one entry point for
+spectra: from level ENGINE_MIN_LEVEL (5) on, an operator whose connection
+carries a uniform Case I (dyadic) or Case IV (no real Psi zero) flux pair is
+solved by bisecting the gluing count (`decimation.decimation_eigenvalues`:
+one real closed-form step per level on each probe, about 52 lockstep
+iterations of up to dim probes each for a spectrum, and a probe at a singular
+junction block recounted on either side of it); every other operator goes to
+`dense_eigenvalues`, the dense eigensolver that stays the oracle the engine
+is checked against, and the only path SPECTRUM_DIM_CAP binds.
+`log_determinant` reads the gluing recursion at lambda = 0
+(`decimation.gluing_log_det`, O(N) work) at every uniform flux pair and every
+level; the dense oracle takes the rest.  Also here: multiplicity clustering
+and the Schur complement onto the previous level (the midpoint vertices
+eliminated from the operator's entries one side-2 triangle at a time).
 """
 
 from __future__ import annotations
@@ -50,24 +51,26 @@ CLUSTER_TOL = 1e-6
 # `schur_complement` refuses lambda within this of a midpoint-block root
 D_ROOT_TOL = 1e-9
 # Below this level a dense solve is faster than bisecting the gluing count.
-# At level 5 the two tie (2-vCPU host, medians of 15 alternating runs: dense
-# 20-21 ms with the matrix built, gluing 17-20 ms at (0, 0) and (1/2, 0),
-# 21 ms at (0.3, 0.3) and (0.37, 0.71)), so level 5 stays dense.
-ENGINE_MIN_LEVEL = 6
+# At level 5 the gluing count wins at every flux measured (2-vCPU host,
+# medians of 15 alternating runs, two sets: dense 21-32 ms with the graph,
+# connection and matrix built, gluing 12-22 ms at (0, 0) and (1/2, 0),
+# 20-27 ms at (0.3, 0.3) and (0.37, 0.71)); at level 4 dense takes 3-4 ms
+# and gluing 19-22 ms.
+ENGINE_MIN_LEVEL = 5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MagneticOperator:
     dimension: int
-    weights: tuple[int, ...]
+    weights: np.ndarray  # the degrees, read-only
     graph: GasketGraph = field(repr=False)
     conn: Connection = field(repr=False)
 
     @cached_property
     def entries(self) -> np.ndarray:
         """The dense matrix, read-only, built on first read."""
-        x, y = np.array(self.graph.edges).T
-        deg = np.array(self.weights)
+        x, y = self.graph.edge_array.T
+        deg = self.weights
         L = np.eye(self.dimension, dtype=complex)
         L[x, y] = -np.exp(2j * np.pi * edge_phases(self.conn)) / deg[x]
         L[y, x] = -np.exp(2j * np.pi * edge_phases(self.conn, reverse=True)) / deg[y]
@@ -98,7 +101,7 @@ class Spectrum:
 def assemble(graph: GasketGraph, conn: Connection) -> MagneticOperator:
     if conn.graph is not graph:
         raise ValueError("connection was built on a different graph")
-    return MagneticOperator(len(graph.vertices), graph.degrees, graph, conn)
+    return MagneticOperator(len(graph.coords), graph.degree_array, graph, conn)
 
 
 def dense_eigenvalues(op: MagneticOperator) -> np.ndarray:
@@ -195,7 +198,7 @@ def log_determinant(op: MagneticOperator, drop_zero: bool = False) -> tuple[floa
     if flux is not None:
         zero_count = int(gluing_count(flux.alpha, flux.beta, level, ZERO_EIG_TOL)[0][0])
         if zero_count == kernel_dimension(flux, level):
-            value = gluing_log_det(flux, level) - math.fsum(map(math.log, op.weights))
+            value = gluing_log_det(flux, level) - math.fsum(map(math.log, op.weights.tolist()))
     if value is None:
         evs = dense_eigenvalues(op)
         if evs[0] < -ZERO_EIG_TOL:

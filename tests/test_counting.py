@@ -195,6 +195,26 @@ def test_bracket_stays_off_the_dyadic_grid(monkeypatch):
         monkeypatch.undo()
 
 
+def test_bisection_recounts_only_flagged_probes(monkeypatch):
+    # from BRACKET no probe meets a singular junction block at these pairs,
+    # so the recount never runs; from [0, 2] the midpoints land on the dyadic
+    # zeros and it does
+    sizes = []
+
+    def counted(alpha, beta, level, lam):
+        assert np.size(lam), "gluing_count called on an empty probe set"
+        sizes.append(np.size(lam))
+        return gluing_count(alpha, beta, level, lam)
+
+    monkeypatch.setattr(decimation, "gluing_count", counted)
+    for flux in ((0.37, 0.71), (0.3, 0.3), (0.5, 0.0), (0.0, 0.0)):
+        decimation_eigenvalues(FluxPair(*flux), 4)
+    assert not sizes
+    monkeypatch.setattr(decimation, "BRACKET", (0.0, 2.0))
+    decimation_eigenvalues(FluxPair(0.5, 0.0), 2)
+    assert sizes
+
+
 @pytest.mark.parametrize("flux", DYADIC)
 def test_engine_matches_closed_form_to_level_10(flux):
     # raw values, not clusters: at level 10 closed-form values sit 4.6e-7

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from _helpers import cell_holonomies, gauge_transform
 
 import sglap
+from sglap import gauge
 from sglap.gasket import build_gasket
 from sglap.gauge import (
     Connection,
@@ -162,6 +164,31 @@ def test_tree_gauge_is_exact_mod_1_at_level_8(flux):
         want = a if cell.orientation == "upright" else s * (s - 1) // 2 * a + s * (s + 1) // 2 * b
         miss = (Fraction(h) - want) % 1
         assert min(miss, 1 - miss) <= 1e-13, (cell.orientation, s)
+
+
+def test_holonomy_check_names_a_hole_whose_target_moved(monkeypatch):
+    # level 2 has one side-2 hole, so the failing cell is named exactly
+    g, flux = build_gasket(2), FluxPair(0.37, 0.71)
+    exact = gauge.hole_flux
+    monkeypatch.setattr(gauge, "hole_flux", lambda s, a, b: exact(s, a, b) + (1e-9 if s == 2 else 0.0))
+    (hole,) = [c for c in g.cells if c.side == 2]
+    with pytest.raises(RuntimeError, match=re.escape(f"holonomy verification failed on cell {hole}")):
+        build_connection(g, flux)
+
+
+def test_holonomy_check_names_an_upright_whose_target_moved(monkeypatch):
+    # the phases and the hole targets are both built from the exact turns, so
+    # shifting alpha there by 1e-9 leaves every hole on target and every
+    # upright 1e-9 off its target flux.alpha
+    exact = gauge._turns
+
+    def shifted(alpha, beta):
+        a, b, q = exact(alpha, beta)
+        return a + round(1e-9 * q), b, q
+
+    monkeypatch.setattr(gauge, "_turns", shifted)
+    with pytest.raises(RuntimeError, match=re.escape("holonomy verification failed on cell UnitCell(orientation='upright'")):
+        build_connection(build_gasket(2), FluxPair(0.37, 0.71))
 
 
 def test_sglap_imports_no_scipy():

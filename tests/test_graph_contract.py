@@ -3,9 +3,12 @@
 CRSF samples, `sg graph-export` and `schur_complement` depend on the vertex
 ids, the edge order, the cell order, the hole start vertices and the row
 order of `midpoint_cells`; the reduced connection depends on its phases to
-the bit.  The digests below were computed from the recursive construction
-that preceded the three-copies build, so any change to these orders or bits
-shows here.
+the bit.  The graph digests to level 7 were computed from the recursive
+construction that preceded the three-copies build, so any change to these
+orders or bits shows here.  The level-8 graph, the derived views (degrees,
+neighbours, coordinate ids) and `build_connection`'s own phases were pinned
+from the per-edge Python construction that preceded the array-built graph
+and gauge.
 """
 
 import hashlib
@@ -13,7 +16,7 @@ import hashlib
 import pytest
 
 from sglap.gasket import build_gasket
-from sglap.gauge import FluxPair, build_connection, restrict_connection
+from sglap.gauge import FluxPair, build_connection, edge_phases, restrict_connection
 
 GRAPH_DIGESTS = {
     0: "f342167c5244424a6d89b7db169ee4c06fa9cb528bfcedebb04243606d4bb3dd",
@@ -24,6 +27,31 @@ GRAPH_DIGESTS = {
     5: "37d718cb66abbd02a152e8cdffefe3df8e7c5a75bc2f57e9c7afb3ac02ab7221",
     6: "a10595d7397330928d788cb9cc0a7be86e94f5526d502f40c5d13d0631a9f4b9",
     7: "e5e1bbd27d6b1de912300f1431bf12aeda8dbe1fedffbee5f4bb6c4079b494a9",
+    8: "b9c20c65883ff90223c8173797d9340e6a8a3a5883ab8873fd1fecdc53bd20c7",
+}
+
+VIEW_DIGESTS = {
+    0: "747431dbbec8de8d531ef661f889e96d98b0ab574f5b8b18988d6095c740334c",
+    1: "87beec83ac6bffd018f722e314c0bf111d493c44fc8dc36f3316e3fccdcd6b0d",
+    2: "11f0af72b121455ab4cde99a585bdc841e09bdc539159c044f52bbda1d8bf9ca",
+    3: "c1d2d3c1533df2c2a797b6b3f30b30b84d5f32616698017403c34ed53dd7f044",
+    4: "242d7c1e0de52d53d7df45f0a09f3a6e0032555d1b71f51d75104469207b59ed",
+    5: "f847d24f82f69aa51a3d1cecb7ed997d0db111ed37ddf69ee3d3c0b723c59c14",
+    6: "529576d37a457c75a9224dc51128978e4cbdaa0601288b5a493ddaa6ba0d23ff",
+    7: "2ed4285eea4b769d300ed4e938562a108ac1c8ff40675af4f35f584d4b661dec",
+    8: "69a5d5b949c134551bfe31828c96f9272420df3d19ee43da40c80fbed2af83d5",
+}
+
+PHASE_FLUXES = [(0.37, 0.71), (1 / 12, 0.25), (0.5, 0.0), (0.0, 0.0)]
+PHASE_DIGESTS = {
+    0: "377e33e74b88d6e14bb4ab5d8098fb3925da3be730560a5eedbb0f31ce88ba62",
+    1: "c62d068df2e921eee6cb078b9db7b46dd4241c594649459c9cae340fe0ff13bd",
+    2: "6c7af53da5fe61b0f724730b77746ab73a959bd565601f0586166ebf6d3958d9",
+    3: "ca34be7089be0c9decbd314025ebb9d1a696ae7e8a5b611d7f265a62e1a3d6f5",
+    4: "d255cb23881aef8af6cd058ba93c028e1307402d18cba656b6b432fea529eb95",
+    5: "dfdccfe3da74c09f4f6f30139c64d9f99375922f4993c15bfe7319300cb0f089",
+    6: "a3f9c9a01ef78e51cd7308b51d74945fedcc589f04b8350a53e06078211c4020",
+    7: "2b2f99f8ec1b5bd11ff89b83218ea1c38d6baa3e916ed6e2fa7bacb63ec949d0",
 }
 
 RESTRICT_FLUXES = [(0.37, 0.71), (1 / 12, 0.25), (0.5, 0.0)]
@@ -56,6 +84,24 @@ def graph_digest(level):
     return h.hexdigest()
 
 
+def view_digest(level):
+    g = build_gasket(level)
+    fields = (g.degrees, g.neighbors, list(g.coord_to_id.items()))
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
+def phase_digest(level):
+    # the phase map in insertion order, both directions, and the arrays that
+    # `MagneticOperator.entries` reads
+    g = build_gasket(level)
+    h = hashlib.sha256()
+    for flux in PHASE_FLUXES:
+        conn = build_connection(g, FluxPair(*flux))
+        h.update(repr([(e, p.hex()) for e, p in conn.phase.items()]).encode())
+        h.update(_arrays(edge_phases(conn), edge_phases(conn, reverse=True)))
+    return h.hexdigest()
+
+
 def restrict_digest(level):
     g = build_gasket(level)
     h = hashlib.sha256()
@@ -75,3 +121,13 @@ def test_graph_contract_is_pinned(level):
 @pytest.mark.parametrize("level", sorted(RESTRICT_DIGESTS))
 def test_restricted_phases_are_pinned(level):
     assert restrict_digest(level) == RESTRICT_DIGESTS[level]
+
+
+@pytest.mark.parametrize("level", sorted(VIEW_DIGESTS))
+def test_derived_views_are_pinned(level):
+    assert view_digest(level) == VIEW_DIGESTS[level]
+
+
+@pytest.mark.parametrize("level", sorted(PHASE_DIGESTS))
+def test_connection_phases_are_pinned(level):
+    assert phase_digest(level) == PHASE_DIGESTS[level]
