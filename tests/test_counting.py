@@ -257,11 +257,13 @@ def test_count_saturates_outside_the_spectrum(flux):
 @pytest.mark.parametrize(
     "flux, level, engine",
     [
-        ((1 / 6, 0.0), ENGINE_MIN_LEVEL, False),  # Case II: one dyadic flux
-        ((1 / 8, 1 / 8), ENGINE_MIN_LEVEL, False),  # Case III: 3 alpha + beta = 1/2
-        ((0.5, 0.0), ENGINE_MIN_LEVEL, True),  # Case I
-        (RANDOM[1], ENGINE_MIN_LEVEL, True),  # Case IV
+        ((1 / 6, 0.0), 6, False),  # Case II: one dyadic flux
+        ((1 / 8, 1 / 8), 6, False),  # Case III: 3 alpha + beta = 1/2
+        ((0.5, 0.0), 6, True),  # Case I
+        (RANDOM[1], 6, True),  # Case IV
         (RANDOM[1], ENGINE_MIN_LEVEL - 1, False),
+        ((0.5, 0.0), ENGINE_MIN_LEVEL, True),
+        (RANDOM[1], ENGINE_MIN_LEVEL, True),
     ],
 )
 def test_eigenvalues_dispatch(flux, level, engine):
