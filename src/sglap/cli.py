@@ -328,13 +328,13 @@ def partition(level, alpha, beta, out):
     """Brute-force the oriented-forest partition sum (small levels only)."""
     t0 = time.perf_counter()
     graph = _call(gasket.build_gasket, level)
-    conn = gauge.build_connection(graph, FluxPair(alpha, beta))
-    z = _call(crsf_lib.brute_force_partition, graph, conn)
+    flux = FluxPair(alpha, beta)
+    z = _call(crsf_lib.brute_force_partition, graph, gauge.build_connection(graph, flux))
     payload = {
         "level": level,
-        "alpha": FluxPair(alpha, beta).alpha,
-        "beta": FluxPair(alpha, beta).beta,
-        "dimension": len(graph.vertices),
+        "alpha": flux.alpha,
+        "beta": flux.beta,
+        "dimension": len(graph.coords),
         "partition_re": z.real,
         "partition_im": z.imag,
     }

@@ -19,8 +19,8 @@ here:
   window get a clamped acceptance, so treat large-level samples as
   structural, not distributional.  A call costs its walk plus one
   vectorised window check over the faces: the neighbour lists are cached on
-  the graph, and a loop's flux is summed from its edge phases only when the
-  loop closes.
+  the graph, and a loop's flux is summed only when the loop closes, from
+  the neighbour table `Connection.neighbor_phases`.
 * noloop_log_probability - log of the no-loop probability for the essential
   CRSF measure obtained by wiring the corner (0,0) to an absorbing boundary
   point through a conductance-c edge (Kenyon, Ann. Probab. 39, 2011): two
@@ -45,7 +45,7 @@ from .decimation import gluing_log_det
 from .gasket import GasketGraph
 # assemble and build_connection are not called here; perfbench/selftest.py
 # checks that its tracer wraps these from-import sites
-from .gauge import Connection, FluxPair, build_connection, edge_phases, mod1  # noqa: F401
+from .gauge import Connection, FluxPair, build_connection, face_holonomies, mod1  # noqa: F401
 from .operator import assemble  # noqa: F401
 
 log = logging.getLogger(__name__)
@@ -190,27 +190,21 @@ def _flux_window_check(conn: Connection) -> None:
     """Refuse zero flux and base fluxes outside [-1/4, 1/4]; warn beyond the
     regime where every simple cycle provably stays inside the window.
 
-    Every face's holonomy is one signed sum of the forward phases over
-    `GasketGraph.face_edges` (a connection's phases are antisymmetric),
-    reduced mod 1 before it is centred, so that a face flux of exactly 1/2
-    reads +1/2, as `math.remainder` of the reduced holonomy gives.
+    Every face's holonomy (`face_holonomies`) is reduced mod 1 before it is
+    centred, so that a face flux of exactly 1/2 reads +1/2, as
+    `math.remainder` of the reduced holonomy gives.
     """
-    graph = conn.graph
-    edge, sign, start = graph.face_edges
-    h = np.add.reduceat(sign * edge_phases(conn)[edge], start) % 1.0
-    reps = (h - np.round(h)).tolist()
+    h = face_holonomies(conn) % 1.0
+    centred = h - np.round(h)
+    reps = centred.tolist()
     if all(abs(r) <= 1e-12 for r in reps):
         raise UnsupportedFluxError(
             "zero flux: every cycle has acceptance probability 0, so the "
             "cycle-popping sampler never roots a component; use a uniform "
             "spanning tree sampler instead"
         )
-    base = [
-        r
-        for r, side in zip(reps, graph.face_sides.tolist())
-        if side == 1  # uprights carry alpha, side-1 holes carry beta
-    ]
-    bad = max(base, key=abs)
+    # uprights carry alpha, side-1 holes carry beta
+    bad = max(centred[conn.graph.face_sides == 1].tolist(), key=abs)
     if abs(bad) > FLUX_WINDOW + 1e-12:
         raise UnsupportedFluxError(
             f"base flux angle {bad:+.6f} lies outside [-1/4, 1/4]; the "
@@ -237,10 +231,10 @@ def sample_crsf(graph: GasketGraph, conn: Connection, seed: int) -> OrientedCRSF
     A sample is a function of (graph, phases, seed) alone: every step is one
     `rng.choice` over `graph.neighbors`, so the ascending neighbour order is
     part of that contract, and a loop's flux is the exactly rounded sum of
-    its own edge phases.
+    its own edge phases, read from the neighbour table `neighbor_phases`.
     """
     _flux_window_check(conn)
-    nbrs, phase = graph.neighbors, conn.phase
+    nbrs, nph = graph.neighbors, conn.neighbor_phases
     n = len(graph.coords)
     rng = random.Random(seed)
     successor: list[int | None] = [None] * n
@@ -257,17 +251,13 @@ def sample_crsf(graph: GasketGraph, conn: Connection, seed: int) -> OrientedCRSF
                 raise RuntimeError(
                     f"cycle popping exceeded {WATCHDOG_STEPS:.0e} steps"
                 )
-            u = path[-1]
-            w = rng.choice(nbrs[u])
+            w = rng.choice(nbrs[path[-1]])
             if in_forest[w]:
-                for a, b in zip(path, path[1:] + [w]):
-                    successor[a] = b
-                    in_forest[a] = True
                 break
             if w in pos:  # closed a loop
                 i = pos[w]
                 # fsum rounds once, as Connection.holonomy does
-                theta = mod1(math.fsum([phase[e] for e in zip(path[i:], path[i + 1:] + [w])]))
+                theta = mod1(math.fsum([nph[a][nbrs[a].index(b)] for a, b in zip(path[i:], path[i + 1:] + [w])]))
                 p = 1.0 - math.cos(2.0 * math.pi * theta)
                 if p > 1.0:
                     log.debug(
@@ -275,9 +265,6 @@ def sample_crsf(graph: GasketGraph, conn: Connection, seed: int) -> OrientedCRSF
                     )
                     p = 1.0
                 if rng.random() < p:
-                    for a, b in zip(path, path[1:] + [w]):
-                        successor[a] = b
-                        in_forest[a] = True
                     break
                 for x in path[i + 1:]:
                     del pos[x]
@@ -285,6 +272,10 @@ def sample_crsf(graph: GasketGraph, conn: Connection, seed: int) -> OrientedCRSF
             else:
                 pos[w] = len(path)
                 path.append(w)
+        # the walk ends on the forest or on an accepted loop: both join it
+        for a, b in zip(path, path[1:] + [w]):
+            successor[a] = b
+            in_forest[a] = True
     return OrientedCRSF.from_successor(tuple(successor), conn)
 
 

@@ -27,6 +27,7 @@ operator's entries) reads only arrays, so it never builds a tuple view.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
@@ -127,10 +128,20 @@ class GasketGraph:
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Each vertex's neighbours in ascending id order."""
         lo, hi = self.edge_array.T
-        src, dst = np.concatenate([lo, hi]), np.concatenate([hi, lo])
-        ends = dst[np.lexsort((dst, src))].tolist()
-        stops = np.cumsum(self.degree_array).tolist()
-        return tuple(tuple(ends[a:b]) for a, b in zip([0] + stops[:-1], stops))
+        return self.along_neighbors(np.concatenate([hi, lo]))
+
+    @cached_property
+    def _neighbor_order(self) -> np.ndarray:
+        # sorts the directed edges of `along_neighbors` by (tail, head)
+        lo, hi = self.edge_array.T
+        return np.lexsort((np.concatenate([hi, lo]), np.concatenate([lo, hi])))
+
+    def along_neighbors(self, directed: np.ndarray) -> tuple[tuple, ...]:
+        """`directed` has one value per directed edge: the rows of `edge_array`
+        low -> high, then high -> low.  Row u of the result holds the values
+        of the edges u -> v for v in `neighbors[u]`, in that order."""
+        flat = iter(directed[self._neighbor_order].tolist())
+        return tuple(tuple(itertools.islice(flat, d)) for d in self.degrees)
 
     @cached_property
     def face_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -16,7 +16,10 @@ floats' dyadic fractions, and rounded once.  In floats they would not hold
 HOLONOMY_TOL: a hole of side s repeats one row phase s times, so that phase's
 rounding error is multiplied by s (the unreduced phases miss side-64 holes by
 more than 1e-12 at level 7), and a side-128 target's terms reach ~1.6e4.
-The connection records its flux pair, where the spectrum dispatch reads it.
+The connection is its forward phases and records its flux pair, where the
+spectrum dispatch reads it.  Array code (the operator's entries,
+`restrict_connection`, `face_holonomies`) reads `forward` and `-forward`; the
+CRSF walk, `holonomy` and `to_json` index `neighbor_phases`.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -93,60 +97,49 @@ class FluxPair:
 
 
 class Connection:
-    """Edge phases on a graph.  `phase` is given either as a map (u, v) ->
-    phase over both directions of every edge, or as the forward phases, an
-    array in `graph.edges` order whose reverses are their negatives; from an
-    array the map is derived on first read.  `flux` is the uniform pair whose
-    completed face targets the phases were built to carry; None when no such
-    pair is known (a reduced connection, or phases written by hand)."""
+    """Unit edge weights on a graph, one phase per edge.  `forward` is a
+    read-only float array in `graph.edge_array` order: phase(u, v) for each
+    edge (u, v), u < v, with phase(v, u) = -phase(u, v) by construction.
+    `flux` is the uniform pair whose completed face targets the phases were
+    built to carry; None when no such pair is known (a reduced connection,
+    or phases written by hand)."""
 
-    def __init__(self, graph: GasketGraph, phase: dict[tuple[int, int], float] | np.ndarray,
-                 flux: FluxPair | None = None):
-        self.graph, self.flux = graph, flux
-        if isinstance(phase, np.ndarray):
-            self._forward, self._phase = phase, None
-        else:
-            self._forward, self._phase = None, phase
+    def __init__(self, graph: GasketGraph, forward: np.ndarray, flux: FluxPair | None = None):
+        if not isinstance(forward, np.ndarray):
+            raise TypeError(f"forward phases must be an array in edge order, not {type(forward).__name__}")
+        if forward.shape != (len(graph.edge_array),):
+            raise ValueError(f"{len(graph.edge_array)} forward phases expected, got shape {forward.shape}")
+        self.graph, self.forward, self.flux = graph, np.array(forward, dtype=float), flux
+        self.forward.setflags(write=False)
 
-    @property
-    def phase(self) -> dict[tuple[int, int], float]:
-        if self._phase is None:
-            self._phase = _antisymmetrize(dict(zip(self.graph.edges, self._forward.tolist())))
-        return self._phase
+    @cached_property
+    def neighbor_phases(self) -> tuple[tuple[float, ...], ...]:
+        """phase(u, v) for each v in `graph.neighbors[u]`, one tuple per u."""
+        return self.graph.along_neighbors(np.concatenate([self.forward, -self.forward]))
 
     def holonomy(self, cycle: list[int]) -> float:
         """Sum of edge phases along a closed vertex path, mod 1, rounded once
         (a side-128 hole sums 384 phases; added in turn they drift by ~1e-13)."""
         if cycle[0] != cycle[-1]:
             cycle = list(cycle) + [cycle[0]]
-        terms = []
-        for u, v in zip(cycle, cycle[1:]):
-            if (u, v) not in self.phase:
-                raise InvalidCycleError(f"vertices {u},{v} not adjacent")
-            terms.append(self.phase[(u, v)])
+        nbrs, nph = self.graph.neighbors, self.neighbor_phases
+        try:
+            terms = [nph[u][nbrs[u].index(v)] for u, v in zip(cycle, cycle[1:])]
+        except (IndexError, ValueError):
+            raise InvalidCycleError(f"{list(cycle)} is not a closed path of adjacent vertices") from None
         return mod1(math.fsum(terms))
 
     def to_json(self) -> str:
-        return json.dumps(
-            {f"{u},{v}": p for (u, v), p in sorted(self.phase.items())}, indent=1
-        )
+        """{"u,v": phase(u, v)} over both directions, u ascending and then v."""
+        rows = zip(self.graph.neighbors, self.neighbor_phases)
+        return json.dumps({f"{u},{v}": p for u, (vs, ps) in enumerate(rows) for v, p in zip(vs, ps)}, indent=1)
 
 
-def edge_phases(conn: Connection, reverse: bool = False) -> np.ndarray:
-    """phase(u, v) for every edge (u, v) of `graph.edges` (low id -> high id),
-    in that order, as an array; phase(v, u) under reverse.  A face's holonomy
-    is a signed sum of the forward phases over `GasketGraph.face_edges`."""
-    if conn._forward is not None:
-        return -conn._forward if reverse else conn._forward
-    return np.array([conn.phase[(v, u) if reverse else (u, v)] for u, v in conn.graph.edges])
-
-
-def _antisymmetrize(phase_fwd: dict[tuple[int, int], float]) -> dict[tuple[int, int], float]:
-    full = {}
-    for (u, v), p in phase_fwd.items():
-        full[(u, v)] = p
-        full[(v, u)] = -p
-    return full
+def face_holonomies(conn: Connection) -> np.ndarray:
+    """Every face's holonomy, not reduced mod 1: the signed sum of the forward
+    phases around its CCW boundary (`GasketGraph.face_edges`)."""
+    edge, sign, start = conn.graph.face_edges
+    return np.add.reduceat(sign * conn.forward[edge], start)
 
 
 def build_connection(graph: GasketGraph, flux: FluxPair) -> Connection:
@@ -156,8 +149,8 @@ def build_connection(graph: GasketGraph, flux: FluxPair) -> Connection:
     (i+1,j)->(i,j+1) carries alpha+(alpha+beta)*j.  Every ambient unit cell
     then picks up exactly alpha (upright) or beta (downright), so every face
     gets its completed flux.  Each edge's kind and row are read off the
-    coordinate arrays, and each face's holonomy (one vectorised sum over
-    `GasketGraph.face_edges`) is checked against its target at HOLONOMY_TOL.
+    coordinate arrays, and each face's holonomy (`face_holonomies`) is checked
+    against its target at HOLONOMY_TOL.
     """
     a, b, q = _turns(flux.alpha, flux.beta)
     rows = range(2**graph.level + 1)
@@ -166,10 +159,9 @@ def build_connection(graph: GasketGraph, flux: FluxPair) -> Connection:
     north_west = np.array([_mod1_of(-a - (a + b) * j, q) for j in rows])
     (i1, j1), (i2, j2) = graph.coords[graph.edge_array].transpose(1, 2, 0)
     fwd = np.where(j1 == j2, east[j1], np.where(i1 == i2, 0.0, north_west[j2]))
-    fwd.setflags(write=False)
+    conn = Connection(graph, fwd, flux)
 
-    edge, sign, start = graph.face_edges
-    holonomy = np.add.reduceat(sign * fwd[edge], start)
+    holonomy = face_holonomies(conn)
     side_flux = np.zeros(graph.face_sides.max() + 1)
     for k in range(graph.level):
         side_flux[2**k] = hole_flux(2**k, flux.alpha, flux.beta)
@@ -179,7 +171,7 @@ def build_connection(graph: GasketGraph, flux: FluxPair) -> Connection:
     miss = np.minimum(miss, 1.0 - miss)
     if miss.max() > HOLONOMY_TOL:
         raise RuntimeError(f"holonomy verification failed on cell {graph.cells[int(np.argmax(miss))]}")
-    return Connection(graph, fwd, flux)
+    return conn
 
 
 def restrict_connection(conn: Connection, theta: float) -> Connection:
@@ -194,11 +186,10 @@ def restrict_connection(conn: Connection, theta: float) -> Connection:
     graph = conn.graph
     if graph.level == 0:
         raise ValueError("level 0 has no previous level")
-    fwd, rev = edge_phases(conn), edge_phases(conn, reverse=True)
 
     def phase(x, y):
-        k = graph.edge_index(x, y)
-        return np.where(x < y, fwd[k], rev[k])
+        p = conn.forward[graph.edge_index(x, y)]
+        return np.where(x < y, p, -p)
 
     mids, corners = graph.midpoint_cells
     # the CCW sides (c0, m0, c1), (c1, m1, c2), (c2, m2, c0) of every triangle
@@ -209,5 +200,4 @@ def restrict_connection(conn: Connection, theta: float) -> Connection:
     u, v = np.searchsorted(prev, corners), np.searchsorted(prev, ends)
     phase_fwd = np.empty(len(coarse.edge_array))
     phase_fwd[coarse.edge_index(u, v)] = np.where(u < v, ph, -ph)
-    phase_fwd.setflags(write=False)
     return Connection(coarse, phase_fwd)

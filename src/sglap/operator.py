@@ -2,18 +2,19 @@
 
 The operator has 1 on the diagonal and -omega_xy/deg(x) off it; it is
 self-adjoint in the degree measure, so eigenvalues come from the Hermitian
-symmetrization T = W^{1/2} L W^{-1/2}.  `assemble` reads only the graph's
-arrays (its dimension and degrees): the dense matrix `MagneticOperator.entries`
-is built from the edge array and the connection's edge-order phases when first
-read, and the engine never reads it.  `eigenvalues` is the one entry point for
-spectra: from level ENGINE_MIN_LEVEL (5) on, an operator whose connection
-carries a uniform Case I (dyadic) or Case IV (no real Psi zero) flux pair is
-solved by bisecting the gluing count (`decimation.decimation_eigenvalues`:
-one real closed-form step per level on each probe, about 52 lockstep
-iterations of up to dim probes each for a spectrum, and a probe at a singular
-junction block recounted on either side of it); every other operator goes to
-`dense_eigenvalues`, the dense eigensolver that stays the oracle the engine
-is checked against, and the only path SPECTRUM_DIM_CAP binds.
+symmetrization T = W^{1/2} L W^{-1/2}.  A `MagneticOperator` is its graph and
+connection: its dimension and weights (the degrees) are read off the graph's
+arrays, and the dense matrix `MagneticOperator.entries` is built from the edge
+array and the connection's forward phases when first read; the engine never
+reads it.  `eigenvalues` is the one entry point for spectra: from level
+ENGINE_MIN_LEVEL (5) on, an operator whose connection carries a uniform Case I
+(dyadic) or Case IV (no real Psi zero) flux pair is solved by bisecting the
+gluing count (`decimation.decimation_eigenvalues`: one real closed-form step
+per level on each probe, about 52 lockstep iterations of up to dim probes each
+for a spectrum, and a probe at a singular junction block recounted on either
+side of it); every other operator goes to `dense_eigenvalues`, the dense
+eigensolver that stays the oracle the engine is checked against, and the only
+path SPECTRUM_DIM_CAP binds.
 `log_determinant` reads the gluing recursion at lambda = 0
 (`decimation.gluing_log_det`, O(N) work) at every uniform flux pair and every
 level; the dense oracle takes the rest.  Also here: multiplicity clustering
@@ -42,7 +43,7 @@ from .decimation import (
 # build_gasket is not called here; perfbench/selftest.py checks that its
 # tracer wraps this from-import site
 from .gasket import GasketGraph, build_gasket  # noqa: F401
-from .gauge import Connection, edge_phases
+from .gauge import Connection
 
 SPECTRUM_DIM_CAP = 4000
 ZERO_EIG_TOL = 1e-9
@@ -61,19 +62,25 @@ ENGINE_MIN_LEVEL = 5
 
 @dataclass(frozen=True, eq=False)
 class MagneticOperator:
-    dimension: int
-    weights: np.ndarray  # the degrees, read-only
     graph: GasketGraph = field(repr=False)
     conn: Connection = field(repr=False)
+
+    @property
+    def dimension(self) -> int:
+        return len(self.graph.coords)
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.graph.degree_array  # the degrees, read-only
 
     @cached_property
     def entries(self) -> np.ndarray:
         """The dense matrix, read-only, built on first read."""
         x, y = self.graph.edge_array.T
-        deg = self.weights
+        deg, fwd = self.weights, self.conn.forward
         L = np.eye(self.dimension, dtype=complex)
-        L[x, y] = -np.exp(2j * np.pi * edge_phases(self.conn)) / deg[x]
-        L[y, x] = -np.exp(2j * np.pi * edge_phases(self.conn, reverse=True)) / deg[y]
+        L[x, y] = -np.exp(2j * np.pi * fwd) / deg[x]
+        L[y, x] = -np.exp(2j * np.pi * -fwd) / deg[y]
         L.setflags(write=False)
         return L
 
@@ -101,7 +108,7 @@ class Spectrum:
 def assemble(graph: GasketGraph, conn: Connection) -> MagneticOperator:
     if conn.graph is not graph:
         raise ValueError("connection was built on a different graph")
-    return MagneticOperator(len(graph.coords), graph.degree_array, graph, conn)
+    return MagneticOperator(graph, conn)
 
 
 def dense_eigenvalues(op: MagneticOperator) -> np.ndarray:

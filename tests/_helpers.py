@@ -41,23 +41,21 @@ from sglap.operator import assemble
 def reduced_connection_from_schur(S, phi, coarse):
     """Recover the edge phases of the coarse connection hidden in a Schur
     complement S = phi * (L' - R I): off-diagonal entries are
-    -phi * omega'_xy / deg'(x), so dividing them back out yields omega'."""
-    deg = coarse.degrees
-    phase = {}
-    for x, y in coarse.edges:
-        for u, v in ((x, y), (y, x)):
-            w = -S[u, v] * deg[u] / phi
-            phase[(u, v)] = float(np.angle(w) / (2 * np.pi))
-    return Connection(coarse, phase)
+    -phi * omega'_xy / deg'(x), so dividing them back out of the entries
+    above the diagonal yields omega' on every edge (x, y), x < y; the
+    entries below it are what the check against S then predicts."""
+    x, y = coarse.edge_array.T
+    w = -S[x, y] * coarse.degree_array[x] / phi
+    return Connection(coarse, np.angle(w) / (2 * np.pi))
 
 
 def gauge_transform(conn, rng):
     """conn under a random gauge transformation, phase(x, y) + chi(y) - chi(x)
     with chi(x) uniform in [0, 1): edge phases change, face holonomies (and so
     the flux pair and the spectrum) do not."""
-    chi = [rng.random() for _ in conn.graph.vertices]
-    phase = {(x, y): p + chi[y] - chi[x] for (x, y), p in conn.phase.items()}
-    return Connection(conn.graph, phase, conn.flux)
+    chi = np.array([rng.random() for _ in conn.graph.vertices])
+    x, y = conn.graph.edge_array.T
+    return Connection(conn.graph, conn.forward + chi[y] - chi[x], conn.flux)
 
 
 def case_iii_limit(flux, lam, side=1):

@@ -154,10 +154,7 @@ def _window_connections():
     rng = random.Random(4)
     g2 = build_gasket(2)
     for scale in (0.01, 1.0):
-        phase = {}
-        for u, v in g2.edges:
-            phase[(u, v)] = rng.uniform(-scale, scale)
-            phase[(v, u)] = -phase[(u, v)]
+        phase = np.array([rng.uniform(-scale, scale) for _ in g2.edges])
         yield f"hand-written at scale {scale}", Connection(g2, phase)
 
 
@@ -245,7 +242,7 @@ def test_noloop_log_probability_exact_at_small_conductance():
 def test_noloop_needs_a_uniform_flux_pair(g1):
     conn = build_connection(g1, FluxPair(0.2, 0.1))
     with pytest.raises(ValueError, match="uniform flux pair"):
-        crsf.noloop_log_probability(g1, Connection(g1, conn.phase), 1.0)
+        crsf.noloop_log_probability(g1, Connection(g1, conn.forward), 1.0)
 
 
 def test_noloop_rate_approaches_loop_entropy():

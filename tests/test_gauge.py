@@ -88,19 +88,55 @@ def test_every_face_carries_its_flux(builder, flux):
 def test_connection_antisymmetric():
     g = build_gasket(2)
     conn = build_connection(g, FluxPair(0.3, 0.7))
-    for (u, v), p in conn.phase.items():
-        assert (v, u) in conn.phase
-        assert circ_dist(p + conn.phase[(v, u)], 0.0) <= 1e-12
-        w = np.exp(2j * np.pi * p)
-        assert abs(abs(w) - 1.0) <= 1e-12
-        assert abs(w * np.exp(2j * np.pi * conn.phase[(v, u)]) - 1.0) <= 1e-12
+    nbrs, nph = g.neighbors, conn.neighbor_phases
+    assert [len(row) for row in nph] == [len(vs) for vs in nbrs]
+    for u, (vs, row) in enumerate(zip(nbrs, nph)):
+        for v, p in zip(vs, row):
+            rev = nph[v][nbrs[v].index(u)]
+            assert circ_dist(p + rev, 0.0) <= 1e-12
+            w = np.exp(2j * np.pi * p)
+            assert abs(abs(w) - 1.0) <= 1e-12
+            assert abs(w * np.exp(2j * np.pi * rev) - 1.0) <= 1e-12
+            # the table holds the forward phases and their negatives
+            k = int(g.edge_index(np.array(u), np.array(v)))
+            assert p == (conn.forward[k] if u < v else -conn.forward[k])
+
+
+def test_connection_rejects_a_phase_map():
+    g = build_gasket(1)
+    conn = build_connection(g, FluxPair(0.2, 0.1))
+    phase = {}
+    for (u, v), p in zip(g.edges, conn.forward.tolist()):
+        phase[(u, v)], phase[(v, u)] = p, -p
+    with pytest.raises(TypeError):
+        Connection(g, phase)
+
+
+def test_connection_rejects_phases_of_the_wrong_length():
+    g = build_gasket(1)
+    fwd = build_connection(g, FluxPair(0.2, 0.1)).forward
+    for bad in (fwd[:-1], np.append(fwd, 0.0), np.stack([fwd, fwd], axis=1)):
+        with pytest.raises(ValueError):
+            Connection(g, bad)
+
+
+def test_connection_phases_are_read_only():
+    g = build_gasket(1)
+    fwd = np.linspace(-0.4, 0.4, len(g.edge_array))
+    conn = Connection(g, fwd)
+    fwd[0] = 0.3  # the connection keeps its own copy
+    assert conn.forward[0] == -0.4
+    with pytest.raises(ValueError):
+        conn.forward[0] = 0.1
 
 
 def test_holonomy_requires_adjacency():
     g = build_gasket(1)
     conn = build_connection(g, FluxPair(0.2, 0.1))
-    with pytest.raises(InvalidCycleError):
-        conn.holonomy([0, 5, 0])  # opposite corners are not adjacent
+    # opposite corners are not adjacent, and ids off the graph are no vertices
+    for cycle in ([0, 5, 0], [0, -1], [0, 6]):
+        with pytest.raises(InvalidCycleError):
+            conn.holonomy(cycle)
     # closed path form and open form agree
     cell = next(c for c in g.cells if c.orientation == "upright")
     cyc = list(cell.vertices)
@@ -127,10 +163,12 @@ def test_to_json_edge_phase_map():
     conn = build_connection(g, FluxPair(0.25, 0.0))
     doc = json.loads(conn.to_json())
     assert len(doc) == 2 * len(g.edges)
-    for key, p in doc.items():
-        u, v = map(int, key.split(","))
-        assert (u, v) in conn.phase
-        assert p == conn.phase[(u, v)]
+    keys = [tuple(map(int, key.split(","))) for key in doc]
+    assert keys == sorted(keys)
+    for (u, v), p in zip(keys, doc.values()):
+        k = int(g.edge_index(np.array(u), np.array(v)))
+        assert tuple(sorted((u, v))) == g.edges[k]
+        assert p == (conn.forward[k] if u < v else -conn.forward[k])
 
 
 @settings(max_examples=30, deadline=None)
@@ -157,7 +195,7 @@ def test_tree_gauge_is_exact_mod_1_at_level_8(flux):
     # s(s+1)/2 beta has terms ~1.6e4: both are reduced mod 1 exactly, so every
     # face lands within 1e-13 of its exact target (HOLONOMY_TOL is 1e-12)
     conn = build_connection(build_gasket(8), FluxPair(*flux))  # checks every face
-    assert all(abs(p) < 1.0 for p in conn.phase.values())
+    assert np.all(np.abs(conn.forward) < 1.0)
     a, b = Fraction(conn.flux.alpha), Fraction(conn.flux.beta)
     for cell, h in cell_holonomies(conn):
         s = cell.side

@@ -8,15 +8,20 @@ construction that preceded the three-copies build, so any change to these
 orders or bits shows here.  The level-8 graph, the derived views (degrees,
 neighbours, coordinate ids) and `build_connection`'s own phases were pinned
 from the per-edge Python construction that preceded the array-built graph
-and gauge.
+and gauge.  The connection export of `sg graph-export` and seeded CRSF
+samples with their cycle fluxes were pinned while the connection still kept
+a (u, v) -> phase map beside its edge-order array.
 """
 
+import contextlib
 import hashlib
+import io
 
 import pytest
 
+from sglap import cli, crsf
 from sglap.gasket import build_gasket
-from sglap.gauge import FluxPair, build_connection, edge_phases, restrict_connection
+from sglap.gauge import FluxPair, build_connection, restrict_connection
 
 GRAPH_DIGESTS = {
     0: "f342167c5244424a6d89b7db169ee4c06fa9cb528bfcedebb04243606d4bb3dd",
@@ -63,6 +68,24 @@ RESTRICT_DIGESTS = {
     5: "ddca5f2e11c68483c2575c19eea6e922e7b7752e36d43b841219fc79bf9ca745",
 }
 
+EXPORT_FLUXES = [("0.37", "0.71"), ("1/12", "1/4"), ("1/2", "0")]
+EXPORT_DIGESTS = {
+    0: "d09599c8b553f65038c36fb3eebea76c50990c5f5a8b0fda192a2e2b13195d1a",
+    1: "7b83a4f8208d89ddfc5fa007beffea946dd863b43b9a97e06505e2512345705d",
+    2: "acd274449b5672c90b8dbb2f698f093564c85c0b94de7739fa10c4f7ac3acae2",
+    3: "43c4e1ba76c29458a99408313b8c7fb80a42707d06608e5c4f2c0707dd1b7395",
+    4: "237840bf2c38cb314df75cdb1eaca8b754a54a41a9139a99cfca75b7036b6810",
+}
+
+# inside the sampler's face window; the second clamps composite cycles
+SAMPLE_FLUXES = [(0.05, 0.05), (0.13, -0.21)]
+SAMPLE_DIGESTS = {
+    2: "fb975d78bfc63d4767915bcab024eb2efb7fc649e8dab3b1fe7cdcd64e591df7",
+    3: "d79a0274131835d46ff651a4c1cdfd5d8cd36907b4e0bf54d329a5232277217e",
+    4: "abb25b87d1b0e54e8b4b771c3a13f8f34f472eb4f85ef89c0485967f9abe05e9",
+    5: "0c026f6cb6083a4bff565650ada427b489c9b03b0b08cc8ca6ac76b4543d7ac5",
+}
+
 
 def _arrays(*arrays):
     return b"".join(a.dtype.str.encode() + repr(a.shape).encode() + a.tobytes() for a in arrays)
@@ -90,15 +113,24 @@ def view_digest(level):
     return hashlib.sha256(repr(fields).encode()).hexdigest()
 
 
+def _directed_phases(conn):
+    # ((u, v), phase(u, v)) and then ((v, u), phase(v, u)) for every edge, in
+    # edge order: the sequence the connection's former (u, v) -> phase map held
+    pairs = []
+    for (u, v), p, q in zip(conn.graph.edge_array.tolist(), conn.forward.tolist(), (-conn.forward).tolist()):
+        pairs += [((u, v), p.hex()), ((v, u), q.hex())]
+    return pairs
+
+
 def phase_digest(level):
-    # the phase map in insertion order, both directions, and the arrays that
+    # every directed phase in edge order, and the arrays that
     # `MagneticOperator.entries` reads
     g = build_gasket(level)
     h = hashlib.sha256()
     for flux in PHASE_FLUXES:
         conn = build_connection(g, FluxPair(*flux))
-        h.update(repr([(e, p.hex()) for e, p in conn.phase.items()]).encode())
-        h.update(_arrays(edge_phases(conn), edge_phases(conn, reverse=True)))
+        h.update(repr(_directed_phases(conn)).encode())
+        h.update(_arrays(conn.forward, -conn.forward))
     return h.hexdigest()
 
 
@@ -108,8 +140,33 @@ def restrict_digest(level):
     for flux in RESTRICT_FLUXES:
         conn = build_connection(g, FluxPair(*flux))
         for theta in (0.0, 0.123):
-            phase = restrict_connection(conn, theta).phase
-            h.update(repr(sorted((e, p.hex()) for e, p in phase.items())).encode())
+            red = restrict_connection(conn, theta)
+            h.update(repr(sorted(_directed_phases(red))).encode())
+    return h.hexdigest()
+
+
+def export_digest(level):
+    # the stdout of `sg graph-export --what connection`, byte for byte
+    h = hashlib.sha256()
+    for alpha, beta in EXPORT_FLUXES:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["graph-export", "--level", str(level), "--alpha", alpha,
+                             "--beta", beta, "--what", "connection"])
+        assert code == 0
+        h.update(out.getvalue().encode())
+    return h.hexdigest()
+
+
+def sample_digest(level):
+    # seeded successor maps and their cycle fluxes to the bit
+    g = build_gasket(level)
+    h = hashlib.sha256()
+    for flux in SAMPLE_FLUXES:
+        conn = build_connection(g, FluxPair(*flux))
+        for seed in range(4):
+            s = crsf.sample_crsf(g, conn, seed)
+            h.update(repr((s.successor, [f.hex() for f in s.cycle_fluxes])).encode())
     return h.hexdigest()
 
 
@@ -131,3 +188,13 @@ def test_derived_views_are_pinned(level):
 @pytest.mark.parametrize("level", sorted(PHASE_DIGESTS))
 def test_connection_phases_are_pinned(level):
     assert phase_digest(level) == PHASE_DIGESTS[level]
+
+
+@pytest.mark.parametrize("level", sorted(EXPORT_DIGESTS))
+def test_connection_export_is_pinned(level):
+    assert export_digest(level) == EXPORT_DIGESTS[level]
+
+
+@pytest.mark.parametrize("level", sorted(SAMPLE_DIGESTS))
+def test_crsf_samples_are_pinned(level):
+    assert sample_digest(level) == SAMPLE_DIGESTS[level]

@@ -148,7 +148,7 @@ def test_log_determinant_at_uniform_flux_never_solves(monkeypatch):
     assert calls == {"eigenvalues": 0, "dense_eigenvalues": 0}
     # a connection without a uniform flux pair goes to the dense oracle
     op = _op(3, 0.3, 0.1)
-    log_determinant(assemble(op.graph, Connection(op.graph, op.conn.phase)))
+    log_determinant(assemble(op.graph, Connection(op.graph, op.conn.forward)))
     assert calls == {"eigenvalues": 0, "dense_eigenvalues": 1}
 
 
