@@ -138,14 +138,14 @@ class CRSFWeightModel:
     """Walk conductances c(x,y) = 1/deg(x) and the derived OCRSF weight.
 
     weight(F) = prod over bush edges of c(e) times, per cycle, the directed
-    conductance product along the cycle times (1 - holonomy).  Because the
+    conductance product along the cycle times (1 - holonomy), the holonomy
+    being the forest's own cycle flux, so no connection is needed.  Because the
     probabilistic conductances are asymmetric, the directed product (which
     is what the determinant expansion produces) differs from the symmetrized
     product of (c(x,y)+c(y,x))/2 per edge.
     """
 
     graph: GasketGraph
-    conn: Connection
 
     def weight(self, ocrsf: OrientedCRSF) -> complex:
         deg = self.graph.degrees
@@ -179,7 +179,7 @@ def brute_force_partition(graph: GasketGraph, conn: Connection) -> complex:
     it but carry weight 0 (their holonomy is exactly 1).
     """
     nbrs = _check_enumeration_size(graph)
-    model = CRSFWeightModel(graph, conn)
+    model = CRSFWeightModel(graph)
     total = 0.0 + 0.0j
     for choice in itertools.product(*nbrs):
         total += model.weight(OrientedCRSF.from_successor(choice, conn))

@@ -39,14 +39,20 @@ the j_k being the junction eigenvalues, whose negative inertias Haynsworth
 adds up (Domany, Alexander, Bensimon and Kadanoff, PRB 28, 3110, 1983;
 Fukushima and Shima, Potential Anal. 1, 1992).  It never divides by |Psi| and
 never takes a cube root or an angle.  One loop over the steps, `_gluing`,
-keeps each step's junction eigenvalues (mode-major) and scale; the count, the
-singular flag and the determinant are all read off them.  `gluing_count`
-counts with a flux pair per probe and a singular-J rule: a probe that meets a
-junction block singular to working precision (JUNCTION_TOL) is counted at
-lambda -+ JUNCTION_SHIFT instead, and its count is kept only where both sides
-agree; otherwise it is -1, undetermined.  `decimation_eigenvalues` bisects the
-rule-free count at a uniform flux pair and recounts by the rule the probes it
-flags while brackets are still wider than the shift.
+carries the state as three float arrays d, x = Re z and y = Im z, reads the
+phases from real tables (`_phase_parts`, computed once per flux pair and level
+at scalar fluxes), and keeps each step's junction eigenvalues (mode-major) and
+scale; the count, the singular flag and the determinant are all read off them.
+`gluing_count` counts with a flux pair per probe and a singular-J rule: a
+probe that meets a junction block singular to working precision
+(JUNCTION_TOL) is counted at lambda -+ JUNCTION_SHIFT instead, and its count
+is kept only where both sides agree; otherwise it is -1, undetermined.
+`decimation_eigenvalues` slices the spectrum by the rule-free count at a
+uniform flux pair (Barth, Martin and Wilkinson, Numer. Math. 9, 1967): it
+halves brackets that each hold the eigenvalues between two counts, glues
+several levels of their midpoint trees in one pass while they are few, and
+recounts by the rule the probes it flags while brackets are still wider than
+the shift.
 The same steps give the determinant: `_gluing_step` returns the scale it
 divides the state by, and `gluing_log_det` adds up Haynsworth's determinant
 over the junction blocks at lambda = 0, where every junction block is
@@ -74,7 +80,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -488,18 +494,38 @@ def _step_phases(alpha, beta, step):
     return _e((_MODES - t) / 3), _e((2 * _MODES + t) / 6)
 
 
-def _gluing_step(a, b, d, z):
-    """One gluing step in closed form over 1-d arrays: (j, d', z', scale), with
-    the junction eigenvalues j mode-major, (3, P).
+def _phase_parts(alpha, beta, level: int) -> tuple[np.ndarray, ...]:
+    """Re a, Im a, Re b, Im b (`_step_phases`) at steps 0 to level - 1: four
+    contiguous arrays, (level, 3, 1) at a flux pair of scalars, (level, 3, P)
+    at one pair per probe."""
+    a, b = _step_phases(alpha, beta, np.arange(level)[:, None, None])
+    return tuple(np.ascontiguousarray(p) for p in (a.real, a.imag, b.real, b.imag))
+
+
+@lru_cache(maxsize=64)
+def _uniform_phase_parts(alpha: float, beta: float, level: int) -> tuple[np.ndarray, ...]:
+    """`_phase_parts` at a flux pair of scalars, computed once and read-only:
+    bisection glues the same pair in every pass."""
+    parts = _phase_parts(alpha, beta, level)
+    for p in parts:
+        p.setflags(write=False)
+    return parts
+
+
+def _gluing_step(ar, ai, br, bi, d, x, y, j=None, scale=None):
+    """One gluing step in closed form over 1-d arrays, on the state (d, z)
+    carried as d and z = x + i y: (j, d', x', y', scale), with the junction
+    eigenvalues j mode-major, (3, P).  j and scale, when given, are the
+    buffers they are written into; d, x and y are overwritten.
 
     M_m is gauge-equivalent to d I + z P + conj(z) P^T, P the cyclic shift on
     its corners: diagonal d, off-diagonal entries of modulus |z| and loop
     product z^3.  Glue three copies, the top one shifted by the row shift t
-    (`_row_shift`; a and b are its `_step_phases`, scalars per mode at a
-    uniform flux pair, one column per probe otherwise).  The junction block J
-    is circulant with eigenvalues j_k = 2 (d + Re(z a_k)); corner c couples
-    to mode k through q_{c,k} / sqrt(3), and M_(m+1) = d I - sum_k
-    conj(q_k) q_k^T / (3 j_k).  Corners A and B couple conjugately,
+    (`_row_shift`; a = ar + i ai and b = br + i bi are its `_step_phases`,
+    scalars per mode at a uniform flux pair, one column per probe otherwise).
+    The junction block J is circulant with eigenvalues j_k = 2 (d + Re(z a_k));
+    corner c couples to mode k through q_{c,k} / sqrt(3), and M_(m+1) = d I -
+    sum_k conj(q_k) q_k^T / (3 j_k).  Corners A and B couple conjugately,
     q_{B,k} = conj(q_{A,k}), and |q_{c,k}| = 2 |Re(z b_k)| at every corner, so
     with F_k = 4 Re(z b_k)^2 / (3 j_k) and G = sum_k omega^k F_k,
 
@@ -517,32 +543,32 @@ def _gluing_step(a, b, d, z):
     be trusted.
     """
     # in place on (3, P) buffers: fresh temporaries cost as much as the arithmetic
-    x, y = z.real, z.imag
-    j, f, w = x * a.real, x * b.real, y * a.imag
+    j = np.multiply(x, ar, out=j)
+    f, w = x * br, y * ai
     j -= w
     j += d
     j *= 2  # 2 (d + Re(z a))
-    np.multiply(y, b.imag, out=w)
+    np.multiply(y, bi, out=w)
     f -= w
     f *= f
     np.multiply(j, 0.75, out=w)
     w[j == 0] = 0.75 * EPS
     f /= w  # F = 4 Re(z b)^2 / (3 j)
     f0, f1, f2 = f
-    d = d - (f0 + f1 + f2)
+    d -= f0 + f1 + f2
     # e^(i pi/3) omega^k = 1/2 + i sin 60, -1, 1/2 - i sin 60
-    x, y = f0 + f2, f0 - f2
+    np.add(f0, f2, out=x)
+    np.subtract(f0, f2, out=y)
     x *= 0.5
     x -= f1
     y *= _SIN60
-    scale = np.hypot(x, y)
+    scale = np.hypot(x, y, out=scale)
     np.maximum(scale, np.abs(d), out=scale)
     np.maximum(scale, TINY, out=scale)
-    z = np.empty(d.shape, dtype=complex)
-    np.divide(x, scale, out=z.real)
-    np.divide(y, scale, out=z.imag)
+    x /= scale
+    y /= scale
     d /= scale
-    return j, d, z, scale
+    return j, d, x, y, scale
 
 
 def _gluing(alpha, beta, level: int, lam) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -555,15 +581,21 @@ def _gluing(alpha, beta, level: int, lam) -> tuple[np.ndarray, np.ndarray, np.nd
     recursion is read off these: the count (`_glue`), the singular flag
     (`_singular`) and the log-determinant (`gluing_log_det`).
     """
-    # M_0 has loop product -e(alpha), one cube root of which is z; z per probe
-    # even at scalar fluxes: numpy's scalar arithmetic rounds otherwise, and
-    # the two calls must agree to the bit
-    d, z = 2 * (1 - lam), np.broadcast_to(_e((alpha + 0.5) / 3), lam.shape)
-    a, b = _step_phases(alpha, beta, np.arange(level)[:, None, None])
+    if np.ndim(alpha):
+        ar, ai, br, bi = _phase_parts(alpha, beta, level)
+    else:
+        ar, ai, br, bi = _uniform_phase_parts(alpha, beta, level)
+    # M_0 has loop product -e(alpha), one cube root of which is z; x and y
+    # per probe even at scalar fluxes: numpy's scalar arithmetic rounds
+    # otherwise, and the two calls must agree to the bit
+    z = _e((alpha + 0.5) / 3)
+    d, x, y = 2 * (1 - lam), np.full(lam.size, z.real), np.full(lam.size, z.imag)
     j = np.empty((level, 3, lam.size))
     scale = np.empty((level, lam.size))
     for step in range(level):
-        j[step], d, z, scale[step] = _gluing_step(a[step], b[step], d, z)
+        _gluing_step(ar[step], ai[step], br[step], bi[step], d, x, y, j[step], scale[step])
+    z = np.empty(lam.size, dtype=complex)
+    z.real, z.imag = x, y
     return j, scale, _circulant_eigenvalues(d, z)
 
 
@@ -682,18 +714,37 @@ def gluing_log_det(flux: FluxPair, level: int, corner: float = 0.0) -> float:
     return total + 3 * log_s + math.log(abs(np.prod(mu) + corner * math.exp(-log_s) * e2 / 3))
 
 
+# A `_glue` call pays about as much in numpy dispatch as PASS_PROBES probes
+# pay in arithmetic: 150-200 us (25-32 us per gluing step) against 29-31 ns
+# per probe per step at levels 5-7 (2-vCPU host, best of 25 by timeit), a
+# ratio of 800-1060.  A round of `decimation_eigenvalues` over n brackets
+# glues the b levels of their midpoint trees that keep n (2^b - 1) within it.
+PASS_PROBES = 1000
+
+
 def decimation_eigenvalues(flux: FluxPair, level: int) -> np.ndarray:
     """Sorted eigenvalues of L_level at a uniform flux pair.
 
-    Bisection of the gluing count (`_glue`, without the singular-J rule) in
-    lockstep over all dim_N indices: index i keeps a bracket [lo, hi) with
-    count(lo) <= i < count(hi), starting from BRACKET, and halves it until it
-    is at most BISECT_WIDTH wide.  Indices whose midpoints coincide (a
-    multiple eigenvalue, or one not yet split off its neighbours) share a
-    single count.  A probe that meets a junction block singular to working
-    precision (`_singular`) while some bracket at it is wider than
-    2 JUNCTION_SHIFT is recounted by `gluing_count`'s rule; where that count
-    is determined it replaces the raw one, which rounding decides there.
+    Spectrum slicing by the gluing count (`_glue`, without the singular-J
+    rule).  A bracket [lo, hi) holds the eigenvalues of index c_lo to
+    c_hi - 1, c_lo and c_hi being the counts read at its ends; the first is
+    BRACKET, with 0 and dim_N.  The count c at its midpoint, clamped into
+    [c_lo, c_hi], splits it into [lo, mid) with (c_lo, c) and [mid, hi) with
+    (c, c_hi), and an empty half is dropped: that is bisection of every index
+    i by the rule count(mid) > i, the indices of one bracket sharing its
+    counts.  A bracket at most BISECT_WIDTH wide leaves, its midpoint taken
+    c_hi - c_lo times.
+
+    A round glues, in one `_glue` call, the next b levels of the midpoint
+    trees below its n brackets, b the largest with n (2^b - 1) <= PASS_PROBES
+    (at least 1), and then walks the trees down level by level: a spectrum
+    takes 12 passes at the dyadic pairs at level 5 and 43 at (0.37, 0.71),
+    level 7.  Every point is the 0.5 (lo + hi) that bisection takes, and no
+    node at most BISECT_WIDTH wide is glued.  A point the walk reaches is
+    recounted by `gluing_count`'s rule where its node is wider than
+    2 JUNCTION_SHIFT and its probe met a junction block singular to working
+    precision (`_singular`); a determined count there replaces the raw one,
+    which rounding decides.
 
     Measured against dense: within 5e-14 over the dyadic pairs and three
     random Case IV pairs at levels 0-6, and within 1e-12 of the closed forms
@@ -703,26 +754,57 @@ def decimation_eigenvalues(flux: FluxPair, level: int) -> np.ndarray:
     fluxes, where D roots and real Psi zeros meet, clusters land 1e-9 to
     4e-9 off at levels 3-6.
     """
-    dim = dim_n(level)
-    index = np.arange(dim)
-    lo, hi = np.full(dim, BRACKET[0]), np.full(dim, BRACKET[1])
-    while True:
-        wide = np.flatnonzero(hi - lo > BISECT_WIDTH)
-        if not wide.size:
-            return np.sort(0.5 * (lo + hi))
-        mid = 0.5 * (lo[wide] + hi[wide])
-        points, where = np.unique(mid, return_inverse=True)
+    lo, hi = np.array([BRACKET[0]]), np.array([BRACKET[1]])
+    c_lo, c_hi = np.array([0]), np.array([dim_n(level)])
+    values, sizes = [], []
+    while lo.size:
+        depth = max(1, int(math.log2(PASS_PROBES / lo.size + 1)))
+        # levels 0 to depth of the trees below the brackets, each in order:
+        # node i of level k has children 2i and 2i + 1 on level k + 1, and
+        # index start[k] + i in the flat arrays
+        mids, widths = [], []
+        for k in range(depth + 1):
+            mids.append(0.5 * (lo + hi))
+            widths.append(hi - lo)
+            if k < depth:
+                lo, hi = _interleave(lo, mids[k]), _interleave(mids[k], hi)
+        start = np.cumsum([0] + [m.size for m in mids])
+        width = np.concatenate(widths[:-1])  # every level's but the last
+        probed = width > BISECT_WIDTH
+        at = np.cumsum(probed) - 1  # a probed node's point
+        points = np.concatenate(mids[:-1])[probed]
         count, j = _glue(flux.alpha, flux.beta, level, points)
-        recount = np.zeros(points.size, dtype=bool)
-        recount[where[hi[wide] - lo[wide] > 2 * JUNCTION_SHIFT]] = True
-        if recount.any():
-            recount &= _singular(points, j)
-        if recount.any():  # `_singular` may have cleared every flag
-            again, _ = gluing_count(flux.alpha, flux.beta, level, points[recount])
-            count[recount] = np.where(again >= 0, again, count[recount])
-        above = count[where] > index[wide]
-        hi[wide[above]] = mid[above]
-        lo[wide[~above]] = mid[~above]
+        shiftable = width[probed] > 2 * JUNCTION_SHIFT
+        flagged = _singular(points, j) & shiftable if shiftable.any() else shiftable
+        node = np.arange(c_lo.size)  # the brackets are wide: level 0 is probed
+        for k in range(depth):
+            p = at[start[k] + node]
+            c = count[p]
+            recount = flagged[p]
+            if recount.any():
+                again, _ = gluing_count(flux.alpha, flux.beta, level, points[p[recount]])
+                c[recount] = np.where(again >= 0, again, c[recount])
+            c = np.clip(c, c_lo, c_hi)
+            node = _interleave(2 * node, 2 * node + 1)
+            c_lo, c_hi = _interleave(c_lo, c), _interleave(c, c_hi)
+            keep = c_hi > c_lo
+            narrow = widths[k + 1][node] <= BISECT_WIDTH
+            leaf = keep & narrow
+            if leaf.any():
+                values.append(mids[k + 1][node[leaf]])
+                sizes.append((c_hi - c_lo)[leaf])
+                keep &= ~narrow
+            keep = np.flatnonzero(keep)  # one index for the three gathers
+            node, c_lo, c_hi = node[keep], c_lo[keep], c_hi[keep]
+        lo, hi = lo[node], hi[node]
+    return np.sort(np.repeat(np.concatenate(values), np.concatenate(sizes)))
+
+
+def _interleave(a, b):
+    """a[0], b[0], a[1], b[1], ...: the children of nodes in order."""
+    out = np.empty(2 * a.size, dtype=a.dtype)
+    out[0::2], out[1::2] = a, b
+    return out
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,10 @@ reads it.  `eigenvalues` is the one entry point for spectra: from level
 ENGINE_MIN_LEVEL (5) on, an operator whose connection carries a uniform Case I
 (dyadic) or Case IV (no real Psi zero) flux pair is solved by bisecting the
 gluing count (`decimation.decimation_eigenvalues`: one real closed-form step
-per level on each probe, about 52 lockstep iterations of up to dim probes each
-for a spectrum, and a probe at a singular junction block recounted on either
-side of it); every other operator goes to `dense_eigenvalues`, the dense
+per level on each probe, brackets split by the count at their midpoints until
+they are BISECT_WIDTH wide, several tree levels to a gluing pass while
+brackets are few, and a probe at a singular junction block recounted on
+either side of it); every other operator goes to `dense_eigenvalues`, the dense
 eigensolver that stays the oracle the engine is checked against, and the only
 path SPECTRUM_DIM_CAP binds.
 `log_determinant` reads the gluing recursion at lambda = 0
@@ -53,10 +54,10 @@ CLUSTER_TOL = 1e-6
 D_ROOT_TOL = 1e-9
 # Below this level a dense solve is faster than bisecting the gluing count.
 # At level 5 the gluing count wins at every flux measured (2-vCPU host,
-# medians of 15 alternating runs, two sets: dense 21-32 ms with the graph,
-# connection and matrix built, gluing 12-22 ms at (0, 0) and (1/2, 0),
-# 20-27 ms at (0.3, 0.3) and (0.37, 0.71)); at level 4 dense takes 3-4 ms
-# and gluing 19-22 ms.
+# medians of 15 alternating runs, two sets: dense 25-34 ms with the graph,
+# connection and matrix built, gluing 9-10 ms at (0, 0) and (1/2, 0),
+# 16-23 ms at (0.3, 0.3) and (0.37, 0.71)); at level 4 dense takes 2-3 ms
+# and gluing 7-10 ms.
 ENGINE_MIN_LEVEL = 5
 
 

@@ -37,6 +37,13 @@ from sglap.gasket import build_gasket
 from sglap.gauge import Connection, build_connection, mod1
 from sglap.operator import assemble
 
+# Case I to Case IV: generic, Case III (3 alpha + beta = 1/2), Case II (one
+# dyadic flux) and the four dyadic pairs
+GLUING_FLUXES = [
+    (0.37, 0.71), (0.1, 0.2), (1 / 6, 0.0), (5 / 6, 0.0), (1 / 3, 0.5), (1 / 12, 0.25),
+    (5 / 12, 0.25), (0.3, 0.0), (1 / 8, 1 / 8), (0.5, 0.5), (0.0, 0.0), (0.5, 0.0),
+]
+
 
 def reduced_connection_from_schur(S, phi, coarse):
     """Recover the edge phases of the coarse connection hidden in a Schur
@@ -303,7 +310,7 @@ def brute_force_edge_marginals(graph, conn):
     restricted sum is real; marginals are ratios against the partition sum.
     """
     nbrs = _check_enumeration_size(graph)
-    model = CRSFWeightModel(graph, conn)
+    model = CRSFWeightModel(graph)
     total = 0.0 + 0.0j
     hits = {(min(a, b), max(a, b)): 0.0 + 0.0j for a, b in graph.edges}
     for choice in itertools.product(*nbrs):

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from _helpers import dense_schur_complement, random_nonexceptional_lambda
+from _helpers import GLUING_FLUXES, dense_schur_complement, random_nonexceptional_lambda
 
 from sglap import decimation
 from sglap.decimation import decimation_eigenvalues, gluing_count
@@ -57,14 +57,17 @@ def test_gluing_step_matches_dense_corner_blocks(flux):
     # the level-m gasket, against the state (d, z) after m closed-form steps:
     # its diagonal is c d, its off-diagonal moduli c |z| and its loop product
     # c^3 z^3, where c is the product of the steps' scales (the state starts
-    # unscaled, with z a cube root of M_0's loop product -e(alpha), and is
-    # rescaled to max(|d|, |z|) = 1)
+    # unscaled, with z = x + i y a cube root of M_0's loop product -e(alpha),
+    # and is rescaled to max(|d|, |z|) = 1)
     fp = FluxPair(*flux)
     for lam in (0.13, 0.61, 1.37, 1.93):
-        d, z = np.array([2 * (1 - lam)]), np.array([np.exp(2j * np.pi * (fp.alpha + 0.5) / 3)])
+        z = np.exp(2j * np.pi * (fp.alpha + 0.5) / 3)
+        d, x, y = np.array([2 * (1 - lam)]), np.array([z.real]), np.array([z.imag])
         scale = 1.0
         for m in range(1, 5):
-            _, d, z, step = decimation._gluing_step(*decimation._step_phases(fp.alpha, fp.beta, m - 1), d, z)
+            a, b = decimation._step_phases(fp.alpha, fp.beta, m - 1)
+            _, d, x, y, step = decimation._gluing_step(a.real, a.imag, b.real, b.imag, d, x, y)
+            z = x + 1j * y
             scale *= step[0]
             op = _op(flux, m)
             h = np.diag(op.weights) @ (op.entries - lam * np.eye(op.dimension))
@@ -90,14 +93,6 @@ def test_counts_match_dense_counts():
             got, _ = gluing_count(fp.alpha, fp.beta, level, lams)
             want = [int(np.sum(dense < x)) for x in lams]
             assert got.tolist() == want, (flux, level)
-
-
-# Case I to Case IV: generic, Case III (3 alpha + beta = 1/2), Case II (one
-# dyadic flux) and the four dyadic pairs
-GLUING_FLUXES = [
-    (0.37, 0.71), (0.1, 0.2), (1 / 6, 0.0), (5 / 6, 0.0), (1 / 3, 0.5), (1 / 12, 0.25),
-    (5 / 12, 0.25), (0.3, 0.0), (1 / 8, 1 / 8), (0.5, 0.5), (0.0, 0.0), (0.5, 0.0),
-]
 
 
 @pytest.mark.parametrize("level", range(1, 6))
@@ -213,6 +208,29 @@ def test_bisection_recounts_only_flagged_probes(monkeypatch):
     monkeypatch.setattr(decimation, "BRACKET", (0.0, 2.0))
     decimation_eigenvalues(FluxPair(0.5, 0.0), 2)
     assert sizes
+
+
+def test_bisection_glues_few_brackets_several_levels_deep(monkeypatch):
+    # a round glues as many levels of each bracket's midpoint tree as its
+    # probe budget allows in one `_glue` call; the lockstep bisection that
+    # preceded it made 52 passes at every flux, with 115,918 probes at
+    # (0.37, 0.71), level 7
+    sizes = []
+    glue = decimation._glue
+
+    def counted(alpha, beta, level, lam):
+        sizes.append(np.size(lam))
+        return glue(alpha, beta, level, lam)
+
+    monkeypatch.setattr(decimation, "_glue", counted)
+    for flux in DYADIC:
+        sizes.clear()
+        decimation_eigenvalues(FluxPair(*flux), 5)
+        assert len(sizes) <= 20, (flux, len(sizes))
+    sizes.clear()
+    decimation_eigenvalues(FluxPair(0.37, 0.71), 7)
+    assert len(sizes) <= 45
+    assert sum(sizes) <= 1.05 * 115_918
 
 
 @pytest.mark.parametrize("flux", DYADIC)

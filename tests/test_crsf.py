@@ -192,7 +192,7 @@ def test_sampler_marginals_match_enumeration(g1, caplog):
 
     # cycle-count distribution against the enumerated weights
     nbrs = g1.neighbors
-    model = crsf.CRSFWeightModel(g1, conn)
+    model = crsf.CRSFWeightModel(g1)
     tot = 0.0
     dist = {}
     for choice in itertools.product(*nbrs):

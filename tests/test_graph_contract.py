@@ -10,16 +10,21 @@ neighbours, coordinate ids) and `build_connection`'s own phases were pinned
 from the per-edge Python construction that preceded the array-built graph
 and gauge.  The connection export of `sg graph-export` and seeded CRSF
 samples with their cycle fluxes were pinned while the connection still kept
-a (u, v) -> phase map beside its edge-order array.
+a (u, v) -> phase map beside its edge-order array.  The engine's spectra,
+gluing log-determinants and gluing counts were pinned while bisection still
+ran in lockstep over every index on a complex gluing state.
 """
 
 import contextlib
 import hashlib
 import io
 
+import numpy as np
 import pytest
+from _helpers import GLUING_FLUXES
 
 from sglap import cli, crsf
+from sglap.decimation import decimation_eigenvalues, gluing_count, gluing_log_det
 from sglap.gasket import build_gasket
 from sglap.gauge import FluxPair, build_connection, restrict_connection
 
@@ -85,6 +90,38 @@ SAMPLE_DIGESTS = {
     4: "abb25b87d1b0e54e8b4b771c3a13f8f34f472eb4f85ef89c0485967f9abe05e9",
     5: "0c026f6cb6083a4bff565650ada427b489c9b03b0b08cc8ca6ac76b4543d7ac5",
 }
+
+SPECTRUM_DIGESTS = {
+    0: "b5e8c77c318047d45965315c7b392ac732fc13c05a28bdf86ae8a563ef551212",
+    1: "a539f6d1dd0a3b3702e659498f5a10a696aaaa05a7edaf28c2d36ee47fffdf2a",
+    2: "89d088fa6d361f29ae41e7e8f22d11b65e5057d4cfab59175805843843ef7c76",
+    3: "f7ea207430bfc339a01acdfa9cc6519b23233f345092719276e079d30c21ccfc",
+    4: "8656f842fb5a48773acc4ebef0f146ae6101c6acb5ba741dc8a7772299d70146",
+    5: "b4a4173a6897aecc367b5c5598cc7577630ac70c63319640edd1958efa169aaa",
+    6: "e4a40d13a83d931734a714ea470e9935212e56dfbe997227a387ae223473cf6e",
+    7: "f284c26ad0a840742b8032803f6b643fcf4d1228e0a8a1051451b623af46a97f",
+}
+
+LOG_DET_DIGESTS = {
+    0: "2199acc67e44cbe88cd472ef27923702ee0027ecbc1fbd334d47d50f19320aa7",
+    1: "aacff08bc5276d091e14bdbaa6ebc30f30bbbe474d4b8defae3636bd9b0d2477",
+    2: "fe1aaa663138b26738eeadd4955178f6bc764fd0f26c83a4076a54bd9d72bc31",
+    3: "377ca3c5d2697f3d3aaaf4f396d442c95cb6e7b1d36b425f57846fb4e48fa2d8",
+    4: "4ced2276ab1be7b61230e9619931c52c2d86e3a19fbc6688647522d5daa50d02",
+    5: "005b3f971650911d8459c81d91d4d03bf0ad571ab7ff9223f2c88d684b0a4acf",
+    6: "eb935af3cc98dbbc51e40f9e4003019b8fa7361e1b03715ea9339226363e53a8",
+    7: "7480d9d971f65f14b49ee64a70124b996daacf368cfe0fac2069a4b81ba763bd",
+    8: "f6878820adcb901cd9a2b0410353fc5d10b18381602f1eac9d06e34b29c92d4c",
+    9: "3a2c0c90d06ebcd877f1ad9defb5e7f6459137c68ea6081b289d37393c7d4eb6",
+    10: "2c0fdb4a4f516f3ee8b43054f11641180cb383b62300edd5ce49037ae170a732",
+    11: "a672cec49234af96b5056eb28da2bcf7b25f158dda0f23b43a91a9d9c801c5fb",
+    12: "8dace205272ddb27dcb7528b21a2b605ab25df1c74c9b90f3bc2786e9f4fdc42",
+}
+
+# a grid over the spectrum and beyond it, and the dyadic D roots and Psi
+# zeros, where the singular-J rule fires
+COUNT_PROBES = np.concatenate([np.linspace(-0.1, 2.1, 1101), [0.5, 0.75, 1.25, 1.5]])
+COUNT_DIGEST = "66f752468817bad8a2eef2fe688cef1a6b35e08deb300ace96ce5f3a859d855d"
 
 
 def _arrays(*arrays):
@@ -170,6 +207,35 @@ def sample_digest(level):
     return h.hexdigest()
 
 
+def spectrum_digest(level):
+    # `decimation_eigenvalues` at every gluing flux, Cases II and III included
+    h = hashlib.sha256()
+    for flux in GLUING_FLUXES:
+        h.update(_arrays(decimation_eigenvalues(FluxPair(*flux), level)))
+    return h.hexdigest()
+
+
+def log_det_digest(level):
+    h = hashlib.sha256()
+    for flux in GLUING_FLUXES:
+        for corner in (0.0, 0.5):
+            h.update(gluing_log_det(FluxPair(*flux), level, corner).hex().encode())
+    return h.hexdigest()
+
+
+def count_digest():
+    # counts and singular flags at level 9, at each flux pair as scalars and
+    # with the pairs taken in turn, one per probe
+    h = hashlib.sha256()
+    fluxes = [FluxPair(*f) for f in GLUING_FLUXES]
+    for fp in fluxes:
+        h.update(_arrays(*gluing_count(fp.alpha, fp.beta, 9, COUNT_PROBES)))
+    alpha = np.resize([fp.alpha for fp in fluxes], COUNT_PROBES.size)
+    beta = np.resize([fp.beta for fp in fluxes], COUNT_PROBES.size)
+    h.update(_arrays(*gluing_count(alpha, beta, 9, COUNT_PROBES)))
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("level", sorted(GRAPH_DIGESTS))
 def test_graph_contract_is_pinned(level):
     assert graph_digest(level) == GRAPH_DIGESTS[level]
@@ -198,3 +264,17 @@ def test_connection_export_is_pinned(level):
 @pytest.mark.parametrize("level", sorted(SAMPLE_DIGESTS))
 def test_crsf_samples_are_pinned(level):
     assert sample_digest(level) == SAMPLE_DIGESTS[level]
+
+
+@pytest.mark.parametrize("level", sorted(SPECTRUM_DIGESTS))
+def test_engine_spectra_are_pinned(level):
+    assert spectrum_digest(level) == SPECTRUM_DIGESTS[level]
+
+
+@pytest.mark.parametrize("level", sorted(LOG_DET_DIGESTS))
+def test_gluing_log_dets_are_pinned(level):
+    assert log_det_digest(level) == LOG_DET_DIGESTS[level]
+
+
+def test_gluing_counts_are_pinned():
+    assert count_digest() == COUNT_DIGEST
