@@ -19,8 +19,9 @@ here:
   window get a clamped acceptance, so treat large-level samples as
   structural, not distributional.  A call costs its walk plus one
   vectorised window check over the faces: the neighbour lists are cached on
-  the graph, and a loop's flux is summed only when the loop closes, from
-  the neighbour table `Connection.neighbor_phases`.
+  the graph, a loop's flux is summed only when the loop closes, from the
+  neighbour table `Connection.neighbor_phases`, and the sample's cycles are
+  the loops the walk accepted, not found again in the successor map.
 * noloop_log_probability - log of the no-loop probability for the essential
   CRSF measure obtained by wiring the corner (0,0) to an absorbing boundary
   point through a conductance-c edge (Kenyon, Ann. Probab. 39, 2011): two
@@ -82,11 +83,19 @@ class OrientedCRSF:
         cls, successor: tuple[int, ...], conn: Connection
     ) -> "OrientedCRSF":
         cycles = _functional_cycles(successor)
+        return cls._with_cycles(successor, cycles, tuple(conn.holonomy(list(cyc)) for cyc in cycles))
+
+    @classmethod
+    def _with_cycles(
+        cls, successor: tuple[int, ...], cycles: tuple[tuple[int, ...], ...], fluxes: tuple[float, ...]
+    ) -> "OrientedCRSF":
+        """The map with its cycles and their fluxes already known; every
+        vertex off them is the tail of a bush edge."""
         on_cycle = {v for cyc in cycles for v in cyc}
         return cls(
             successor=tuple(successor),
             cycles=cycles,
-            cycle_fluxes=tuple(conn.holonomy(list(cyc)) for cyc in cycles),
+            cycle_fluxes=fluxes,
             bush_edges=tuple(
                 (x, successor[x]) for x in range(len(successor)) if x not in on_cycle
             ),
@@ -239,6 +248,7 @@ def sample_crsf(graph: GasketGraph, conn: Connection, seed: int) -> OrientedCRSF
     rng = random.Random(seed)
     successor: list[int | None] = [None] * n
     in_forest = [False] * n
+    cycles: list[tuple[tuple[int, ...], float]] = []
     steps = 0
     for start in range(n):
         if in_forest[start]:
@@ -265,6 +275,7 @@ def sample_crsf(graph: GasketGraph, conn: Connection, seed: int) -> OrientedCRSF
                     )
                     p = 1.0
                 if rng.random() < p:
+                    cycles.append((tuple(path[i:]), theta))
                     break
                 for x in path[i + 1:]:
                     del pos[x]
@@ -276,7 +287,13 @@ def sample_crsf(graph: GasketGraph, conn: Connection, seed: int) -> OrientedCRSF
         for a, b in zip(path, path[1:] + [w]):
             successor[a] = b
             in_forest[a] = True
-    return OrientedCRSF.from_successor(tuple(successor), conn)
+    # the cycles `from_successor` would find: a walk's start is the least
+    # vertex of the component it roots, so `_functional_cycles` enters each
+    # loop at its closing vertex w
+    cycles.sort()
+    return OrientedCRSF._with_cycles(
+        tuple(successor), tuple(cyc for cyc, _ in cycles), tuple(theta for _, theta in cycles)
+    )
 
 
 def noloop_log_probability(

@@ -14,7 +14,9 @@ by a zero |Psi| gives numpy's +-inf or NaN there too.  Either way escaped
 orbits give inf/NaN rather than errors.  `decimation_kit` is its scalar view
 with the spectral-similarity prefactor phi = |Psi|/4D, except that at the
 dyadic pairs its theta, R and evolved fluxes are those of `_step`, and that
-where Psi = 0 off them it has no theta, R or evolved fluxes.
+where Psi = 0 off them it has no theta, R or evolved fluxes.  The kit runs in
+Python floats throughout: at the dyadic pairs it takes `_pair_step`, `_step`'s
+quadratics, on one float, which gives the bits of the array path.
 
 `_step` is the one exact step, in the |Psi| convention at every flux (`u_step`,
 with D over its exact roots where beta alone is dyadic, or the QUADRATICS at
@@ -267,10 +269,10 @@ def decimation_kit(flux: FluxPair, lam: float) -> DecimationStep:
     lam = float(lam)
     st = u_step(flux.alpha, flux.beta, lam)
     Psi = complex(st.re, st.im)
-    if flux.is_dyadic():
-        pair = dyadic(flux.alpha), dyadic(flux.beta)
+    pair = dyadic(flux.alpha), dyadic(flux.beta)
+    if None not in pair:
         name = next(n for n, (p, _, _) in QUADRATICS.items() if p == pair)
-        _, _, a_down, b_down, R = map(float, _pair_step(name, lam))
+        _, _, a_down, b_down, R = _pair_step(name, lam)
         theta = mod1(a_down - 3 * pair[0] - pair[1])  # the half-turn twist, 0 or 1/2
     elif Psi:
         a_down, b_down, R = st.alpha_down, st.beta_down, st.R
@@ -327,15 +329,20 @@ def quadratic_r(name: str, lam: float) -> float:
 
 def _pair_step(name: str, x):
     """`_step` at the dyadic pair of QUADRATICS[name], elementwise over lambda
-    (floats or arrays): D, |Psi|, alpha', beta', R.  R is the quadratic, which
-    has no 0/0 at the Psi zeros; where the real Psi < 0, theta = 1/2 and the
-    step twists to (alpha' + 1/2, beta' + 1/2, 2 - R)."""
+    (a float, stepped in Python floats, or an array): D, |Psi|, alpha', beta',
+    R.  R is the quadratic, which has no 0/0 at the Psi zeros; where the real
+    Psi < 0, theta = 1/2 and the step twists to (alpha' + 1/2, beta' + 1/2,
+    2 - R)."""
     (a0, b0), (p, q), _ = QUADRATICS[name]
     eta, r = 1 - x, quadratic_r(name, x)
     psi = eta * eta + p * eta + q
     twist = 0.5 * (psi < 0)
-    return (cell_cubic_d(b0, x), np.abs(psi), (3 * a0 + b0 + twist) % 1.0,
-            (3 * b0 + a0 + twist) % 1.0, np.where(twist, 2 - r, r))
+    if isinstance(x, float):
+        r = 2 - r if twist else r
+    else:
+        r = np.where(twist, 2 - r, r)
+    return (cell_cubic_d(b0, x), abs(psi), (3 * a0 + b0 + twist) % 1.0,
+            (3 * b0 + a0 + twist) % 1.0, r)
 
 
 def _dyadic_step(alpha, beta, lam):

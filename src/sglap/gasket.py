@@ -20,9 +20,16 @@ the three copies: the vertex coordinates (row k is vertex k), the edge ends,
 every face's boundary cycle one face after another, and each face's side.
 Everything else is derived from them on first read: the tuple and dict views
 (`vertices`, `edges`, `cells`, `coord_to_id`, `prev_level_ids`, `degrees`,
-`neighbors`), the degree array and the index arrays `face_edges` and
-`midpoint_cells`.  The spectrum path (`build_connection`, `assemble`, the
+`neighbors`), the degree array and the read-only index arrays `face_edges`
+and `midpoint_cells`.  The spectrum path (`build_connection`, `assemble`, the
 operator's entries) reads only arrays, so it never builds a tuple view.
+
+A process holds one graph per level: `build_gasket` checks its argument and
+SG_MAX_LEVEL on every call and then returns the graph it built for that
+level the first time.  Graphs still compare by identity, so every caller
+(the verifier, `restrict_connection`, `schur_complement`, the operator and
+the CLI) shares one graph per level, and its derived views, once read, stay
+cached on it for the life of the process.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ import itertools
 import json
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -50,6 +57,12 @@ def dim_n(level: int) -> int:
     return (3 ** (level + 1) + 3) // 2
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for x in arrays:
+        x.setflags(write=False)
+    return arrays
+
+
 @dataclass(frozen=True)
 class UnitCell:
     """A face of G_N: side-1 upright/downright triangle, or a downright hole.
@@ -65,7 +78,9 @@ class UnitCell:
 
 @dataclass(frozen=True, eq=False)
 class GasketGraph:
-    """G_N as read-only arrays; graphs compare by identity.
+    """G_N as read-only arrays; graphs compare by identity.  `build_gasket`
+    makes one per level per process, so its derived views are shared by every
+    caller and stay cached for the life of the process.
 
     ``coords`` is (dim, 2), the lattice coordinates in id order (ids are the
     lexicographic rank of the coordinates); ``edge_array`` is (3^(N+1), 2),
@@ -154,7 +169,7 @@ class GasketGraph:
         ahead = np.arange(1, len(u) + 1)
         ahead[start + length - 1] = start  # each face's last vertex closes onto its first
         v = u[ahead]
-        return self.edge_index(u, v), np.where(u < v, 1.0, -1.0), start
+        return _read_only(self.edge_index(u, v), np.where(u < v, 1.0, -1.0), start)
 
     def edge_index(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """The index into `edges` of each edge {u, v}, in either direction."""
@@ -176,7 +191,7 @@ class GasketGraph:
         mids = np.stack([t0[:, 1], t1[:, 2], t2[:, 0]], axis=1)
         corners = np.stack([t0[:, 0], t1[:, 1], t2[:, 2]], axis=1)
         order = np.argsort(mids[:, 0])  # a vertex is the midpoint of one triangle only
-        return mids[order], corners[order]
+        return _read_only(mids[order], corners[order])
 
     def to_json(self) -> str:
         doc = {
@@ -192,15 +207,23 @@ class GasketGraph:
 
 
 def build_gasket(level: int) -> GasketGraph:
-    """Construct G_level as three copies of G_level-1, with deterministic ids
-    (lexicographic coordinate sort)."""
+    """G_level, with deterministic ids (lexicographic coordinate sort).
+
+    The level and SG_MAX_LEVEL are checked on every call; the graph is built
+    once per level per process and then shared, so two calls at one level
+    return the same object."""
     if level < 0:
         raise ValueError("level must be nonnegative")
     if level > max_level():
         raise LevelLimitError(
             f"level {level} exceeds maximum {max_level()} (set SG_MAX_LEVEL to raise)"
         )
+    return _gasket(level)
 
+
+@lru_cache(maxsize=None)
+def _gasket(level: int) -> GasketGraph:
+    """Construct G_level as three copies of G_level-1."""
     origins = np.zeros((1, 2), dtype=np.int64)  # lower-left corners of the upright unit cells
     # holes of side s at (i, j): corners (i+s, j), (i+s, j+s), (i, j+s)
     sides, hole_at = np.zeros(0, dtype=np.int64), np.zeros((0, 2), dtype=np.int64)
@@ -245,6 +268,5 @@ def build_gasket(level: int) -> GasketGraph:
     coords = np.stack(np.divmod(vertex_keys, width), axis=1)
     edges = np.stack(np.divmod(edge_keys, n), axis=1)
     face_sides = np.concatenate([np.ones(len(origins), dtype=np.int64), sides])
-    for x in (coords, edges, cycles, face_sides):
-        x.setflags(write=False)
+    _read_only(coords, edges, cycles, face_sides)
     return GasketGraph(level, coords, edges, boundary, cycles, face_sides)

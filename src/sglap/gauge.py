@@ -55,10 +55,14 @@ def circ_dist(x: float, y: float) -> float:
 
 
 def dyadic(x: float) -> float | None:
-    """The point of {0, 1/2} within DYADIC_TOL of x on the circle, or None."""
-    for v in (0.0, 0.5):
-        if circ_dist(x, v) <= DYADIC_TOL:
-            return v
+    """The point of {0, 1/2} within DYADIC_TOL of x on the circle, or None.
+    With m = mod1(x), the circle distance is min(m, 1 - m) to 0 and |m - 1/2|
+    to 1/2, since 1 - |m - 1/2| >= 1/2: `circ_dist` to each, to the bit."""
+    m = mod1(x)
+    if min(m, 1.0 - m) <= DYADIC_TOL:
+        return 0.0
+    if abs(m - 0.5) <= DYADIC_TOL:
+        return 0.5
     return None
 
 

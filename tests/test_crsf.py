@@ -126,6 +126,21 @@ def test_samples_match_the_reference_sampler(level, caplog):
         assert clamps, "no clamped acceptance was compared"
 
 
+@pytest.mark.parametrize("level", range(1, 6))
+def test_samples_are_their_successor_maps(level):
+    # the sampler builds its forest from the loops its walk accepted; that is
+    # exactly what a fresh decomposition of the successor map finds
+    g = build_gasket(level)
+    for flux in QUARTER_FLUXES + [(0.05, 0.05), (0.13, -0.21)]:
+        conn = build_connection(g, FluxPair(*flux))
+        for seed in range(6):
+            got = crsf.sample_crsf(g, conn, seed)
+            want = crsf.OrientedCRSF.from_successor(got.successor, conn)
+            for name in ("successor", "cycles", "cycle_fluxes", "bush_edges"):
+                assert getattr(got, name) == getattr(want, name), (level, flux, seed, name)
+            got.validate(g)
+
+
 def _window_outcome(check, conn, caplog):
     with caplog.at_level(logging.DEBUG, logger="sglap.crsf"):
         try:

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from sglap import butterfly
 from sglap.decimation import (
+    QUADRATICS,
     OrbitTerminated,
     _atan2,
+    _pair_step,
     _roots_below,
     _step,
     apply_U,
@@ -25,7 +27,7 @@ from sglap.decimation import (
     u_step,
     zeros_of_D,
 )
-from sglap.gauge import FluxPair, circ_dist, dyadic, mod1
+from sglap.gauge import DYADIC_TOL, FluxPair, circ_dist, dyadic, mod1
 
 unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 lams = st.floats(min_value=-0.5, max_value=2.5)
@@ -289,6 +291,36 @@ def test_kit_has_no_theta_at_an_exact_psi_zero_off_the_grid():
 
 
 _U_FIELDS = ("alpha", "beta", "A", "D", "re", "im", "R", "arg", "alpha_down", "beta_down")
+
+
+def test_float_pair_step_is_the_array_path_bitwise():
+    # a float lambda is stepped in Python floats (abs and a conditional twist),
+    # an array with numpy: every row agrees to the bit, on a grid over the
+    # spectrum and beyond it and at each pair's Psi zeros and D roots
+    grid = np.linspace(-2.0, 4.0, 1201).tolist()
+    for name, ((a0, b0), _, _) in QUADRATICS.items():
+        special = psi_real_zeros(FluxPair(a0, b0)) + [r for r, _ in zeros_of_D(b0)]
+        for lam in grid + special + [0.0, -0.0]:
+            got = _pair_step(name, lam)
+            want = _pair_step(name, np.array([lam]))
+            for row, (g, w) in enumerate(zip(got, want)):
+                assert type(g) is float, (name, lam, row)
+                assert _same_bits(np.array([g]), w), (name, lam, row)
+
+
+def test_dyadic_decides_as_the_circle_distance_loop():
+    def circ_dist_loop(x):
+        for v in (0.0, 0.5):
+            if circ_dist(x, v) <= DYADIC_TOL:
+                return v
+        return None
+
+    points = [0.0, -0.0, 1 - 2.0**-53, -1e-17, 3.5, -2.5]
+    for edge in (DYADIC_TOL, -DYADIC_TOL, 0.5 + DYADIC_TOL, 0.5 - DYADIC_TOL):
+        points += [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)]
+    for x in points:
+        assert dyadic(x) == circ_dist_loop(x), x
+    assert [dyadic(x) for x in (DYADIC_TOL, -DYADIC_TOL, 0.5 + DYADIC_TOL, 0.5 - DYADIC_TOL)] == [0.0, 0.0, 0.5, 0.5]
 
 
 def test_scalar_u_step_is_the_array_path_bitwise():

@@ -84,6 +84,19 @@ def test_level_guard(monkeypatch):
     build_gasket(2)  # still fine at the new cap
 
 
+def test_one_graph_per_level():
+    assert build_gasket(3) is build_gasket(3)
+
+
+def test_cached_level_still_limited(monkeypatch):
+    g = build_gasket(3)  # built and held before the cap drops
+    monkeypatch.setenv("SG_MAX_LEVEL", "2")
+    with pytest.raises(LevelLimitError):
+        build_gasket(3)
+    monkeypatch.setenv("SG_MAX_LEVEL", "3")
+    assert build_gasket(3) is g
+
+
 def test_negative_level_rejected():
     with pytest.raises(ValueError):
         build_gasket(-1)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -51,7 +52,10 @@ def test_entries_structure():
 
 
 def test_assemble_rejects_foreign_connection():
-    g1, g2 = build_gasket(1), build_gasket(1)
+    # build_gasket(1) is one shared graph, so the foreign one is a distinct
+    # graph over the same arrays
+    g1 = build_gasket(1)
+    g2 = dataclasses.replace(g1)
     conn = build_connection(g2, FluxPair(0.1, 0.1))
     with pytest.raises(ValueError):
         assemble(g1, conn)
