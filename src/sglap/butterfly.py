@@ -7,16 +7,24 @@ threshold for the full iteration budget.  The retained set over the diagonal
 slice is the butterfly picture; the "U2" variant instead quadruples alpha and
 ignores the angle correction.
 
-One engine iterates whole columns of cells through `decimation.u_step`, and
-its rasters equal the published loop (tests/_reference.py) bit for bit.
-Bit-identity is deliberate and fragile: u_step writes powers as explicit
-multiply chains (libm pow and numpy's integer-power path round differently)
-and takes atan2 as the imaginary part of the complex log, which glibc computes
-with libm's atan2, because numpy's vectorized arctan2 is off by an ulp often
-enough to flip near-threshold cells after twenty amplifying iterations.  Keep
-it that way; tests/test_decimation.py checks the log against math.atan2 bit
-for bit.  The tests check every cell against the published loop, extended by
-the exact-zero policy below and the U2 update.
+One engine iterates the live cells of a block of columns through the two
+halves of U's step: `decimation.u_factors`, the trig of the fluxes and its
+products, which do not involve lambda, and `decimation.u_lambda`, which
+finishes A, D, Psi and R at each cell's lambda.  Where the cells of a column
+share their fluxes, at every U2 step (alpha steps as frac(4 alpha) per column,
+beta follows it or stays fixed) and at U's first step, the factors are taken
+once per column and gathered by each live cell's column; U's later steps take
+them per cell.  The last step computes lambda alone, because the loop ends
+before it reads the evolved fluxes.  The rasters equal the published loop
+(tests/_reference.py) bit for bit.  Bit-identity is deliberate and fragile:
+the step writes powers as explicit multiply chains (libm pow and numpy's
+integer-power path round differently) and takes atan2 as the imaginary part
+of the complex log, which glibc computes with libm's atan2, because numpy's
+vectorized arctan2 is off by an ulp often enough to flip near-threshold cells
+after twenty amplifying iterations.  Keep it that way; tests/test_decimation.py
+checks the log against math.atan2 bit for bit.  The tests check every cell
+against the published loop, extended by the exact-zero policy below and the U2
+update, and pin full-size rasters by digest.
 
 An exact |Psi| = 0 during iteration divides by zero in the raw update.  At
 exactly-representable half-integer fluxes the singularity is removable and the
@@ -34,13 +42,17 @@ from functools import partial
 
 import numpy as np
 
-from .decimation import OrbitTerminated, apply_U, frac, u_step
+from .decimation import OrbitTerminated, UStep, apply_U, frac, u_factors, u_lambda
 
 log = logging.getLogger(__name__)
 
-# cells per row block of `render`: bounds the working arrays of `u_step` (and
-# the complex array of its atan2) that one block holds at a time
-BLOCK_CELLS = 32768
+# cells per row block of `render`: bounds the working arrays of one step (the
+# gathered factors, the temporaries of `u_lambda` and the complex array of its
+# atan2), so that a block's step stays near a 2 MiB L2.  On a 2-vCPU host, the
+# benchmark's six rasters at threads 1 and 2 peak at 38.9 MiB with 16384 and
+# 42.2 MiB with 32768; alternating the two in one process, they take 567 and
+# 603 ms at threads=1, 445 and 417 ms at threads=2 (medians of 12).
+BLOCK_CELLS = 16384
 
 
 @dataclass(frozen=True)
@@ -95,27 +107,43 @@ def _continue_exact_zero(al: float, be: float, lmd: float) -> tuple[float, float
         return None
 
 
-def _next_cells(a, b, l, u2: bool, diagonal: bool):
-    """One orbit step of live cells: (alpha, beta, lambda, exact Psi zero)."""
-    st = u_step(a, b, l)
+def _next_cells(a, b, lmd, col, u2: bool, diagonal: bool, last: bool):
+    """One orbit step of the live cells: (alpha', beta', lambda', exact Psi zero).
+
+    The fluxes a, b are per column where col gives each live cell's column,
+    else per cell; U's lambda-free factors are taken on them and gathered by
+    col.  alpha' and beta' are per column for U2 and per cell for U, and None
+    after the last step, since nothing reads them."""
+    fac = u_factors(a, b)
+    if col is not None:
+        fac = [f.take(col) for f in fac]
+    A, D, re, im, R = u_lambda(fac, lmd)
+    zero = (re == 0.0) & (im == 0.0)
+    if last:
+        return None, None, R, zero
     if u2:
-        al_new = frac(4 * a)
-        be_new = al_new if diagonal else b
-    else:
-        al_new, be_new = st.alpha_down, st.beta_down
-    return al_new, be_new, st.R, (st.re == 0.0) & (st.im == 0.0)
+        a_new = frac(4 * a)
+        return a_new, a_new if diagonal else b, R, zero
+    if col is not None:
+        a, b = a.take(col), b.take(col)
+    a_new, b_new, _ = UStep(a, b, A, D, re, im, R).evolved()
+    return a_new, b_new, R, zero
 
 
 def _render_block(cfg: RasterConfig, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ga, gl = alphas.shape[0], cfg.grid_lambda
     n = ga * gl
-    al = np.repeat(alphas, gl)
-    be = np.full(n, float(cfg.beta_mode)) if cfg.beta_mode != "diagonal" else al.copy()
+    th, num_iter = cfg.threshold, cfg.max_iters
+    u2, diagonal = cfg.map == "U2", cfg.beta_mode == "diagonal"
+    # the fluxes start per column; U2 keeps them so, U's first step makes them
+    # per cell (cell_flux)
+    al = alphas
+    be = alphas if diagonal else np.full(ga, float(cfg.beta_mode))
     lmd = np.tile(cfg.lambdas, ga)
-    th, num_iter, u2 = cfg.threshold, cfg.max_iters, cfg.map == "U2"
+    cell_flux = False
 
     # the live cells, compacted: escaped cells and orbits terminated at an exact
-    # Psi zero (retained) leave idx, al, be and lmd as they go
+    # Psi zero (retained) leave idx, lmd and per-cell fluxes as they go
     idx = np.arange(n)
     esc = np.full(n, -1, dtype=np.int32)
     with np.errstate(all="ignore"):
@@ -123,21 +151,29 @@ def _render_block(cfg: RasterConfig, alphas: np.ndarray) -> tuple[np.ndarray, np
             inside = np.abs(lmd) < th
             if not inside.all():
                 esc[idx[~inside]] = k
-                idx, al, be, lmd = idx[inside], al[inside], be[inside], lmd[inside]
+                idx, lmd = idx[inside], lmd[inside]
+                if cell_flux:
+                    al, be = al[inside], be[inside]
             if k == num_iter - 1 or idx.size == 0:
                 break
-            al_new, be_new, lmd_new, zero = _next_cells(al, be, lmd, u2, cfg.beta_mode == "diagonal")
+            last = k == num_iter - 2
+            col = None if cell_flux else idx // gl
+            al_new, be_new, lmd_new, zero = _next_cells(al, be, lmd, col, u2, diagonal, last)
+            cell_flux = not (u2 or last)
             if zero.any():
                 live = np.ones(idx.size, dtype=bool)
                 for pos in np.flatnonzero(zero):
-                    nxt = _continue_exact_zero(float(al[pos]), float(be[pos]), float(lmd[pos]))
+                    c = col[pos] if col is not None else pos
+                    nxt = _continue_exact_zero(float(al[c]), float(be[c]), float(lmd[pos]))
                     if nxt is None:
                         live[pos] = False
-                    elif u2:
-                        lmd_new[pos] = nxt[2]
-                    else:
-                        al_new[pos], be_new[pos], lmd_new[pos] = nxt
-                idx, al_new, be_new, lmd_new = idx[live], al_new[live], be_new[live], lmd_new[live]
+                        continue
+                    lmd_new[pos] = nxt[2]
+                    if cell_flux:
+                        al_new[pos], be_new[pos] = nxt[:2]
+                idx, lmd_new = idx[live], lmd_new[live]
+                if cell_flux:
+                    al_new, be_new = al_new[live], be_new[live]
             al, be, lmd = al_new, be_new, lmd_new
 
     retained = esc < 0

@@ -1,22 +1,26 @@
 """The decimation step at arbitrary flux.
 
-`u_step` is the one place the map U(alpha, beta, lambda) = (3a+b+3theta,
-3b+a-3theta, R) is written out, for floats or for arrays of one shape: the
-quartic A, the cubic D (determinant of one 3x3 cell of the midpoint block), the
-complex coupling Psi, its argument, the renormalized eigenvalue R and the
-evolved fluxes.  Its operation order is the butterfly's multiply chain (explicit
-products, 16*sqrt(re*re+im*im), libm atan2 as the argument of the complex log),
-so butterfly rasters stay bitwise equal to the published loop; subexpressions
-shared between its products keep that order, and `frac` is % 1.0 to the bit.
+`u_factors` and `u_lambda` are the one place the map U(alpha, beta, lambda) =
+(3a+b+3theta, 3b+a-3theta, R) is written out, for floats or for arrays of one
+shape: the first takes the trig of the fluxes and the products of it that do
+not involve lambda, the second finishes the quartic A, the cubic D
+(determinant of one 3x3 cell of the midpoint block), the complex coupling Psi
+and the renormalized eigenvalue R at lambda.  `u_step` is their composition,
+and `UStep.evolved` takes the argument of Psi and the evolved fluxes.  The
+butterfly takes the factors once per column of cells that share their fluxes.
+Their operation order is the butterfly's multiply chain (explicit products,
+16*sqrt(re*re+im*im), libm atan2 as the argument of the complex log), so
+butterfly rasters stay bitwise equal to the published loop; subexpressions
+shared between products keep that order, and `frac` is % 1.0 to the bit.
 Arrays go through numpy ufuncs; three scalars go through Python floats with
 `math`'s cos, sin, sqrt and atan2, which give the same bits, and R's division
 by a zero |Psi| gives numpy's +-inf or NaN there too.  Either way escaped
-orbits give inf/NaN rather than errors.  `decimation_kit` is its scalar view
-with the spectral-similarity prefactor phi = |Psi|/4D, except that at the
-dyadic pairs its theta, R and evolved fluxes are those of `_step`, and that
-where Psi = 0 off them it has no theta, R or evolved fluxes.  The kit runs in
-Python floats throughout: at the dyadic pairs it takes `_pair_step`, `_step`'s
-quadratics, on one float, which gives the bits of the array path.
+orbits give inf/NaN rather than errors.  `decimation_kit` is `u_step`'s
+scalar view with the spectral-similarity prefactor phi = |Psi|/4D, except that
+at the dyadic pairs its theta, R and evolved fluxes are those of `_step`, and
+that where Psi = 0 off them it has no theta, R or evolved fluxes.  The kit
+runs in Python floats throughout: at the dyadic pairs it takes `_pair_step`,
+`_step`'s quadratics, on one float, which gives the bits of the array path.
 
 `_step` is the one exact step, in the |Psi| convention at every flux (`u_step`,
 with D over its exact roots where beta alone is dyadic, or the QUADRATICS at
@@ -82,7 +86,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -102,8 +106,9 @@ class OrbitTerminated(Exception):
         super().__init__(f"Psi = 0 at (alpha={alpha}, beta={beta}, lambda={lam})")
 
 
-def _cubic_d(lam, cos_beta):
-    return -(lam * lam * lam) + 3 * lam * lam - 45 / 16 * lam + 13 / 16 - cos_beta / 32
+def _cubic_d(lam, cos_beta_32):
+    # D from its lambda-free term cos(2 pi beta)/32
+    return -(lam * lam * lam) + 3 * lam * lam - 45 / 16 * lam + 13 / 16 - cos_beta_32
 
 
 _DYADIC_D_ROOTS = {0.0: (0.5, 1.25), 0.5: (1.5, 0.75)}  # beta: (simple, double) root of D
@@ -117,7 +122,7 @@ def cell_cubic_d(beta: float, lam):
     """
     b0 = dyadic(beta)
     if b0 is None:
-        return _cubic_d(lam, np.cos(TWO_PI * beta))
+        return _cubic_d(lam, np.cos(TWO_PI * beta) / 32)
     simple, double = _DYADIC_D_ROOTS[b0]
     return -(lam - simple) * ((lam - double) * (lam - double))
 
@@ -149,8 +154,8 @@ def frac(x):
 @dataclass(frozen=True)
 class UStep:
     """One step of U from the fluxes (alpha, beta): A, D, Psi = re + i im and R,
-    which is inf or NaN where re = im = 0.  arg(Psi), in radians, and the
-    evolved fluxes are computed when first read; the U2 map never reads them."""
+    which is inf or NaN where re = im = 0.  `evolved` takes arg(Psi) and the
+    evolved fluxes; the U2 map never needs them."""
 
     alpha: np.ndarray
     beta: np.ndarray
@@ -160,22 +165,12 @@ class UStep:
     im: np.ndarray
     R: np.ndarray
 
-    @cached_property
-    def arg(self):
-        return _atan2(self.im, self.re)
-
-    @cached_property
-    def _turn(self):
-        # the theta term 3 arg / 2 / pi of both evolved fluxes, in their order
-        return 3 * self.arg / 2 / math.pi
-
-    @property
-    def alpha_down(self):
-        return frac(3 * self.alpha + self.beta + self._turn)
-
-    @property
-    def beta_down(self):
-        return frac(3 * self.beta + self.alpha - self._turn)
+    def evolved(self):
+        """(alpha', beta', arg Psi in radians), from one atan2."""
+        arg = _atan2(self.im, self.re)
+        turn = 3 * arg / 2 / math.pi  # the theta term of both fluxes, in their order
+        alpha_down = frac(3 * self.alpha + self.beta + turn)
+        return alpha_down, frac(3 * self.beta + self.alpha - turn), arg
 
 
 def _float_divide(num, den):
@@ -190,27 +185,19 @@ def _array_divide(num, den):
         return num / den
 
 
-_FLOAT_OPS = (math.cos, math.sin, math.sqrt, _float_divide)
-_ARRAY_OPS = (np.cos, np.sin, np.sqrt, _array_divide)
-
-
-def u_step(alpha, beta, lam) -> UStep:
-    """U at (alpha, beta, lambda), elementwise over arrays of one shape, in
-    double precision.  Three real scalars are computed as Python floats with
-    `math`, to the same bits (as `_atan2` takes libm's atan2 for them)."""
-    if all(isinstance(v, (float, int)) for v in (alpha, beta, lam)):
-        a, b, l = float(alpha), float(beta), float(lam)
-        cos, sin, sqrt, divide = _FLOAT_OPS
+def u_factors(alpha, beta) -> tuple:
+    """The lambda-free factors of U at (alpha, beta), for two floats (with
+    `math`) or arrays of one shape: 4x, 32 + 4x and cos 2 pi (alpha + beta) of
+    A, cos(2 pi beta)/32 of D, and the two terms of Re Psi and of Im Psi that
+    do not involve lambda, where x = cos 2 pi alpha."""
+    if isinstance(alpha, float) and isinstance(beta, float):
+        cos, sin = math.cos, math.sin
     else:
-        a, b, l = (np.asarray(v, dtype=float) for v in (alpha, beta, lam))
-        cos, sin, sqrt, divide = _ARRAY_OPS
-    x = cos(TWO_PI * a)
-    xs = sin(TWO_PI * a)
-    y = cos(TWO_PI * b)
-    ys = sin(TWO_PI * b)
+        cos, sin = np.cos, np.sin
+    ta, tb = TWO_PI * alpha, TWO_PI * beta
+    x, xs, y, ys = cos(ta), sin(ta), cos(tb), sin(tb)
     # subexpressions shared by the products below, each in the operation order
-    # of every product it stands in (2 * xs * x is (2 * xs) * x, and -one_l / 4
-    # is (-one_l) / 4, which is -(one_l / 4): rounding is sign-symmetric)
+    # of every product it stands in (2 * xs * x is (2 * xs) * x)
     x2 = x * x - xs * xs
     tx, txs, fx = 2 * x, 2 * xs, 4 * x
     sx2 = txs * x
@@ -218,14 +205,39 @@ def u_step(alpha, beta, lam) -> UStep:
     c2ab = x2 * y - sx2 * ys
     s2ab = sx2 * y + ys * x2
     sab = xs * y + x * ys
-    one_l = 1 - l
+    return (fx, 32 + fx, cab, y / 32,
+            tx + c2ab, 1 / 16 * (x2 + 2 * cab), txs + s2ab, 1 / 16 * (tx * xs + 2 * sab))
+
+
+def u_lambda(factors: tuple, lam) -> tuple:
+    """The lambda part of U: (A, D, re, im, R) from `u_factors` at lambda, a
+    float (with `math`) or an array of the factors' shape."""
+    fx, f32, cab, y32, re_c, re_k, im_c, im_k = factors
+    if isinstance(lam, float):
+        sqrt, divide = math.sqrt, _float_divide
+    else:
+        sqrt, divide = np.sqrt, _array_divide
+    # -one_l / 4 is (-one_l) / 4, which is -(one_l / 4): rounding is sign-symmetric
+    one_l = 1 - lam
     q = one_l / 4
-    A = 16 * l * l - (32 + fx) * l + 15 + fx + cab
-    D = _cubic_d(l, y)
-    re = one_l * one_l - 1 / 16 + q * (tx + c2ab) + 1 / 16 * (x2 + 2 * cab)
-    im = -q * (txs + s2ab) - 1 / 16 * (tx * xs + 2 * sab)
+    A = 16 * lam * lam - f32 * lam + 15 + fx + cab
+    D = _cubic_d(lam, y32)
+    re = one_l * one_l - 1 / 16 + q * re_c + re_k
+    im = -q * im_c - im_k
     R = 1 + divide(A - 64 * D * one_l, 16 * sqrt(re * re + im * im))
-    return UStep(a, b, A, D, re, im, R)
+    return A, D, re, im, R
+
+
+def u_step(alpha, beta, lam) -> UStep:
+    """U at (alpha, beta, lambda), elementwise over arrays of one shape, in
+    double precision: `u_lambda` of `u_factors`.  Three real scalars are
+    computed as Python floats with `math`, to the same bits (as `_atan2` takes
+    libm's atan2 for them)."""
+    if all(isinstance(v, (float, int)) for v in (alpha, beta, lam)):
+        a, b, l = float(alpha), float(beta), float(lam)
+    else:
+        a, b, l = (np.asarray(v, dtype=float) for v in (alpha, beta, lam))
+    return UStep(a, b, *u_lambda(u_factors(a, b), l))
 
 
 def numerator_psi_dlam(alpha: float, beta: float, lam: float) -> tuple[float, complex]:
@@ -275,8 +287,8 @@ def decimation_kit(flux: FluxPair, lam: float) -> DecimationStep:
         _, _, a_down, b_down, R = _pair_step(name, lam)
         theta = mod1(a_down - 3 * pair[0] - pair[1])  # the half-turn twist, 0 or 1/2
     elif Psi:
-        a_down, b_down, R = st.alpha_down, st.beta_down, st.R
-        theta = mod1(st.arg / TWO_PI)
+        a_down, b_down, arg = st.evolved()
+        R, theta = st.R, mod1(arg / TWO_PI)
     else:
         a_down = b_down = R = theta = None
     absPsi = abs(Psi)
@@ -372,7 +384,8 @@ def _step(alpha, beta, lam):
             on = on_b & (half_b % 1.0 == b0)
             if on.any():
                 d = np.where(on, cell_cubic_d(b0, lam), d)
-        return d, np.hypot(st.re, st.im), st.alpha_down, st.beta_down, st.R
+        a_down, b_down, _ = st.evolved()
+        return d, np.hypot(st.re, st.im), a_down, b_down, st.R
     out = np.empty((5, lam.size), dtype=np.result_type(alpha, beta, lam, float))
     for part in (grid, ~grid):
         out[:, part] = _step(alpha[part], beta[part], lam[part])

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import math
 
@@ -146,33 +147,75 @@ def test_exact_psi_zero_policy_diverges_from_reference_deliberately():
 
 def test_multi_block_render_is_bitwise_across_threads():
     # more cells than BLOCK_CELLS, so every thread count splits the rows into
-    # blocks (2, 2 and 3 of them), and the lambda = 5/4 column at beta = 0 puts
+    # blocks (3, 4 and 3 of them), and the lambda = 5/4 column at beta = 0 puts
     # exact Psi zeros in each: continued orbits at the dyadic alphas 0, 1/2, 1
-    # and orbits terminated at the others
-    cfg = RasterConfig(grid_alpha=129, grid_lambda=257, beta_mode=0.0)
-    assert cfg.grid_alpha * cfg.grid_lambda > BLOCK_CELLS
-    j = list(cfg.lambdas).index(1.25)
-    rasters = [render(cfg, threads=t) for t in (1, 2, 3)]
-    for r in rasters[1:]:
-        assert np.array_equal(r.retained, rasters[0].retained)
-        assert np.array_equal(r.escape_iter, rasters[0].escape_iter)
-    r = rasters[0]
-    rng = np.random.default_rng(17)
-    cells = [(i, j) for i in range(cfg.grid_alpha)]
-    cells += [(int(i), int(k)) for i, k in zip(rng.integers(cfg.grid_alpha, size=64), rng.integers(cfg.grid_lambda, size=64))]
-    zero_rows = set()
-    for i, k in cells:
-        a, l = float(cfg.alphas[i]), float(cfg.lambdas[k])
-        ret, it, hits = _policy_cell(a, 0.0, l, cfg.threshold, cfg.max_iters, diagonal=False)
-        assert (ret, it) == (bool(r.retained[i, k]), int(r.escape_iter[i, k])), (a, l)
-        if hits and k == j:
-            zero_rows.add(i)
-    for rows in np.array_split(np.arange(cfg.grid_alpha), 3):
-        assert zero_rows & set(rows.tolist())
-    assert {0, 64, 128} <= zero_rows  # the dyadic alphas continue through the zero
-    # a non-dyadic alpha whose first step meets the zero is retained at once
-    assert any(_policy_cell(float(cfg.alphas[i]), 0.0, 1.25, num_iter=2)[2] and r.escape_iter[i, j] == -1
-               for i in zero_rows - {0, 64, 128})
+    # and orbits terminated at the others, under both maps
+    for map_ in ("U", "U2"):
+        cfg = RasterConfig(grid_alpha=129, grid_lambda=257, beta_mode=0.0, map=map_)
+        assert cfg.grid_alpha * cfg.grid_lambda > BLOCK_CELLS
+        j = list(cfg.lambdas).index(1.25)
+        rasters = [render(cfg, threads=t) for t in (1, 2, 3)]
+        for r in rasters[1:]:
+            assert np.array_equal(r.retained, rasters[0].retained)
+            assert np.array_equal(r.escape_iter, rasters[0].escape_iter)
+        r = rasters[0]
+        rng = np.random.default_rng(17)
+        cells = [(i, j) for i in range(cfg.grid_alpha)]
+        cells += [(int(i), int(k)) for i, k in zip(rng.integers(cfg.grid_alpha, size=64), rng.integers(cfg.grid_lambda, size=64))]
+        zero_rows = set()
+        for i, k in cells:
+            a, l = float(cfg.alphas[i]), float(cfg.lambdas[k])
+            ret, it, hits = _policy_cell(a, 0.0, l, cfg.threshold, cfg.max_iters, map_ == "U2", diagonal=False)
+            assert (ret, it) == (bool(r.retained[i, k]), int(r.escape_iter[i, k])), (map_, a, l)
+            if hits and k == j:
+                zero_rows.add(i)
+        for parts in (3, 4):
+            for rows in np.array_split(np.arange(cfg.grid_alpha), parts):
+                assert zero_rows & set(rows.tolist())
+        assert {0, 64, 128} <= zero_rows  # the dyadic alphas continue through the zero
+        # a non-dyadic alpha whose first step meets the zero is retained at once
+        assert any(_policy_cell(float(cfg.alphas[i]), 0.0, 1.25, num_iter=2)[2] and r.escape_iter[i, j] == -1
+                   for i in zero_rows - {0, 64, 128})
+
+
+@pytest.mark.parametrize("map_", ["U", "U2"])
+def test_short_orbits_match_the_policy(map_):
+    # the last step computes lambda alone, since nothing reads its fluxes, also
+    # where it meets an exact Psi zero (beta = 0, the lambda = 5/4 column)
+    for iters in (1, 2, 3):
+        for beta_mode in ("diagonal", 0.0):
+            cfg = RasterConfig(grid_alpha=13, grid_lambda=9, max_iters=iters, map=map_, beta_mode=beta_mode)
+            _compare_with_policy(render(cfg))
+
+
+# sha256 of escape_iter (int32, little-endian, C order) of the benchmark's six
+# rasters, its four fixed betas at the offset 0.29, and of U2 at beta = 0.3, as
+# rendered when every cell was stepped through u_step; retained is escape_iter < 0
+_OFFSET = 0.29
+_PINNED = {
+    "U-diagonal": (RasterConfig(301, 301), "01986a94dd099c7555afcd34f12b8f5a26d09891985e2221fe5660cae93e5a05"),
+    "U-beta0": (RasterConfig(151, 151, beta_mode=_OFFSET / 4),
+                "cfccf4e50c497b1c20f024de54891d4a86fa3dbc5b4a52619f9e9ced0190bce2"),
+    "U-beta1": (RasterConfig(151, 151, beta_mode=(1 + _OFFSET) / 4),
+                "0b737f8b7eaebb316a351bd5909d5a606ca28291bb8e575ffa9831d2d16c87f2"),
+    "U-beta2": (RasterConfig(151, 151, beta_mode=(2 + _OFFSET) / 4),
+                "d9097d0a27b792c54bccf176c48e51fc27e6181d8cde1b7572e13a78c92378c2"),
+    "U-beta3": (RasterConfig(151, 151, beta_mode=(3 + _OFFSET) / 4),
+                "8e302a8ad1915b752dfdeeea29725302459145fe704123c25345f59431c67e59"),
+    "U2-diagonal": (RasterConfig(301, 301, map="U2"),
+                    "1fb73eb867a343d9fb976c2e82ef48e56dddeae6bbfda5fc89ce49b25b3ad7ca"),
+    "U2-beta0.3": (RasterConfig(151, 151, map="U2", beta_mode=0.3),
+                   "3fb40bbcac8128e4f1d5ffc5a65974b635f30e4376f57e820aa5dc066d0edf13"),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED))
+def test_full_size_rasters_are_pinned(name):
+    cfg, digest = _PINNED[name]
+    for threads in (1, 2):
+        r = render(cfg, threads=threads)
+        assert np.array_equal(r.retained, r.escape_iter < 0)
+        assert hashlib.sha256(r.escape_iter.astype("<i4").tobytes()).hexdigest() == digest, threads
 
 
 def test_u_step_is_the_reference_step_bitwise():
@@ -183,7 +226,8 @@ def test_u_step_is_the_reference_step_bitwise():
     alphas, betas = rng.uniform(0.0, 1.0, (2, 2000))
     lams = np.concatenate([rng.uniform(-1.0, 3.0, 1000), rng.uniform(-1e6, 1e6, 1000)])
     st = u_step(alphas, betas, lams)
-    got = np.array([st.A, st.D, st.re, st.im, st.arg, st.R, st.alpha_down, st.beta_down])
+    alpha_down, beta_down, arg = st.evolved()
+    got = np.array([st.A, st.D, st.re, st.im, arg, st.R, alpha_down, beta_down])
     for n, (al, be, lmd) in enumerate(zip(alphas.tolist(), betas.tolist(), lams.tolist())):
         x = math.cos(2 * math.pi * al)
         xs = math.sin(2 * math.pi * al)
@@ -213,11 +257,12 @@ def test_u_step_is_the_reference_step_bitwise():
 
 
 def test_u2_map_renders_and_differs_from_u():
-    cfg_u = RasterConfig(grid_alpha=61, grid_lambda=61)
-    cfg_u2 = RasterConfig(grid_alpha=61, grid_lambda=61, map="U2")
-    r_u, r_u2 = render(cfg_u), render(cfg_u2)
-    assert r_u.retained_count != r_u2.retained_count
-    _compare_with_policy(r_u2)
+    for beta_mode in ("diagonal", 0.3):
+        cfg_u = RasterConfig(grid_alpha=61, grid_lambda=61, beta_mode=beta_mode)
+        cfg_u2 = RasterConfig(grid_alpha=61, grid_lambda=61, map="U2", beta_mode=beta_mode)
+        r_u, r_u2 = render(cfg_u), render(cfg_u2)
+        assert r_u.retained_count != r_u2.retained_count
+        _compare_with_policy(r_u2)
 
 
 def test_config_validation():

@@ -24,6 +24,7 @@ from sglap.decimation import (
     frac,
     psi_real_zeros,
     r_dlam,
+    u_lambda,
     u_step,
     zeros_of_D,
 )
@@ -74,6 +75,7 @@ def test_kit_equals_kernel_on_arrays_bitwise():
     pts.append((0.3, 0.0, 1.25))  # Psi is exactly 0 here
     al, be, lm = (np.array(c) for c in zip(*pts))
     st = u_step(al, be, lm)
+    alpha_down, beta_down, _ = st.evolved()
     same = lambda x, y: np.float64(x).tobytes() == np.float64(y).tobytes()
     for k, (a, b, lam) in enumerate(pts):
         kit = decimation_kit(FluxPair(a, b), lam)
@@ -88,7 +90,7 @@ def test_kit_equals_kernel_on_arrays_bitwise():
             assert st.re[k] == 0 and st.im[k] == 0
             assert (kit.theta, kit.alpha_down, kit.beta_down) == (None, None, None)
             continue
-        assert same(kit.alpha_down, st.alpha_down[k]) and same(kit.beta_down, st.beta_down[k]), (a, b, lam)
+        assert same(kit.alpha_down, alpha_down[k]) and same(kit.beta_down, beta_down[k]), (a, b, lam)
         assert same(kit.R, st.R[k]), (a, b, lam)
     assert decimation_kit(FluxPair(0.3, 0.0), 1.25).R is None
 
@@ -237,12 +239,12 @@ def test_atan2_is_libm_bitwise(monkeypatch):
     grid_im, grid_re = np.array([(i, r) for i in _SPECIAL for r in _SPECIAL]).T
     steps = []
 
-    def recording_u_step(*args):
-        st = u_step(*args)
-        steps.append((st.im, st.re))
-        return st
+    def recording_u_lambda(*args):
+        out = u_lambda(*args)
+        steps.append((out[3], out[2]))
+        return out
 
-    monkeypatch.setattr(butterfly, "u_step", recording_u_step)
+    monkeypatch.setattr(butterfly, "u_lambda", recording_u_lambda)
     butterfly.render(butterfly.RasterConfig(grid_alpha=61, grid_lambda=61))
     assert len(steps) >= 3
     for im, re in [(im, re), (grid_im, grid_re), *steps[:3]]:
@@ -290,7 +292,11 @@ def test_kit_has_no_theta_at_an_exact_psi_zero_off_the_grid():
         assert (kit.theta, kit.R, kit.alpha_down, kit.beta_down) == (None, None, None, None), (a, b, lam)
 
 
-_U_FIELDS = ("alpha", "beta", "A", "D", "re", "im", "R", "arg", "alpha_down", "beta_down")
+_U_FIELDS = ("alpha", "beta", "A", "D", "re", "im", "R", "alpha_down", "beta_down", "arg")
+
+
+def _u_fields(st):
+    return dict(zip(_U_FIELDS, (st.alpha, st.beta, st.A, st.D, st.re, st.im, st.R, *st.evolved())))
 
 
 def test_float_pair_step_is_the_array_path_bitwise():
@@ -338,12 +344,12 @@ def test_scalar_u_step_is_the_array_path_bitwise():
     al, be, lm = (np.concatenate([v, e]) for v, e in zip((al, be, lm), zip(*edge)))
     scalar = [u_step(a, b, l) for a, b, l in zip(al.tolist(), be.tolist(), lm.tolist())]
     with np.errstate(over="ignore", invalid="ignore"):
-        array = u_step(al, be, lm)
-        want = {f: getattr(array, f) for f in _U_FIELDS}
+        want = _u_fields(u_step(al, be, lm))
+    scalar = [_u_fields(st) for st in scalar]
     for f in _U_FIELDS:
-        got = np.array([getattr(st, f) for st in scalar])
+        got = np.array([st[f] for st in scalar])
         assert _same_bits(got, want[f]), f
-    assert all(type(getattr(st, f)) is float for st in scalar[-len(edge):] for f in _U_FIELDS)
+    assert all(type(st[f]) is float for st in scalar[-len(edge):] for f in _U_FIELDS)
     assert np.isneginf(want["R"][n]) and np.isnan(want["R"][n + 2])
 
 
