@@ -142,33 +142,28 @@ def _functional_cycles(successor: tuple[int, ...]) -> tuple[tuple[int, ...], ...
     return tuple(sorted(cycles))
 
 
-@dataclass(frozen=True)
-class CRSFWeightModel:
-    """Walk conductances c(x,y) = 1/deg(x) and the derived OCRSF weight.
+def crsf_weight(graph: GasketGraph, ocrsf: OrientedCRSF) -> complex:
+    """The OCRSF weight under walk conductances c(x,y) = 1/deg(x).
 
-    weight(F) = prod over bush edges of c(e) times, per cycle, the directed
+    It is the product over bush edges of c(e) times, per cycle, the directed
     conductance product along the cycle times (1 - holonomy), the holonomy
     being the forest's own cycle flux, so no connection is needed.  Because the
     probabilistic conductances are asymmetric, the directed product (which
     is what the determinant expansion produces) differs from the symmetrized
     product of (c(x,y)+c(y,x))/2 per edge.
     """
-
-    graph: GasketGraph
-
-    def weight(self, ocrsf: OrientedCRSF) -> complex:
-        deg = self.graph.degrees
-        w: complex = 1.0 + 0.0j
-        for x, _ in ocrsf.bush_edges:
+    deg = graph.degrees
+    w: complex = 1.0 + 0.0j
+    for x, _ in ocrsf.bush_edges:
+        w /= deg[x]
+    for cyc, flux in zip(ocrsf.cycles, ocrsf.cycle_fluxes):
+        for x in cyc:
             w /= deg[x]
-        for cyc, flux in zip(ocrsf.cycles, ocrsf.cycle_fluxes):
-            for x in cyc:
-                w /= deg[x]
-            w *= 1.0 - cmath.exp(2j * math.pi * flux)
-        return w
+        w *= 1.0 - cmath.exp(2j * math.pi * flux)
+    return w
 
 
-def _check_enumeration_size(graph: GasketGraph) -> tuple[tuple[int, ...], ...]:
+def _check_enumeration_size(graph: GasketGraph) -> None:
     size = 1
     for d in graph.degrees:
         size *= d
@@ -177,7 +172,6 @@ def _check_enumeration_size(graph: GasketGraph) -> tuple[tuple[int, ...], ...]:
                 f"successor-map space exceeds {ENUMERATION_CAP:.0e} "
                 f"(level {graph.level}); enumeration is for small levels only"
             )
-    return graph.neighbors
 
 
 def brute_force_partition(graph: GasketGraph, conn: Connection) -> complex:
@@ -187,11 +181,10 @@ def brute_force_partition(graph: GasketGraph, conn: Connection) -> complex:
     components, so the scan is a plain product-space walk; 2-cycles survive
     it but carry weight 0 (their holonomy is exactly 1).
     """
-    nbrs = _check_enumeration_size(graph)
-    model = CRSFWeightModel(graph)
+    _check_enumeration_size(graph)
     total = 0.0 + 0.0j
-    for choice in itertools.product(*nbrs):
-        total += model.weight(OrientedCRSF.from_successor(choice, conn))
+    for choice in itertools.product(*graph.neighbors):
+        total += crsf_weight(graph, OrientedCRSF.from_successor(choice, conn))
     return total
 
 

@@ -15,18 +15,21 @@ shared between products keep that order, and `frac` is % 1.0 to the bit.
 Arrays go through numpy ufuncs; three scalars go through Python floats with
 `math`'s cos, sin, sqrt and atan2, which give the same bits, and R's division
 by a zero |Psi| gives numpy's +-inf or NaN there too.  Either way escaped
-orbits give inf/NaN rather than errors.  `decimation_kit` is `u_step`'s
-scalar view with the spectral-similarity prefactor phi = |Psi|/4D, except that
-at the dyadic pairs its theta, R and evolved fluxes are those of `_step`, and
-that where Psi = 0 off them it has no theta, R or evolved fluxes.  The kit
-runs in Python floats throughout: at the dyadic pairs it takes `_pair_step`,
-`_step`'s quadratics, on one float, which gives the bits of the array path.
+orbits give inf/NaN rather than errors.
 
-`_step` is the one exact step, in the |Psi| convention at every flux (`u_step`,
-with D over its exact roots where beta alone is dyadic, or the QUADRATICS at
-the dyadic pairs), over arrays of probes: `enumerator.decimation_verify` steps
-all its cuts in one call, and `apply_U` is its view for one lambda, which
-raises OrbitTerminated where R is not finite.  The similarity S_N = phi
+`_step(flux, lam)` is the one exact step of U, at one flux pair and at a
+lambda that is a float (stepped in Python floats, to the bits of the array
+path) or a 1-d array.  It returns `u_step` at lambda, whose A and Psi every
+caller shares, and D, theta, alpha', beta' and R in the |Psi| convention,
+sign(phi) = sign(D).  At the four dyadic pairs (as `gauge.dyadic` decides,
+found through one pair -> name map of QUADRATICS) those are `_pair_step`'s,
+the exact quadratics; elsewhere they are `u_step`'s, with D over its exact
+roots (`cell_cubic_d`) where beta alone is dyadic.  Every caller goes through
+it: `enumerator.decimation_verify` steps all its cuts in one array call,
+`apply_U` is `_step` at a float lambda that raises OrbitTerminated where R is
+not finite, and `decimation_kit` is `_step` at a float lambda with the
+spectral-similarity prefactor phi = |Psi|/4D, and no theta, R or evolved
+fluxes where Psi = 0 leaves R without a value.  The similarity S_N = phi
 (L_{N-1}' - R I) gives one count per step, `one_step_count`, with k =
 `_roots_below`; the verifier checks the spectrum against it.
 
@@ -270,29 +273,22 @@ def _finite(x: float | None) -> float | None:
 
 
 def decimation_kit(flux: FluxPair, lam: float) -> DecimationStep:
-    """One step of U as scalars: A, D and Psi from `u_step`.  At the dyadic pairs
-    theta, R and the evolved fluxes are those of `_step` (the quadratics, as in
-    `apply_U`), since there `u_step`'s Psi carries sin(pi) noise; elsewhere they
-    are `u_step`'s too.  Where Psi = 0 off the dyadic grid theta is undefined
-    (`apply_U` raises OrbitTerminated), and theta, R and the evolved fluxes are
-    None.  phi is None where D = 0.  R and phi are None where an escaped orbit
-    overflows double precision (R does from |lambda| ~ 1e77); the overflow
-    raises no RuntimeWarning, since a float lambda is stepped in floats."""
+    """`_step` at one lambda, as scalars: A and Psi from its `u_step`, D, theta,
+    R and the evolved fluxes exact, with phi = |Psi|/4D.  Where Psi = 0 leaves
+    R without a value (off the dyadic pairs, where `apply_U` raises
+    OrbitTerminated) theta is undefined, and theta, R and the evolved fluxes
+    are None.  phi is None where D = 0.  R and phi are None where an escaped
+    orbit overflows double precision (R does from |lambda| ~ 1e77); the
+    overflow raises no RuntimeWarning, since a float lambda is stepped in
+    floats."""
     lam = float(lam)
-    st = u_step(flux.alpha, flux.beta, lam)
+    st, D, theta, a_down, b_down, R = _step(flux, lam)
     Psi = complex(st.re, st.im)
-    pair = dyadic(flux.alpha), dyadic(flux.beta)
-    if None not in pair:
-        name = next(n for n, (p, _, _) in QUADRATICS.items() if p == pair)
-        _, _, a_down, b_down, R = _pair_step(name, lam)
-        theta = mod1(a_down - 3 * pair[0] - pair[1])  # the half-turn twist, 0 or 1/2
-    elif Psi:
-        a_down, b_down, arg = st.evolved()
-        R, theta = st.R, mod1(arg / TWO_PI)
+    if Psi or math.isfinite(R):
+        theta = mod1(theta)
     else:
         a_down = b_down = R = theta = None
     absPsi = abs(Psi)
-    D = st.D
     return DecimationStep(
         flux=flux,
         lam=lam,
@@ -339,67 +335,52 @@ def quadratic_r(name: str, lam: float) -> float:
     return -4 * lam * lam + b * lam + c
 
 
+_PAIR_NAMES = {pair: name for name, (pair, _, _) in QUADRATICS.items()}
+
+
 def _pair_step(name: str, x):
     """`_step` at the dyadic pair of QUADRATICS[name], elementwise over lambda
-    (a float, stepped in Python floats, or an array): D, |Psi|, alpha', beta',
+    (a float, stepped in Python floats, or an array): D, theta, alpha', beta',
     R.  R is the quadratic, which has no 0/0 at the Psi zeros; where the real
     Psi < 0, theta = 1/2 and the step twists to (alpha' + 1/2, beta' + 1/2,
     2 - R)."""
     (a0, b0), (p, q), _ = QUADRATICS[name]
     eta, r = 1 - x, quadratic_r(name, x)
-    psi = eta * eta + p * eta + q
-    twist = 0.5 * (psi < 0)
+    twist = 0.5 * (eta * eta + p * eta + q < 0)
     if isinstance(x, float):
         r = 2 - r if twist else r
     else:
         r = np.where(twist, 2 - r, r)
-    return (cell_cubic_d(b0, x), abs(psi), (3 * a0 + b0 + twist) % 1.0,
-            (3 * b0 + a0 + twist) % 1.0, r)
+    return cell_cubic_d(b0, x), twist, (3 * a0 + b0 + twist) % 1.0, (3 * b0 + a0 + twist) % 1.0, r
 
 
-def _dyadic_step(alpha, beta, lam):
-    """`_step` at alpha, beta in {0, 1/2}: `_pair_step` over the entries of each pair."""
-    out = np.empty((5, lam.size), dtype=lam.dtype)
-    for name, ((a0, b0), _, _) in QUADRATICS.items():
-        on = (alpha == a0) & (beta == b0)
-        if on.any():
-            out[:, on] = _pair_step(name, lam[on])
-    return out
-
-
-def _step(alpha, beta, lam):
-    """One exact step of U in the |Psi| convention over 1-d arrays: the rows D,
-    |Psi|, alpha', beta', R, with sign(phi) = sign(D).  `_dyadic_step` within
-    DYADIC_TOL of the dyadic pairs, `u_step` (R inf or NaN at Psi = 0) elsewhere,
-    with D over its exact roots where beta alone is dyadic."""
-    half_a, half_b = np.round(2 * alpha) / 2, np.round(2 * beta) / 2
-    on_b = np.abs(beta - half_b) <= DYADIC_TOL
-    grid = (np.abs(alpha - half_a) <= DYADIC_TOL) & on_b
-    if grid.all():
-        return _dyadic_step(half_a % 1.0, half_b % 1.0, lam)
-    if not grid.any():
-        st = u_step(alpha, beta, lam)
-        d = st.D
-        for b0 in _DYADIC_D_ROOTS:
-            on = on_b & (half_b % 1.0 == b0)
-            if on.any():
-                d = np.where(on, cell_cubic_d(b0, lam), d)
-        a_down, b_down, _ = st.evolved()
-        return d, np.hypot(st.re, st.im), a_down, b_down, st.R
-    out = np.empty((5, lam.size), dtype=np.result_type(alpha, beta, lam, float))
-    for part in (grid, ~grid):
-        out[:, part] = _step(alpha[part], beta[part], lam[part])
-    return out
+def _step(flux: FluxPair, lam):
+    """The one exact step of U at a flux pair, in the |Psi| convention, at a
+    lambda that is a float (stepped in Python floats) or a 1-d array:
+    (st, D, theta, alpha', beta', R), with st = `u_step` at lambda, whose A
+    and Psi every caller shares, theta = arg(Psi) in turns and sign(phi) =
+    sign(D).  At the four dyadic pairs the rest is `_pair_step`'s: there Psi
+    is real, theta is 0 or 1/2, and R the quadratic.  Elsewhere it is
+    `u_step`'s (R is inf or NaN where Psi = 0), with D over its exact roots
+    where beta alone is dyadic."""
+    st = u_step(flux.alpha, flux.beta, lam)
+    pair = dyadic(flux.alpha), dyadic(flux.beta)
+    name = _PAIR_NAMES.get(pair)
+    if name is not None:
+        return st, *_pair_step(name, lam)
+    a_down, b_down, arg = st.evolved()
+    d = st.D if pair[1] is None else cell_cubic_d(flux.beta, lam)
+    return st, d, arg / TWO_PI, a_down, b_down, st.R
 
 
 def apply_U(alpha: float, beta: float, lam: float) -> tuple[float, float, float]:
-    """The scalar view of `_step`: (alpha', beta', R).  Raises OrbitTerminated
-    where Psi = 0 off the dyadic grid, since theta is undefined there."""
-    flux = FluxPair(alpha, beta)
-    _, _, a, b, r = _step(np.array([flux.alpha]), np.array([flux.beta]), np.array([lam]))
-    if not np.isfinite(r[0]):
+    """`_step` at one lambda: (alpha', beta', R).  Raises OrbitTerminated
+    where R is not finite: where Psi = 0 off the dyadic pairs, since theta is
+    undefined there, and where an escaped orbit overflows."""
+    *_, a, b, r = _step(FluxPair(alpha, beta), float(lam))
+    if not math.isfinite(r):
         raise OrbitTerminated(alpha, beta, lam)
-    return float(a[0]), float(b[0]), float(r[0])
+    return a, b, r
 
 
 # Viete's roots of D(beta, .), one in each of [1/2, 3/4], [3/4, 5/4], [5/4, 3/2]
@@ -432,7 +413,7 @@ def psi_real_zeros(flux: FluxPair) -> list[float]:
     a, b = flux.alpha, flux.beta
     da, db = dyadic(a), dyadic(b)
     if da is not None and db is not None:
-        p, q = next(pq for pair, pq, _ in QUADRATICS.values() if pair == (da, db))
+        _, (p, q), _ = QUADRATICS[_PAIR_NAMES[da, db]]
         s = math.sqrt(p * p - 4 * q)  # eta = 1 - lambda solves eta^2 + p eta + q = 0
         return [1 - (s - p) / 2, 1 + (s + p) / 2]
     if da is not None:

@@ -210,14 +210,16 @@ def decimation_verify(flux: FluxPair, level: int) -> VerificationReport:
     (alpha', beta', R) = U(alpha, beta, x).  The cuts are BRACKET's ends and
     the midpoint of every gap between adjacent clusters of `spectrum`.  The
     level-N graph is built by `build_connection` and solved once through
-    `operator.eigenvalues`.  One `decimation._step` call over every cut takes
-    the step of U (the batched `apply_U`: its rows D, alpha', beta' and R),
-    and k, the predicted and the observed counts are worked out as arrays.  No
-    level-(N-1) graph is built: one `decimation.gluing_count` call at level
-    N-1 counts c at every cut with a finite R, each at its own (alpha', beta',
-    R).  It never follows U, so the check is not an identity at any level.
-    Where its singular-J rule fired the note says so; where that rule leaves c
-    undetermined (-1), the cut is red.
+    `operator.eigenvalues`.  The step of U is `decimation._step` at the flux
+    pair over the array of cuts, the exact step that `apply_U` and the kit
+    take one lambda at a time: its D gives k, its alpha', beta' and R the
+    reduced problem, and k, the predicted and the observed counts are worked
+    out as arrays.  No level-(N-1) graph is built: one
+    `decimation.gluing_count` call at level N-1 counts c at every cut with a
+    finite R, each at its own (alpha', beta', R).  It never follows U, so the
+    check is not an identity at any level.  Where its singular-J rule fired
+    the note says so; where that rule leaves c undetermined (-1), the cut is
+    red.
 
     Each cluster gets one entry, judged by the two cuts around it; its note
     gives the predicted and observed count at both.  Clusters within LABEL_TOL
@@ -234,7 +236,7 @@ def decimation_verify(flux: FluxPair, level: int) -> VerificationReport:
 
     ends = np.cumsum([m for _, m in sp.pairs])[:-1]
     cuts = np.array([BRACKET[0], *((sp.raw[ends - 1] + sp.raw[ends]) / 2), BRACKET[1]])
-    d, _, ad, bd, rs = _step(np.full(cuts.size, flux.alpha), np.full(cuts.size, flux.beta), cuts)
+    _, d, _, ad, bd, rs = _step(flux, cuts)
     finite = np.isfinite(rs)
     c = np.full(cuts.size, -1)
     fired = np.zeros(cuts.size, dtype=bool)

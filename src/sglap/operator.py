@@ -129,7 +129,7 @@ def eigenvalues(op: MagneticOperator) -> np.ndarray:
     uniform flux pair (`Connection.flux`) in Case I or Case IV; the dense
     oracle otherwise.  Case II and III fluxes have real Psi zeros off the
     dyadic grid, where D roots and Psi zeros meet and bisection lands up to
-    ~1e-8 off dense, so they stay dense.
+    3.7e-9 off dense (levels 3-6), so they stay dense.
     """
     if op.graph.level >= ENGINE_MIN_LEVEL:
         flux = op.conn.flux

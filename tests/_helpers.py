@@ -11,10 +11,10 @@ from sglap import enumerator
 from sglap.crsf import (
     FLUX_WINDOW,
     WATCHDOG_STEPS,
-    CRSFWeightModel,
     OrientedCRSF,
     UnsupportedFluxError,
     _check_enumeration_size,
+    crsf_weight,
 )
 from sglap.decimation import (
     BRACKET,
@@ -309,12 +309,11 @@ def brute_force_edge_marginals(graph, conn):
     x->y or y->x.  Orientation-reversal conjugates the weight, so each
     restricted sum is real; marginals are ratios against the partition sum.
     """
-    nbrs = _check_enumeration_size(graph)
-    model = CRSFWeightModel(graph)
+    _check_enumeration_size(graph)
     total = 0.0 + 0.0j
     hits = {(min(a, b), max(a, b)): 0.0 + 0.0j for a, b in graph.edges}
-    for choice in itertools.product(*nbrs):
-        w = model.weight(OrientedCRSF.from_successor(choice, conn))
+    for choice in itertools.product(*graph.neighbors):
+        w = crsf_weight(graph, OrientedCRSF.from_successor(choice, conn))
         if w == 0:
             continue
         total += w

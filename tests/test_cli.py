@@ -8,10 +8,14 @@ import json
 import math
 import sys
 from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sglap import cli
+from sglap.decimation import cell_cubic_d, decimation_kit
+from sglap.gauge import FluxPair
 
 
 def run(capsys, *argv):
@@ -70,6 +74,20 @@ def test_kit_prints_null_theta_at_an_exact_psi_zero(capsys):
     assert payload["Psi"] == {"re": 0.0, "im": 0.0}
     for key in ("theta", "R", "alpha_down", "beta_down"):
         assert payload[key] is None, key
+
+
+@pytest.mark.parametrize("alpha, beta, double", [("1/6", 0.0, 1.25), ("5/6", 0.0, 1.25), ("1/3", 0.5, 0.75)])
+def test_kit_phi_has_the_sign_of_the_exact_d_beside_a_double_root(capsys, alpha, beta, double):
+    # the expanded cubic has the wrong sign up to 2e-8 from D's double root
+    # (+4.4e-16 at 1.25 + 1e-8, where the exact D is -7.5e-17, and 0 at
+    # 1.25 - 1e-8); the kit's D, and so phi, must have the exact sign there
+    for lam in (double + s * e for s in (-1, 1) for e in (1e-9, 1e-8, 3e-8)):
+        exact = cell_cubic_d(beta, lam)
+        kit = decimation_kit(FluxPair(float(Fraction(alpha)), beta), lam)
+        assert exact != 0 and np.sign(kit.D) == np.sign(exact), (alpha, lam, kit.D, exact)
+        payload = run_json(capsys, "kit", "--alpha", alpha, "--beta", repr(beta), "--lambda", repr(lam))
+        assert payload["lambda"] == lam
+        assert payload["phi"] is not None and np.sign(payload["phi"]) == np.sign(exact), (alpha, lam, payload)
 
 
 def test_spectrum_both_reports_match(capsys):

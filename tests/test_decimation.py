@@ -65,21 +65,24 @@ def test_kit_matches_longhand_formulas(al, be, lam):
 
 
 def test_kit_equals_kernel_on_arrays_bitwise():
-    # decimation_kit takes A, D and Psi from u_step on floats; the same points
-    # run as one array must give the same bits.  Off the dyadic grid theta, R
-    # and the evolved fluxes are u_step's too; at the dyadic pairs they are
+    # decimation_kit takes A and Psi from u_step on floats; the same points run
+    # as one array must give the same bits.  D is u_step's too off the dyadic
+    # betas and `_step`'s (over the exact roots) on them.  Off the dyadic grid
+    # theta, R and the evolved fluxes are u_step's; at the dyadic pairs they are
     # apply_U's (the quadratics)
     rng = random.Random(17)
     pts = [(rng.random(), rng.random(), rng.uniform(-0.5, 2.5)) for _ in range(200)]
     pts += [(a, b, lam) for a in (0.0, 0.5) for b in (0.0, 0.5) for lam in (0.1, 0.6, 1.1, 1.4, 1.9)]
     pts.append((0.3, 0.0, 1.25))  # Psi is exactly 0 here
+    pts += [(1 / 6, b, r + e) for b, r in ((0.0, 1.25), (0.5, 0.75)) for e in (-1e-8, 1e-9, 0.3)]
     al, be, lm = (np.array(c) for c in zip(*pts))
     st = u_step(al, be, lm)
     alpha_down, beta_down, _ = st.evolved()
     same = lambda x, y: np.float64(x).tobytes() == np.float64(y).tobytes()
     for k, (a, b, lam) in enumerate(pts):
         kit = decimation_kit(FluxPair(a, b), lam)
-        assert same(kit.A, st.A[k]) and same(kit.D, st.D[k]), (a, b, lam)
+        d = st.D[k] if dyadic(b) is None else _step(FluxPair(a, b), lm[k:k + 1])[1][0]
+        assert same(kit.A, st.A[k]) and same(kit.D, d), (a, b, lam)
         assert same(kit.Psi.real, st.re[k]) and same(kit.Psi.imag, st.im[k]), (a, b, lam)
         assert kit.phi == (kit.absPsi / (4 * kit.D) if kit.D != 0 else None)
         if FluxPair(a, b).is_dyadic():
@@ -166,13 +169,28 @@ def test_dyadic_orbit_steps_are_exact():
 
 
 def test_apply_U_is_the_scalar_view_of_step():
+    # `_step` at a float lambda runs in Python floats, at an array in numpy:
+    # per flux pair, every row and apply_U agree with the array path to the bit
+    # (every NaN counting as one value)
     rng = random.Random(23)
-    pts = [(rng.random(), rng.random(), rng.uniform(-0.5, 2.5)) for _ in range(100)]
-    pts += [(a, b, lam) for a in (0.0, 0.5) for b in (0.0, 0.5) for lam in (0.1, 0.6, 1.1, 1.4, 1.9)]
-    al, be, lm = (np.array(c) for c in zip(*pts))
-    _, _, a1, b1, r1 = _step(al, be, lm)
-    for k, (a, b, lam) in enumerate(pts):
-        assert apply_U(a, b, lam) == (a1[k], b1[k], r1[k]), (a, b, lam)
+    fluxes = [(rng.random(), rng.random()) for _ in range(20)]
+    fluxes += [(a, b) for a in (0.0, 0.5) for b in (0.0, 0.5)] + [(0.3, 0.0), (1 / 6, 0.5), (0.5, 0.3)]
+    same = lambda x, y: _same_bits(np.array([x]), np.array([y]))
+    for a, b in fluxes:
+        flux = FluxPair(a, b)
+        lams = [rng.uniform(-0.5, 2.5) for _ in range(10)] + [0.75, 1.25, 1e80]
+        with np.errstate(over="ignore", invalid="ignore"):  # the array path at 1e80
+            st, *rows = _step(flux, np.array(lams))
+        arrays = [st.A, st.D, st.re, st.im, st.R, *rows]
+        for k, lam in enumerate(lams):
+            st1, *rows1 = _step(flux, lam)
+            for row, (got, want) in enumerate(zip([st1.A, st1.D, st1.re, st1.im, st1.R, *rows1], arrays)):
+                assert type(got) is float and same(got, want[k]), (a, b, lam, row)
+            if np.isfinite(rows1[-1]):
+                assert apply_U(a, b, lam) == tuple(rows1[-3:]), (a, b, lam)
+            else:
+                with pytest.raises(OrbitTerminated):
+                    apply_U(a, b, lam)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, -0.5])
@@ -190,7 +208,7 @@ def test_roots_below_is_exact_at_dyadic_beta(beta):
     for x, k in zip(xs, want):
         assert _roots_below(x, cell_cubic_d(beta, x)) == k, (beta, x)
     for alpha in (1 / 6, 0.3, 0.1234):
-        d = _step(np.full(xs.size, alpha), np.full(xs.size, beta), xs)[0]
+        d = _step(FluxPair(alpha, beta), xs)[1]
         assert _roots_below(xs, d).tolist() == want, alpha
 
 
@@ -300,7 +318,7 @@ def _u_fields(st):
 
 
 def test_float_pair_step_is_the_array_path_bitwise():
-    # a float lambda is stepped in Python floats (abs and a conditional twist),
+    # a float lambda is stepped in Python floats (a conditional twist),
     # an array with numpy: every row agrees to the bit, on a grid over the
     # spectrum and beyond it and at each pair's Psi zeros and D roots
     grid = np.linspace(-2.0, 4.0, 1201).tolist()

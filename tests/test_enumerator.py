@@ -179,9 +179,9 @@ def test_verify_goes_red_when_U_is_wrong(monkeypatch, mutate, flux, level):
     # never reads U, while the prediction takes one step of U, so the check
     # still bites.  The verifier steps every cut in one `_step` call; the
     # mutation moves its alpha', beta' and R rows
-    def wrong(alpha, beta, lam):
-        d, abs_psi, a, b, r = decimation._step(alpha, beta, lam)
-        return (d, abs_psi, *mutate(a, b, r))
+    def wrong(flux, lam):
+        st, d, theta, a, b, r = decimation._step(flux, lam)
+        return (st, d, theta, *mutate(a, b, r))
 
     monkeypatch.setattr(enumerator, "_step", wrong)
     report = decimation_verify(FluxPair(*flux), level)
@@ -218,17 +218,18 @@ def test_verify_keeps_the_note_of_a_terminated_cut(monkeypatch):
 def test_verify_needs_the_half_turn_twist(monkeypatch):
     # where the real Psi is negative, theta = 1/2; a dyadic step that keeps the
     # signed quadratic and the untwisted fluxes there breaks sign phi = (-1)^k
-    step = decimation._dyadic_step
+    step = decimation._pair_step
 
-    def untwisted(alpha, beta, lam):
-        d, abs_psi, a, b, r = step(alpha, beta, lam)
-        plain_a, plain_b = (3 * alpha + beta) % 1.0, (3 * beta + alpha) % 1.0
-        return d, abs_psi, plain_a, plain_b, np.where(a != plain_a, 2 - r, r)
+    def untwisted(name, lam):
+        d, theta, a, b, r = step(name, lam)
+        (a0, b0), _, _ = decimation.QUADRATICS[name]
+        plain_a, plain_b = np.full_like(a, (3 * a0 + b0) % 1.0), np.full_like(b, (3 * b0 + a0) % 1.0)
+        return d, np.zeros_like(theta), plain_a, plain_b, np.where(a != plain_a, 2 - r, r)
 
     fluxes = [FluxPair(a, b) for a in (0.0, 0.5) for b in (0.0, 0.5)]
     for level in (2, 3, 4):
         assert all(decimation_verify(fp, level).all_pass for fp in fluxes), level
-    monkeypatch.setattr(decimation, "_dyadic_step", untwisted)
+    monkeypatch.setattr(decimation, "_pair_step", untwisted)
     for level in (2, 3, 4):
         for fp in fluxes:
             assert not decimation_verify(fp, level).all_pass, (fp, level)
