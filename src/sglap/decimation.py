@@ -442,7 +442,12 @@ def exceptional_set(flux: FluxPair) -> list[float]:
 # rounding: the singular-J recount catches such a probe only while brackets
 # are wider than its shift, and costs two more counts when it does.
 BRACKET = (-math.pi / 1000, 2 + math.e / 1000)
-BISECT_WIDTH = 4 * EPS
+# The count resolves an eigenvalue to about 3e-14: with leaves 4 eps wide,
+# engine spectra still sat up to 3.3e-14 off dense at levels 0-6 at the Case I
+# and Case IV pairs (4.5e-14 at random Case IV pairs), so halvings below that
+# split brackets on rounding.  Leaves at most 1e-13 wide end 45 halvings below
+# BRACKET (5.7e-14 wide), not 52, and their values sit 3.4e-14 off dense.
+BISECT_WIDTH = 1e-13
 
 
 def _roots_below(x, D):
@@ -739,7 +744,7 @@ def decimation_eigenvalues(flux: FluxPair, level: int) -> np.ndarray:
     A round glues, in one `_glue` call, the next b levels of the midpoint
     trees below its n brackets, b the largest with n (2^b - 1) <= PASS_PROBES
     (at least 1), and then walks the trees down level by level: a spectrum
-    takes 12 passes at the dyadic pairs at level 5 and 43 at (0.37, 0.71),
+    takes 10 passes at the dyadic pairs at level 5 and 36 at (0.37, 0.71),
     level 7.  Every point is the 0.5 (lo + hi) that bisection takes, and no
     node at most BISECT_WIDTH wide is glued.  A point the walk reaches is
     recounted by `gluing_count`'s rule where its node is wider than
@@ -747,11 +752,14 @@ def decimation_eigenvalues(flux: FluxPair, level: int) -> np.ndarray:
     precision (`_singular`); a determined count there replaces the raw one,
     which rounding decides.
 
-    Measured against dense: within 5e-14 over the dyadic pairs and three
-    random Case IV pairs at levels 0-6, and within 1e-12 of the closed forms
-    at the dyadic pairs to level 10.  A near-zero junction eigenvalue a few
-    steps down costs more at some Case IV pairs: 2.1e-12 at (0.3, 0.3),
-    level 6, and 1.4e-11 at (0.37, 0.71), level 7.  At Case II and III
+    Indices whose eigenvalues lie closer than a leaf share one value, its
+    midpoint: at the dyadic pairs to level 10 the leaves are the closed
+    form's distinct eigenvalues, one for one.  Measured against dense: within
+    3.4e-14 over the dyadic pairs and three random Case IV pairs at levels
+    0-6, and within 2.9e-14 of the closed forms at the dyadic pairs to
+    level 10, half a leaf.  A near-zero junction eigenvalue a few steps down
+    costs more at some Case IV pairs: 2.1e-12 at (0.3, 0.3), level 6, and
+    1.4e-11 at (0.37, 0.71), level 7.  At Case II and III
     fluxes, where D roots and real Psi zeros meet, clusters land 1e-9 to
     4e-9 off at levels 3-6.
     """
@@ -826,7 +834,10 @@ def _root_mult_at(beta: float, lam: float, tol: float) -> int:
 def classify(flux: FluxPair, lam: float, tol: float = 1e-9) -> ClassificationTag:
     a, b = flux.alpha, flux.beta
     step = decimation_kit(flux, lam)
-    d_zero = abs(step.D) <= tol
+    # |D| <= tol only prefilters: beside a double root of D it holds out to
+    # |lam - r| ~ 3.7e-5, so D = 0 is taken only where `_root_mult_at` finds one
+    rm = _root_mult_at(b, lam, tol) if abs(step.D) <= tol else 0
+    d_zero = rm > 0
     psi_zero = step.absPsi <= tol
     diag: dict = {"A": step.A, "D": step.D, "absPsi": step.absPsi}
 
@@ -840,7 +851,6 @@ def classify(flux: FluxPair, lam: float, tol: float = 1e-9) -> ClassificationTag
             return ClassificationTag("PhiZero", 0, diagnostics=diag)
         return ClassificationTag("PsiZeroEscape", 0, diagnostics=diag)
 
-    rm = _root_mult_at(b, lam, tol)
     diag["root_mult"] = rm
 
     if psi_zero and d_zero:
@@ -862,4 +872,4 @@ def classify(flux: FluxPair, lam: float, tol: float = 1e-9) -> ClassificationTag
     d_r, cancellation = r_dlam(step)
     diag.update(dR_dlam=d_r, cancellation=cancellation)
     case = "DZeroMixed" if cancellation <= tol else "DZeroVanishing"
-    return ClassificationTag(case, rm or 1, diagnostics=diag)
+    return ClassificationTag(case, rm, diagnostics=diag)

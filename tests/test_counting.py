@@ -37,6 +37,24 @@ def _multiplicities(evs):
     return [m for _, m in cluster(evs).pairs]
 
 
+# the pairs `operator.eigenvalues` sends to the engine: the Case IV and dyadic
+# gluing fluxes, (0, 1/2) and the random Case IV pairs
+ENGINE_FLUXES = [(0.37, 0.71)] + DYADIC + RANDOM
+
+
+def _closed_form(flux, level):
+    cf = spectrum_closed_form(FluxPair(*flux), level)
+    return np.repeat([v for v, _ in cf.pairs], [m for _, m in cf.pairs])
+
+
+def _reference(flux, level):
+    """Dense eigenvalues, or the closed form at a dyadic pair from level 7 on,
+    where a dense solve takes seconds."""
+    if flux in DYADIC and level >= 7:
+        return _closed_form(flux, level)
+    return dense_eigenvalues(_op(flux, level))
+
+
 def _assert_matches_dense(flux, level):
     got = decimation_eigenvalues(FluxPair(*flux), level)
     want = dense_eigenvalues(_op(flux, level))
@@ -49,6 +67,44 @@ def _assert_matches_dense(flux, level):
 def test_engine_matches_dense_oracle(level):
     for flux in DYADIC + RANDOM:
         _assert_matches_dense(flux, level)
+
+
+# The count resolves an eigenvalue to about 3e-14: against dense, the engine
+# is at most 3.4e-14 off over ENGINE_FLUXES at levels 0-6, half this bound
+ENGINE_DENSE_TOL = 6.8e-14
+
+
+@pytest.mark.parametrize("level", range(0, 7))
+def test_engine_is_within_the_count_resolution_of_dense(level):
+    for flux in ENGINE_FLUXES:
+        got = decimation_eigenvalues(FluxPair(*flux), level)
+        err = float(np.max(np.abs(got - dense_eigenvalues(_op(flux, level)))))
+        assert err <= ENGINE_DENSE_TOL, (flux, level, err)
+
+
+@pytest.mark.parametrize("level", range(1, 8))
+def test_a_leaf_holds_one_dense_cluster(level):
+    # indices whose brackets never split share one leaf's midpoint; the
+    # eigenvalues at those indices lie within BISECT_WIDTH of one another
+    # (dense puts them at most 1.7e-14 apart over these pairs)
+    for flux in ENGINE_FLUXES:
+        got = decimation_eigenvalues(FluxPair(*flux), level)
+        starts = np.flatnonzero(np.diff(got, prepend=-np.inf) > 0)
+        ends = np.append(starts[1:], got.size) - 1
+        shared = ends > starts  # leaves of more than one index: none at the random pairs
+        if shared.any():
+            want = _reference(flux, level)
+            span = float(np.max(want[ends[shared]] - want[starts[shared]]))
+            assert span <= decimation.BISECT_WIDTH, (flux, level, span)
+
+
+@pytest.mark.parametrize("flux", DYADIC)
+def test_dyadic_leaves_are_the_closed_form_eigenvalues(flux):
+    # one leaf per distinct closed-form eigenvalue, levels 1-10: leaves 4 eps
+    # wide gave up to five more distinct values than the closed form
+    for level in range(1, 11):
+        got = decimation_eigenvalues(FluxPair(*flux), level)
+        assert np.unique(got).size == np.unique(_closed_form(flux, level)).size, (flux, level)
 
 
 @pytest.mark.parametrize("flux", [(0.37, 0.71), (1 / 6, 0.0), (1 / 8, 1 / 8), (0.5, 0.0)])
@@ -210,11 +266,24 @@ def test_bisection_recounts_only_flagged_probes(monkeypatch):
     assert sizes
 
 
+# (flux, level): gluing passes and probes of one spectrum, which time follows
+BISECTION_WORK = {
+    ((0.37, 0.71), 7): (36, 96_420),
+    ((0.5, 0.5), 7): (18, 10_678),
+    ((0.0, 0.0), 5): (10, 6_946),
+    ((0.5, 0.5), 5): (10, 6_946),
+    ((0.5, 0.0), 5): (10, 6_961),
+    ((0.0, 0.5), 5): (10, 6_991),
+}
+
+
 def test_bisection_glues_few_brackets_several_levels_deep(monkeypatch):
     # a round glues as many levels of each bracket's midpoint tree as its
     # probe budget allows in one `_glue` call; the lockstep bisection that
     # preceded it made 52 passes at every flux, with 115,918 probes at
-    # (0.37, 0.71), level 7
+    # (0.37, 0.71), level 7.  Leaves 4 eps wide, 52 halvings below BRACKET,
+    # took 43 passes and 116,198 probes there, 22 passes at (1/2, 1/2),
+    # level 7, and 12 at the dyadic pairs at level 5
     sizes = []
     glue = decimation._glue
 
@@ -223,14 +292,18 @@ def test_bisection_glues_few_brackets_several_levels_deep(monkeypatch):
         return glue(alpha, beta, level, lam)
 
     monkeypatch.setattr(decimation, "_glue", counted)
-    for flux in DYADIC:
+    for (flux, level), (passes, probes) in BISECTION_WORK.items():
         sizes.clear()
-        decimation_eigenvalues(FluxPair(*flux), 5)
-        assert len(sizes) <= 20, (flux, len(sizes))
-    sizes.clear()
-    decimation_eigenvalues(FluxPair(0.37, 0.71), 7)
-    assert len(sizes) <= 45
-    assert sum(sizes) <= 1.05 * 115_918
+        decimation_eigenvalues(FluxPair(*flux), level)
+        assert len(sizes) <= passes and sum(sizes) <= probes, (flux, level, len(sizes), sum(sizes))
+
+
+@pytest.mark.xfail(strict=True, reason="cluster merges closed-form eigenvalues 4.6e-7 apart at level 10")
+def test_cluster_keeps_the_closed_form_pairs_at_level_10():
+    # `operator.cluster` splits only at gaps >= CLUSTER_TOL: 1,534 pairs
+    # against the closed form's 1,536, though the raw values agree
+    fp = FluxPair(0.0, 0.0)
+    assert len(cluster(decimation_eigenvalues(fp, 10)).pairs) == len(spectrum_closed_form(fp, 10).pairs)
 
 
 @pytest.mark.parametrize("flux", DYADIC)

@@ -442,6 +442,24 @@ def test_steep_d_root_is_vanishing():
     assert math.isclose(tag.diagnostics["dR_dlam"], -5.5e5, rel_tol=0.01)
 
 
+D_ZERO_CASES = {"DZeroVanishing", "DZeroMixed", "DDoubleZero", "DNotSingular", "Indeterminate"}
+
+
+@pytest.mark.parametrize("flux", [(1 / 6, 0.0), (5 / 6, 0.0), (1 / 3, 0.5)])
+def test_classify_takes_d_zero_only_at_a_root(flux):
+    # beside a double root of D, |D| ~ 0.75 delta^2 stays below tol = 1e-9 out
+    # to delta ~ 3.7e-5; a D-zero tag is one that finds a root within tol
+    fp, tol = FluxPair(*flux), 1e-9
+    roots = [r for r, _ in zeros_of_D(fp.beta)]
+    for r in roots:
+        for lam in (r + s * delta for delta in (1e-9, 1e-7, 1e-5, 3e-5) for s in (-1, 1)):
+            tag = classify(fp, lam, tol)
+            if tag.case in D_ZERO_CASES:
+                assert tag.root_mult >= 1, (flux, lam, tag.case)
+            if min(abs(lam - x) for x in roots) > tol:
+                assert tag.case not in D_ZERO_CASES, (flux, lam, tag.case)
+
+
 def test_r_dlam_matches_central_differences():
     # five-point central differences of R, step 5e-5; near a Psi zero R varies
     # on the scale |Psi| and rounds off as 1/|Psi|, so points keep |Psi| >= 1e-2
