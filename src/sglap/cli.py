@@ -6,9 +6,10 @@ subcommand, the resolved flag set, the library version, wall time, and the
 output paths.  Two runs with identical inputs produce identical data files
 and identical manifests up to the wall-time field.
 
-Exit codes: 0 on success, 1 when ``sg verify`` finds a failed assertion,
-2 on usage errors (bad flags, non-dyadic flux fed to the closed form,
-levels above the SG_MAX_LEVEL guard, oversized brute-force requests).
+Exit codes: 0 on success, 1 when ``sg verify`` finds a failed assertion or
+``sg spectrum --method both`` finds the two spectra do not match, 2 on usage
+errors (bad flags, non-dyadic flux fed to the closed form, levels above the
+SG_MAX_LEVEL guard, oversized brute-force requests).
 
 Flux-valued flags accept plain decimals and exact fractions ("0.3", "1/2",
 "-1/4"); fractions go through Fraction so dyadic inputs stay exact in
@@ -149,7 +150,8 @@ def spectrum(alpha, beta, level, method, out):
 
     The operator path ("dense") solves densely below level 5, and from level
     5 on at Case I and Case IV fluxes by bisecting the gluing count of
-    corner blocks.
+    corner blocks.  With both methods the payload carries their match
+    report, and the exit code is 1 when they do not match.
     """
     t0 = time.perf_counter()
     flux = FluxPair(alpha, beta)
@@ -166,6 +168,7 @@ def spectrum(alpha, beta, level, method, out):
     if method == "both":
         payload["match"] = _match_report(sp_cf, sp_dn)
     _emit(payload, out, t0)
+    return 1 if method == "both" and not payload["match"]["ok"] else 0
 
 
 @sg.command()
@@ -389,7 +392,7 @@ def graph_export(level, alpha, beta, what, out):
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point; returns 0 / 1 (verification failure) / 2 (usage error)."""
+    """Entry point; returns 0 / 1 (verification or match failure) / 2 (usage error)."""
     try:
         rv = sg.main(args=argv, prog_name="sg", standalone_mode=False)
     except click.exceptions.Exit as exc:  # --help, --version

@@ -46,7 +46,7 @@ from .decimation import gluing_log_det
 from .gasket import GasketGraph
 # assemble and build_connection are not called here; perfbench/selftest.py
 # checks that its tracer wraps these from-import sites
-from .gauge import Connection, FluxPair, build_connection, face_holonomies, mod1  # noqa: F401
+from .gauge import Connection, FluxPair, build_connection, face_holonomies  # noqa: F401
 from .operator import assemble  # noqa: F401
 
 log = logging.getLogger(__name__)
@@ -232,11 +232,11 @@ def sample_crsf(graph: GasketGraph, conn: Connection, seed: int) -> OrientedCRSF
 
     A sample is a function of (graph, phases, seed) alone: every step is one
     `rng.choice` over `graph.neighbors`, so the ascending neighbour order is
-    part of that contract, and a loop's flux is the exactly rounded sum of
-    its own edge phases, read from the neighbour table `neighbor_phases`.
+    part of that contract, and a loop's flux is `Connection.holonomy`, the
+    exactly rounded sum of its own edge phases.
     """
     _flux_window_check(conn)
-    nbrs, nph = graph.neighbors, conn.neighbor_phases
+    nbrs = graph.neighbors
     n = len(graph.coords)
     rng = random.Random(seed)
     successor: list[int | None] = [None] * n
@@ -259,8 +259,7 @@ def sample_crsf(graph: GasketGraph, conn: Connection, seed: int) -> OrientedCRSF
                 break
             if w in pos:  # closed a loop
                 i = pos[w]
-                # fsum rounds once, as Connection.holonomy does
-                theta = mod1(math.fsum([nph[a][nbrs[a].index(b)] for a, b in zip(path[i:], path[i + 1:] + [w])]))
+                theta = conn.holonomy(path[i:] + [w])
                 p = 1.0 - math.cos(2.0 * math.pi * theta)
                 if p > 1.0:
                     log.debug(

@@ -58,10 +58,11 @@ probe that meets a junction block singular to working precision
 is kept only where both sides agree; otherwise it is -1, undetermined.
 `decimation_eigenvalues` slices the spectrum by the rule-free count at a
 uniform flux pair (Barth, Martin and Wilkinson, Numer. Math. 9, 1967): it
-halves brackets that each hold the eigenvalues between two counts, glues
-several levels of their midpoint trees in one pass while they are few, and
-recounts by the rule the probes it flags while brackets are still wider than
-the shift.
+halves brackets that each hold the eigenvalues between two counts, all at one
+depth below BRACKET, glues several levels of their midpoint trees in one pass
+while they are few, recounts by the rule the probes it flags shallower than
+the depth where brackets get narrower than twice the shift, and emits the
+brackets at the leaf depth in order, each with its multiplicity.
 The same steps give the determinant: `_gluing_step` returns the scale it
 divides the state by, and `gluing_log_det` adds up Haynsworth's determinant
 over the junction blocks at lambda = 0, where every junction block is
@@ -418,8 +419,8 @@ def psi_real_zeros(flux: FluxPair) -> list[float]:
         return [1 - (s - p) / 2, 1 + (s + p) / 2]
     if da is not None:
         return [1.5 if da == 0.0 else 0.5]
-    if db is not None:
-        return [1.25 if db == 0.0 else 0.75]
+    if db is not None:  # D's double root, where Psi vanishes at every alpha (`classify`)
+        return [_DYADIC_D_ROOTS[db][1]]
     if circ_dist(3 * a + b, 0.5) <= DYADIC_TOL:
         return [float(1 + np.cos(2 * np.pi * a) / 2)]
     return []
@@ -738,19 +739,23 @@ def decimation_eigenvalues(flux: FluxPair, level: int) -> np.ndarray:
     [c_lo, c_hi], splits it into [lo, mid) with (c_lo, c) and [mid, hi) with
     (c, c_hi), and an empty half is dropped: that is bisection of every index
     i by the rule count(mid) > i, the indices of one bracket sharing its
-    counts.  A bracket at most BISECT_WIDTH wide leaves, its midpoint taken
-    c_hi - c_lo times.
+    counts.
 
-    A round glues, in one `_glue` call, the next b levels of the midpoint
-    trees below its n brackets, b the largest with n (2^b - 1) <= PASS_PROBES
-    (at least 1), and then walks the trees down level by level: a spectrum
-    takes 10 passes at the dyadic pairs at level 5 and 36 at (0.37, 0.71),
-    level 7.  Every point is the 0.5 (lo + hi) that bisection takes, and no
-    node at most BISECT_WIDTH wide is glued.  A point the walk reaches is
-    recounted by `gluing_count`'s rule where its node is wider than
-    2 JUNCTION_SHIFT and its probe met a junction block singular to working
-    precision (`_singular`); a determined count there replaces the raw one,
-    which rounding decides.
+    Every bracket of a round sits at one depth below BRACKET, W wide, so the
+    depth alone decides what a bracket's width would.  Brackets at the leaf
+    depth ceil(log2(W / BISECT_WIDTH)), 45, at most BISECT_WIDTH wide, end
+    the bisection: they are the leaves, in order, and each gives its
+    midpoint c_hi - c_lo times, its multiplicity.  A round glues, in one
+    `_glue` call, every midpoint on the next b levels of the trees below its
+    n brackets, b the largest with n (2^b - 1) <= PASS_PROBES (at least 1,
+    and no deeper than the leaves), and then walks the trees down level by
+    level: a spectrum takes 10 passes at the dyadic pairs at level 5 and 36
+    at (0.37, 0.71), level 7.  Above the recount depth
+    ceil(log2(W / (2 JUNCTION_SHIFT))), 30, brackets are wider than
+    2 JUNCTION_SHIFT, and a probe there that met a junction block singular
+    to working precision (`_singular`) is recounted by `gluing_count`'s rule
+    in one call per pass, before the walk; a determined count there
+    replaces the raw one, which rounding decides.
 
     Indices whose eigenvalues lie closer than a leaf share one value, its
     midpoint: at the dyadic pairs to level 10 the leaves are the closed
@@ -763,50 +768,39 @@ def decimation_eigenvalues(flux: FluxPair, level: int) -> np.ndarray:
     fluxes, where D roots and real Psi zeros meet, clusters land 1e-9 to
     4e-9 off at levels 3-6.
     """
+    width = BRACKET[1] - BRACKET[0]
+    leaf = math.ceil(math.log2(width / BISECT_WIDTH))
+    recount = math.ceil(math.log2(width / (2 * JUNCTION_SHIFT)))
     lo, hi = np.array([BRACKET[0]]), np.array([BRACKET[1]])
     c_lo, c_hi = np.array([0]), np.array([dim_n(level)])
-    values, sizes = [], []
-    while lo.size:
-        depth = max(1, int(math.log2(PASS_PROBES / lo.size + 1)))
-        # levels 0 to depth of the trees below the brackets, each in order:
-        # node i of level k has children 2i and 2i + 1 on level k + 1, and
-        # index start[k] + i in the flat arrays
-        mids, widths = [], []
-        for k in range(depth + 1):
+    depth = 0
+    while depth < leaf:
+        b = min(max(1, int(math.log2(PASS_PROBES / lo.size + 1))), leaf - depth)
+        # the next b levels of the trees below the brackets, each in order:
+        # node i of a level has children 2i and 2i + 1 on the next
+        mids = []
+        for _ in range(b):
             mids.append(0.5 * (lo + hi))
-            widths.append(hi - lo)
-            if k < depth:
-                lo, hi = _interleave(lo, mids[k]), _interleave(mids[k], hi)
-        start = np.cumsum([0] + [m.size for m in mids])
-        width = np.concatenate(widths[:-1])  # every level's but the last
-        probed = width > BISECT_WIDTH
-        at = np.cumsum(probed) - 1  # a probed node's point
-        points = np.concatenate(mids[:-1])[probed]
+            lo, hi = _interleave(lo, mids[-1]), _interleave(mids[-1], hi)
+        points = np.concatenate(mids)
         count, j = _glue(flux.alpha, flux.beta, level, points)
-        shiftable = width[probed] > 2 * JUNCTION_SHIFT
-        flagged = _singular(points, j) & shiftable if shiftable.any() else shiftable
-        node = np.arange(c_lo.size)  # the brackets are wide: level 0 is probed
-        for k in range(depth):
-            p = at[start[k] + node]
-            c = count[p]
-            recount = flagged[p]
-            if recount.any():
-                again, _ = gluing_count(flux.alpha, flux.beta, level, points[p[recount]])
-                c[recount] = np.where(again >= 0, again, c[recount])
-            c = np.clip(c, c_lo, c_hi)
+        if depth < recount:
+            shallow = sum(m.size for m in mids[:recount - depth])
+            f = np.flatnonzero(_singular(points, j)[:shallow])
+            if f.size:
+                again, _ = gluing_count(flux.alpha, flux.beta, level, points[f])
+                count[f] = np.where(again >= 0, again, count[f])
+        node, start = np.arange(c_lo.size), 0
+        for m in mids:
+            c = np.clip(count[start + node], c_lo, c_hi)
+            start += m.size
             node = _interleave(2 * node, 2 * node + 1)
             c_lo, c_hi = _interleave(c_lo, c), _interleave(c, c_hi)
-            keep = c_hi > c_lo
-            narrow = widths[k + 1][node] <= BISECT_WIDTH
-            leaf = keep & narrow
-            if leaf.any():
-                values.append(mids[k + 1][node[leaf]])
-                sizes.append((c_hi - c_lo)[leaf])
-                keep &= ~narrow
-            keep = np.flatnonzero(keep)  # one index for the three gathers
+            keep = np.flatnonzero(c_hi > c_lo)  # one index for the three gathers
             node, c_lo, c_hi = node[keep], c_lo[keep], c_hi[keep]
         lo, hi = lo[node], hi[node]
-    return np.sort(np.repeat(np.concatenate(values), np.concatenate(sizes)))
+        depth += b
+    return np.repeat(0.5 * (lo + hi), c_hi - c_lo)
 
 
 def _interleave(a, b):
@@ -859,7 +853,7 @@ def classify(flux: FluxPair, lam: float, tol: float = 1e-9) -> ClassificationTag
             if alpha_dyadic:
                 return ClassificationTag("DNotSingular", 1, diagnostics=diag)
             # the 3a+b = 1/2 line: Psi and D vanish together at a simple root
-            diag["case_iii"] = circ_dist(3 * a + b, 0.5) <= 1e-9
+            diag["case_iii"] = circ_dist(3 * a + b, 0.5) <= DYADIC_TOL
             return ClassificationTag("Indeterminate", 1, diagnostics=diag)
         if alpha_dyadic:
             return ClassificationTag("DZeroVanishing", rm, diagnostics=diag)

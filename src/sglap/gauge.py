@@ -28,6 +28,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import pairwise
 
 import numpy as np
 
@@ -128,7 +129,7 @@ class Connection:
             cycle = list(cycle) + [cycle[0]]
         nbrs, nph = self.graph.neighbors, self.neighbor_phases
         try:
-            terms = [nph[u][nbrs[u].index(v)] for u, v in zip(cycle, cycle[1:])]
+            terms = [nph[u][nbrs[u].index(v)] for u, v in pairwise(cycle)]
         except (IndexError, ValueError):
             raise InvalidCycleError(f"{list(cycle)} is not a closed path of adjacent vertices") from None
         return mod1(math.fsum(terms))

@@ -10,12 +10,12 @@ reads it.  `eigenvalues` is the one entry point for spectra: from level
 ENGINE_MIN_LEVEL (5) on, an operator whose connection carries a uniform Case I
 (dyadic) or Case IV (no real Psi zero) flux pair is solved by bisecting the
 gluing count (`decimation.decimation_eigenvalues`: one real closed-form step
-per level on each probe, brackets split by the count at their midpoints until
-they are BISECT_WIDTH wide, several tree levels to a gluing pass while
-brackets are few, and a probe at a singular junction block recounted on
-either side of it); every other operator goes to `dense_eigenvalues`, the dense
-eigensolver that stays the oracle the engine is checked against, and the only
-path SPECTRUM_DIM_CAP binds.
+per level on each probe, brackets split by the count at their midpoints down
+to the depth where they are BISECT_WIDTH wide, several tree levels to a
+gluing pass while brackets are few, and a probe at a singular junction block
+recounted on either side of it); every other operator goes to
+`dense_eigenvalues`, the dense eigensolver that stays the oracle the engine is
+checked against, and the only path SPECTRUM_DIM_CAP binds.
 `log_determinant` reads the gluing recursion at lambda = 0
 (`decimation.gluing_log_det`, O(N) work) at every uniform flux pair and every
 level; the dense oracle takes the rest.  Also here: multiplicity clustering

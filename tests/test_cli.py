@@ -101,6 +101,27 @@ def test_spectrum_both_reports_match(capsys):
     assert total == 15  # (3^3 + 3) / 2
 
 
+def test_spectrum_both_exits_one_on_a_mismatch(capsys, monkeypatch, tmp_path):
+    from sglap import enumerator
+    from sglap.operator import Spectrum
+
+    true_form = enumerator.spectrum_closed_form
+
+    def shifted(flux, level):  # every closed-form eigenvalue moved by 1e-3
+        return Spectrum([(ev + 1e-3, m) for ev, m in true_form(flux, level).pairs])
+
+    monkeypatch.setattr(enumerator, "spectrum_closed_form", shifted)
+    out = tmp_path / "spectrum.json"
+    code, _, _ = run(capsys, "spectrum", "--alpha", "1/2", "--beta", "0",
+                     "--level", "2", "--out", str(out))
+    assert code == 1
+    payload = json.loads(out.read_text())
+    assert payload["match"]["ok"] is False
+    assert payload["match"]["max_eigenvalue_gap"] > payload["match"]["tolerance"]
+    manifest = json.loads((tmp_path / "spectrum.json.manifest.json").read_text())
+    assert manifest["subcommand"] == "spectrum" and manifest["outputs"] == [str(out)]
+
+
 def test_spectrum_nondyadic_closed_form_is_usage_error(capsys):
     code, _, err = run(capsys, "spectrum", "--alpha", "0.3", "--beta", "0.1",
                        "--level", "1", "--method", "closed-form")

@@ -229,6 +229,10 @@ def test_gluing_count_singular_junction_rule(flux, lam, level):
         assert got.tolist() == [-1]
 
 
+# BRACKET, and two brackets whose midpoints meet the dyadic zeros
+BRACKETS = (decimation.BRACKET, (-1 / 3, 2 + 1 / 7), (0.0, 2.0))
+
+
 def test_bracket_stays_off_the_dyadic_grid(monkeypatch):
     # from [0, 2] the bisection midpoints land exactly on the dyadic D roots
     # and Psi zeros (0.5, 0.75, 1.25, 1.5), where a junction eigenvalue is an
@@ -239,11 +243,24 @@ def test_bracket_stays_off_the_dyadic_grid(monkeypatch):
     # held to the same bound
     for flux, level in (((0.5, 0.0), 2), ((0.0, 0.0), 2), ((0.5, 0.5), 1), ((0.0, 0.5), 2)):
         want = dense_eigenvalues(_op(flux, level))
-        for bracket in (decimation.BRACKET, (-1 / 3, 2 + 1 / 7), (0.0, 2.0)):
+        for bracket in BRACKETS:
             monkeypatch.setattr(decimation, "BRACKET", bracket)
             err = np.max(np.abs(decimation_eigenvalues(FluxPair(*flux), level) - want))
             assert err <= 1e-12, (flux, bracket, err)
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("bracket", BRACKETS)
+def test_widths_stay_off_the_bracket_halvings(bracket):
+    # bisection reads a bracket's width off its depth d, as W / 2^d: each
+    # end of a bracket is one rounded midpoint, so its rounded hi - lo lies
+    # within an ulp of 2 (4.4e-16) of that, 0.44% of BISECT_WIDTH, inside
+    # this 1% margin, and the depth rule and a per-bracket width rule leave,
+    # probe and recount the same brackets
+    width = bracket[1] - bracket[0]
+    for limit in (decimation.BISECT_WIDTH, 2 * decimation.JUNCTION_SHIFT):
+        for d in range(61):
+            assert abs(width / 2**d - limit) >= 0.01 * limit, (bracket, limit, d)
 
 
 def test_bisection_recounts_only_flagged_probes(monkeypatch):
@@ -283,7 +300,8 @@ def test_bisection_glues_few_brackets_several_levels_deep(monkeypatch):
     # preceded it made 52 passes at every flux, with 115,918 probes at
     # (0.37, 0.71), level 7.  Leaves 4 eps wide, 52 halvings below BRACKET,
     # took 43 passes and 116,198 probes there, 22 passes at (1/2, 1/2),
-    # level 7, and 12 at the dyadic pairs at level 5
+    # level 7, and 12 at the dyadic pairs at level 5.  The work is pinned
+    # exactly: a change that glues other probes shows here
     sizes = []
     glue = decimation._glue
 
@@ -295,7 +313,7 @@ def test_bisection_glues_few_brackets_several_levels_deep(monkeypatch):
     for (flux, level), (passes, probes) in BISECTION_WORK.items():
         sizes.clear()
         decimation_eigenvalues(FluxPair(*flux), level)
-        assert len(sizes) <= passes and sum(sizes) <= probes, (flux, level, len(sizes), sum(sizes))
+        assert (len(sizes), sum(sizes)) == (passes, probes), (flux, level)
 
 
 @pytest.mark.xfail(strict=True, reason="cluster merges closed-form eigenvalues 4.6e-7 apart at level 10")

@@ -15,7 +15,9 @@ gluing log-determinants and gluing counts were pinned while bisection still
 ran in lockstep over every index on a complex gluing state.  The spectra were
 pinned again when bisection stopped at leaves BISECT_WIDTH = 1e-13 wide, not
 4 eps: every value moved by at most 2.84e-14, half a leaf; the log-dets and
-counts did not move.
+counts did not move.  The level-8 spectra, which dense cannot reach, were
+pinned from the bisection that still read each bracket's width, before it went
+by depth.
 """
 
 import contextlib
@@ -103,6 +105,7 @@ SPECTRUM_DIGESTS = {
     5: "c9d415195b056727f603d62f42257cca2ffa50883724b4a5511f038f00159c47",
     6: "d0217b5ade4733cf476bd620f64808545a74df5c91c107269e086a3e2d3b9214",
     7: "23a7be1cd4344a260ef49cf49d9881dcb501914cbefacea364c1aae8695d8d31",
+    8: "4224f9385ad82f38c94462bba5e676ccb973711f98db1a36d6f7d19ea3ea6646",
 }
 
 LOG_DET_DIGESTS = {
