@@ -17,11 +17,13 @@ here:
   [-1/4, 1/4]; the precondition enforced is the necessary face-level window
   (each face is itself a simple cycle), and composite cycles beyond the
   window get a clamped acceptance, so treat large-level samples as
-  structural, not distributional.  A call costs its walk plus one
-  vectorised window check over the faces: the neighbour lists are cached on
-  the graph, a loop's flux is summed only when the loop closes, from the
-  neighbour table `Connection.neighbor_phases`, and the sample's cycles are
-  the loops the walk accepted, not found again in the successor map.
+  structural, not distributional.  A call costs its walk alone: the window
+  check reads three numbers cached on the connection, each step draws its
+  neighbour inline (the draws `rng.choice` would make) and reads its phase
+  from the flat table `Connection.neighbor_phases`, a closed loop's flux is
+  the exact sum of the phases the walk kept beside its path, and the
+  sample's cycles are the loops the walk accepted, not found again in the
+  successor map.
 * noloop_log_probability - log of the no-loop probability for the essential
   CRSF measure obtained by wiring the corner (0,0) to an absorbing boundary
   point through a conductance-c edge (Kenyon, Ann. Probab. 39, 2011): two
@@ -40,13 +42,11 @@ import math
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .decimation import gluing_log_det
 from .gasket import GasketGraph
 # assemble and build_connection are not called here; perfbench/selftest.py
 # checks that its tracer wraps these from-import sites
-from .gauge import Connection, FluxPair, build_connection, face_holonomies  # noqa: F401
+from .gauge import Connection, FluxPair, build_connection, mod1  # noqa: F401
 from .operator import assemble  # noqa: F401
 
 log = logging.getLogger(__name__)
@@ -192,27 +192,23 @@ def _flux_window_check(conn: Connection) -> None:
     """Refuse zero flux and base fluxes outside [-1/4, 1/4]; warn beyond the
     regime where every simple cycle provably stays inside the window.
 
-    Every face's holonomy (`face_holonomies`) is reduced mod 1 before it is
-    centred, so that a face flux of exactly 1/2 reads +1/2, as
-    `math.remainder` of the reduced holonomy gives.
+    The face fluxes are read from `Connection.face_flux_summary`, computed
+    once per connection (each face's holonomy reduced mod 1 and centred);
+    the refusal or the warning is raised or logged on every call.
     """
-    h = face_holonomies(conn) % 1.0
-    centred = h - np.round(h)
-    reps = centred.tolist()
-    if all(abs(r) <= 1e-12 for r in reps):
+    largest, bad, total = conn.face_flux_summary
+    if largest <= 1e-12:
         raise UnsupportedFluxError(
             "zero flux: every cycle has acceptance probability 0, so the "
             "cycle-popping sampler never roots a component; use a uniform "
             "spanning tree sampler instead"
         )
-    # uprights carry alpha, side-1 holes carry beta
-    bad = max(centred[conn.graph.face_sides == 1].tolist(), key=abs)
     if abs(bad) > FLUX_WINDOW + 1e-12:
         raise UnsupportedFluxError(
             f"base flux angle {bad:+.6f} lies outside [-1/4, 1/4]; the "
             "cycle acceptance probability would exceed 1"
         )
-    if math.fsum(abs(r) for r in reps) > FLUX_WINDOW + 1e-12:
+    if total > FLUX_WINDOW + 1e-12:
         log.warning(
             "total face flux exceeds 1/4: some composite cycles fall outside "
             "the acceptance window and are clamped, so the sampled law is "
@@ -230,52 +226,68 @@ def sample_crsf(graph: GasketGraph, conn: Connection, seed: int) -> OrientedCRSF
     get clamped acceptance, logged at debug level, so the sampled law is
     exact only while the window holds for all simple cycles.
 
-    A sample is a function of (graph, phases, seed) alone: every step is one
-    `rng.choice` over `graph.neighbors`, so the ascending neighbour order is
-    part of that contract, and a loop's flux is `Connection.holonomy`, the
-    exactly rounded sum of its own edge phases.
+    A sample is a function of (graph, phases, seed) alone.  Each step takes
+    the draws `rng.choice(graph.neighbors[u])` would make, by CPython's
+    `_randbelow_with_getrandbits` rule: with d = deg(u) and k =
+    d.bit_length(), r = rng.getrandbits(k) is drawn again until r < d, and
+    the step goes to neighbors[u][r].  So the ascending neighbour order is
+    part of the contract.  A loop's flux is the exactly rounded sum of its
+    own edge phases, mod 1, as `Connection.holonomy` takes it.
     """
     _flux_window_check(conn)
-    nbrs = graph.neighbors
-    n = len(graph.coords)
+    nbrs, deg, at = graph.neighbors, graph.degrees, graph.neighbor_offsets
+    phase = conn.neighbor_phases
+    n = len(nbrs)
     rng = random.Random(seed)
+    getrandbits, uniform = rng.getrandbits, rng.random
     successor: list[int | None] = [None] * n
     in_forest = [False] * n
+    pos = [-1] * n  # a vertex's index on the current path, -1 off it
     cycles: list[tuple[tuple[int, ...], float]] = []
     steps = 0
     for start in range(n):
         if in_forest[start]:
             continue
         path = [start]
-        pos = {start: 0}
+        turns: list[float] = []  # turns[i]: the phase of the step path[i] -> path[i + 1]
+        pos[start] = 0
+        u = start
         while True:
             steps += 1
             if steps > WATCHDOG_STEPS:
                 raise RuntimeError(
                     f"cycle popping exceeded {WATCHDOG_STEPS:.0e} steps"
                 )
-            w = rng.choice(nbrs[path[-1]])
+            d = deg[u]
+            k = d.bit_length()
+            r = getrandbits(k)
+            while r >= d:
+                r = getrandbits(k)
+            w = nbrs[u][r]
             if in_forest[w]:
                 break
-            if w in pos:  # closed a loop
-                i = pos[w]
-                theta = conn.holonomy(path[i:] + [w])
+            turns.append(phase[at[u] + r])
+            i = pos[w]
+            if i >= 0:  # closed a loop
+                theta = mod1(math.fsum(turns[i:]))
                 p = 1.0 - math.cos(2.0 * math.pi * theta)
                 if p > 1.0:
                     log.debug(
                         "clamping acceptance %.6f for cycle flux %.6f", p, theta
                     )
                     p = 1.0
-                if rng.random() < p:
+                if uniform() < p:
                     cycles.append((tuple(path[i:]), theta))
                     break
                 for x in path[i + 1:]:
-                    del pos[x]
-                del path[i + 1:]
+                    pos[x] = -1
+                del path[i + 1:], turns[i:]
             else:
                 pos[w] = len(path)
                 path.append(w)
-        # the walk ends on the forest or on an accepted loop: both join it
+            u = w
+        # the walk ends on the forest or on an accepted loop: both join it,
+        # and `pos` is read only off the forest
         for a, b in zip(path, path[1:] + [w]):
             successor[a] = b
             in_forest[a] = True

@@ -20,9 +20,10 @@ the three copies: the vertex coordinates (row k is vertex k), the edge ends,
 every face's boundary cycle one face after another, and each face's side.
 Everything else is derived from them on first read: the tuple and dict views
 (`vertices`, `edges`, `cells`, `coord_to_id`, `prev_level_ids`, `degrees`,
-`neighbors`), the degree array and the read-only index arrays `face_edges`
-and `midpoint_cells`.  The spectrum path (`build_connection`, `assemble`, the
-operator's entries) reads only arrays, so it never builds a tuple view.
+`neighbors`, `neighbor_offsets`), the degree array and the read-only index
+arrays `face_edges` and `midpoint_cells`.  The spectrum path
+(`build_connection`, `assemble`, the operator's entries) reads only arrays,
+so it never builds a tuple view.
 
 A process holds one graph per level: `build_gasket` checks its argument and
 SG_MAX_LEVEL on every call and then returns the graph it built for that
@@ -143,20 +144,28 @@ class GasketGraph:
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Each vertex's neighbours in ascending id order."""
         lo, hi = self.edge_array.T
-        return self.along_neighbors(np.concatenate([hi, lo]))
+        flat = self.in_neighbor_order(np.concatenate([hi, lo])).tolist()
+        return tuple(tuple(flat[a:b]) for a, b in itertools.pairwise(self.neighbor_offsets))
+
+    @cached_property
+    def neighbor_offsets(self) -> tuple[int, ...]:
+        """The start of each vertex's row in a flat table in neighbour order
+        (`in_neighbor_order`), then the table's length: the edge u -> v for
+        v = neighbors[u][k] sits at offsets[u] + k."""
+        return (0, *itertools.accumulate(self.degrees))
 
     @cached_property
     def _neighbor_order(self) -> np.ndarray:
-        # sorts the directed edges of `along_neighbors` by (tail, head)
+        # sorts the directed edges of `in_neighbor_order` by (tail, head)
         lo, hi = self.edge_array.T
         return np.lexsort((np.concatenate([hi, lo]), np.concatenate([lo, hi])))
 
-    def along_neighbors(self, directed: np.ndarray) -> tuple[tuple, ...]:
+    def in_neighbor_order(self, directed: np.ndarray) -> np.ndarray:
         """`directed` has one value per directed edge: the rows of `edge_array`
-        low -> high, then high -> low.  Row u of the result holds the values
-        of the edges u -> v for v in `neighbors[u]`, in that order."""
-        flat = iter(directed[self._neighbor_order].tolist())
-        return tuple(tuple(itertools.islice(flat, d)) for d in self.degrees)
+        low -> high, then high -> low.  The result holds the same values in
+        neighbour order, row u (the edges u -> v for v in `neighbors[u]`, in
+        that order) at `neighbor_offsets[u]`."""
+        return directed[self._neighbor_order]
 
     @cached_property
     def face_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

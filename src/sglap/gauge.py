@@ -18,14 +18,18 @@ rounding error is multiplied by s (the unreduced phases miss side-64 holes by
 more than 1e-12 at level 7), and a side-128 target's terms reach ~1.6e4.
 The connection is its forward phases and records its flux pair, where the
 spectrum dispatch reads it.  Array code (the operator's entries,
-`restrict_connection`, `face_holonomies`) reads `forward` and `-forward`; the
-CRSF walk, `holonomy` and `to_json` index `neighbor_phases`.
+`restrict_connection`, `face_holonomies`) reads `forward` and `-forward`.  The
+CRSF walk, `holonomy` and `to_json` read one scalar at a time from
+`neighbor_phases`, the same phases as one flat float array in neighbour
+order, indexed through the graph's `neighbor_offsets`; the sampler's window
+check reads `face_flux_summary`, computed once per connection.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import pairwise
@@ -118,26 +122,44 @@ class Connection:
         self.forward.setflags(write=False)
 
     @cached_property
-    def neighbor_phases(self) -> tuple[tuple[float, ...], ...]:
-        """phase(u, v) for each v in `graph.neighbors[u]`, one tuple per u."""
-        return self.graph.along_neighbors(np.concatenate([self.forward, -self.forward]))
+    def neighbor_phases(self) -> array:
+        """phase(u, v) for every directed edge, one flat float array (8 bytes
+        an entry) in neighbour order: phase(u, neighbors[u][k]) is entry
+        `graph.neighbor_offsets[u] + k`.  Entries are `forward` and
+        `-forward` as they are, so an edge of phase 0.0 reads -0.0 from its
+        high end."""
+        directed = self.graph.in_neighbor_order(np.concatenate([self.forward, -self.forward]))
+        return array("d", directed.tobytes())
+
+    @cached_property
+    def face_flux_summary(self) -> tuple[float, float, float]:
+        """Three numbers over every face's flux, reduced mod 1 and then
+        centred, so a flux of exactly 1/2 reads +1/2 (as `math.remainder` of
+        the reduced holonomy gives): the largest magnitude, the side-1 face
+        flux of largest magnitude (the first on a tie; uprights carry alpha,
+        side-1 holes beta) and the exactly rounded sum of magnitudes."""
+        h = face_holonomies(self) % 1.0
+        centred = h - np.round(h)
+        size = np.abs(centred)
+        base = centred[self.graph.face_sides == 1]
+        return float(size.max()), float(base[np.argmax(np.abs(base))]), math.fsum(size.tolist())
 
     def holonomy(self, cycle: list[int]) -> float:
         """Sum of edge phases along a closed vertex path, mod 1, rounded once
         (a side-128 hole sums 384 phases; added in turn they drift by ~1e-13)."""
         if cycle[0] != cycle[-1]:
             cycle = list(cycle) + [cycle[0]]
-        nbrs, nph = self.graph.neighbors, self.neighbor_phases
+        nbrs, at, nph = self.graph.neighbors, self.graph.neighbor_offsets, self.neighbor_phases
         try:
-            terms = [nph[u][nbrs[u].index(v)] for u, v in pairwise(cycle)]
+            terms = [nph[at[u] + nbrs[u].index(v)] for u, v in pairwise(cycle)]
         except (IndexError, ValueError):
             raise InvalidCycleError(f"{list(cycle)} is not a closed path of adjacent vertices") from None
         return mod1(math.fsum(terms))
 
     def to_json(self) -> str:
         """{"u,v": phase(u, v)} over both directions, u ascending and then v."""
-        rows = zip(self.graph.neighbors, self.neighbor_phases)
-        return json.dumps({f"{u},{v}": p for u, (vs, ps) in enumerate(rows) for v, p in zip(vs, ps)}, indent=1)
+        keys = (f"{u},{v}" for u, vs in enumerate(self.graph.neighbors) for v in vs)
+        return json.dumps(dict(zip(keys, self.neighbor_phases)), indent=1)
 
 
 def face_holonomies(conn: Connection) -> np.ndarray:

@@ -7,10 +7,12 @@ the sampler's empirical frequencies with fixed seeds (deterministic, so the
 3-sigma bounds are regression pins rather than flaky stochastics).
 """
 
+import gc
 import itertools
 import logging
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,28 +104,92 @@ def _crsf_records(caplog):
     return records
 
 
-@pytest.mark.parametrize("level", range(1, 6))
+def _reference_cases(level):
+    """(name, connection, seeds) compared against the reference sampler."""
+    g = build_gasket(level)
+    if level == 6:
+        for flux in [(0.25, -0.25), (0.13, -0.21)]:
+            yield flux, build_connection(g, FluxPair(*flux)), range(3)
+        return
+    for flux in QUARTER_FLUXES + [(0.05, 0.05), (0.13, -0.21)]:
+        yield flux, build_connection(g, FluxPair(*flux)), range(10)
+    if level in (2, 3, 4):
+        # phases outside [0, 1), same face fluxes
+        moved = gauge_transform(build_connection(g, FluxPair(0.13, -0.21)), random.Random(level))
+        assert moved.forward.min() < 0.0 or moved.forward.max() >= 1.0
+        yield "gauge-transformed (0.13, -0.21)", moved, range(10)
+
+
+@pytest.mark.parametrize("level", range(1, 7))
 def test_samples_match_the_reference_sampler(level, caplog):
-    # the cached neighbours, the vectorised window check and the loop flux
-    # read from the loop's own phases leave every sample and every clamp and
-    # window record of the face-by-face sampler unchanged
+    # the cached neighbours and window check, the inline draw and the loop
+    # flux summed from the walk's own step phases leave every sample and
+    # every clamp and window record of the face-by-face sampler unchanged
     g = build_gasket(level)
     clamps = 0
-    for flux in QUARTER_FLUXES + [(0.05, 0.05), (0.13, -0.21)]:
-        conn = build_connection(g, FluxPair(*flux))
-        for seed in range(10):
+    for name, conn, seeds in _reference_cases(level):
+        for seed in seeds:
             with caplog.at_level(logging.DEBUG, logger="sglap.crsf"):
                 want = reference_sample_crsf(g, conn, seed)
                 want_records = _crsf_records(caplog)
                 got = crsf.sample_crsf(g, conn, seed)
                 got_records = _crsf_records(caplog)
-            assert got.successor == want.successor, (level, flux, seed)
-            assert got.cycles == want.cycles, (level, flux, seed)
-            assert got.cycle_fluxes == want.cycle_fluxes, (level, flux, seed)
-            assert got_records == want_records, (level, flux, seed)
+            assert got.successor == want.successor, (level, name, seed)
+            assert got.cycles == want.cycles, (level, name, seed)
+            assert got.cycle_fluxes == want.cycle_fluxes, (level, name, seed)
+            assert got_records == want_records, (level, name, seed)
             clamps += sum(msg.startswith("clamping") for _, msg in got_records)
     if level >= 2:
         assert clamps, "no clamped acceptance was compared"
+
+
+def test_walk_draws_the_choice_stream():
+    # each step of `sample_crsf` draws its neighbour inline by the rule of
+    # CPython's Random._randbelow_with_getrandbits, which `Random.choice`
+    # uses; if a Python release changes `choice`, this fails by name before
+    # any sample digest does
+    for length in range(1, 9):
+        seq = tuple(range(length))
+        want, got = random.Random(length), random.Random(length)
+        for t in range(10_000):
+            k = length.bit_length()
+            r = got.getrandbits(k)
+            while r >= length:
+                r = got.getrandbits(k)
+            assert r == want.choice(seq), (
+                f"Random.choice over {length} items no longer draws by "
+                f"_randbelow_with_getrandbits (getrandbits({k}) until < {length}), draw {t}"
+            )
+            assert got.random() == want.random(), (length, t)
+        assert got.getstate() == want.getstate(), (
+            f"Random.choice over {length} items left another state than "
+            "_randbelow_with_getrandbits's draws"
+        )
+
+
+def test_phase_table_is_the_only_table_a_sample_builds():
+    # the flat table takes 8 bytes a directed edge (a tuple per vertex took
+    # ~47), and a sample builds nothing else per connection but the three
+    # cached window numbers
+    g = build_gasket(6)
+    flux = FluxPair(0.12, -0.2)
+    crsf.sample_crsf(g, build_connection(g, flux), 0)  # the graph's views, warm
+    conn = build_connection(g, flux)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        table = conn.neighbor_phases
+        table_bytes = tracemalloc.get_traced_memory()[0] - base
+        crsf.sample_crsf(g, conn, 1)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    directed = 2 * len(g.edges)
+    assert len(table) == directed
+    assert table_bytes <= 10 * directed + 1024, table_bytes
+    assert grown - table_bytes <= 2048, (grown, table_bytes)
 
 
 @pytest.mark.parametrize("level", range(1, 6))
@@ -174,11 +240,14 @@ def _window_connections():
 
 
 def test_window_check_matches_the_face_by_face_oracle(caplog):
+    # twice per connection: the face fluxes are read once, but every call
+    # raises or warns
     outcomes = set()
     for name, conn in _window_connections():
         want = _window_outcome(reference_flux_window_check, conn, caplog)
-        got = _window_outcome(crsf._flux_window_check, conn, caplog)
-        assert got == want, name
+        for call in (1, 2):
+            got = _window_outcome(crsf._flux_window_check, conn, caplog)
+            assert got == want, (name, call)
         outcomes.add(want[0])
     assert outcomes == {"raise", "warn", "pass"}
 

@@ -88,11 +88,12 @@ def test_every_face_carries_its_flux(builder, flux):
 def test_connection_antisymmetric():
     g = build_gasket(2)
     conn = build_connection(g, FluxPair(0.3, 0.7))
-    nbrs, nph = g.neighbors, conn.neighbor_phases
-    assert [len(row) for row in nph] == [len(vs) for vs in nbrs]
-    for u, (vs, row) in enumerate(zip(nbrs, nph)):
-        for v, p in zip(vs, row):
-            rev = nph[v][nbrs[v].index(u)]
+    nbrs, at, nph = g.neighbors, g.neighbor_offsets, conn.neighbor_phases
+    assert len(nph) == at[-1] == 2 * len(g.edges)
+    assert [at[u + 1] - at[u] for u in range(len(nbrs))] == [len(vs) for vs in nbrs]
+    for u, vs in enumerate(nbrs):
+        for k, v in enumerate(vs):
+            p, rev = nph[at[u] + k], nph[at[v] + nbrs[v].index(u)]
             assert circ_dist(p + rev, 0.0) <= 1e-12
             w = np.exp(2j * np.pi * p)
             assert abs(abs(w) - 1.0) <= 1e-12
