@@ -10,7 +10,10 @@ here:
   identity).  With the walk conductances c(x,y) = 1/deg(x) the cycle factor
   is the DIRECTED conductance product along the cycle times (1 - holonomy);
   the symmetrized form (c(x,y)+c(y,x))/2 one sometimes sees is equivalent
-  only when c(x,y) = c(y,x), which fails here, so it is not used.
+  only when c(x,y) = c(y,x), which fails here, so it is not used.  The maps'
+  cycle decompositions do not depend on the connection, so they are taken
+  once per graph (`_cycle_table`); a call takes one holonomy and one factor
+  per distinct cycle (34 at level 1) and multiplies them out map by map.
 * sample_crsf - experimental cycle-popping sampler (loop-erased walks,
   accept a closed loop with probability 1 - cos(2 pi theta)).  Exact for the
   unoriented CRSF measure when every simple cycle's flux angle lies in
@@ -36,6 +39,7 @@ here:
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import logging
 import math
@@ -46,7 +50,7 @@ from .decimation import gluing_log_det
 from .gasket import GasketGraph
 # assemble and build_connection are not called here; perfbench/selftest.py
 # checks that its tracer wraps these from-import sites
-from .gauge import Connection, FluxPair, build_connection, mod1  # noqa: F401
+from .gauge import Connection, FluxPair, build_connection, check_graph, mod1  # noqa: F401
 from .operator import assemble  # noqa: F401
 
 log = logging.getLogger(__name__)
@@ -142,6 +146,11 @@ def _functional_cycles(successor: tuple[int, ...]) -> tuple[tuple[int, ...], ...
     return tuple(sorted(cycles))
 
 
+def _loop_factor(flux: float) -> complex:
+    """1 - e(flux): a cycle's factor beside its conductances."""
+    return 1.0 - cmath.exp(2j * math.pi * flux)
+
+
 def crsf_weight(graph: GasketGraph, ocrsf: OrientedCRSF) -> complex:
     """The OCRSF weight under walk conductances c(x,y) = 1/deg(x).
 
@@ -159,7 +168,7 @@ def crsf_weight(graph: GasketGraph, ocrsf: OrientedCRSF) -> complex:
     for cyc, flux in zip(ocrsf.cycles, ocrsf.cycle_fluxes):
         for x in cyc:
             w /= deg[x]
-        w *= 1.0 - cmath.exp(2j * math.pi * flux)
+        w *= _loop_factor(flux)
     return w
 
 
@@ -174,18 +183,62 @@ def _check_enumeration_size(graph: GasketGraph) -> None:
             )
 
 
+@functools.lru_cache(maxsize=None)
+def _cycle_table(
+    graph: GasketGraph,
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], float]:
+    """(cycles, maps, scale) of the successor maps free of 2-cycles.
+
+    cycles are the distinct directed cycles, each as `_functional_cycles`
+    gives it, in the order the `itertools.product` scan first meets them.
+    maps has one entry per such map, in scan order: the indices of its
+    cycles into cycles, in sorted-cycle order.  scale is prod 1/deg(x) over
+    every vertex.  Built once per graph (graphs hash by identity) and kept
+    for the process.
+    """
+    index: dict[tuple[int, ...], int] = {}
+    maps = []
+    for choice in itertools.product(*graph.neighbors):
+        cycles = _functional_cycles(choice)
+        if all(len(cyc) > 2 for cyc in cycles):
+            maps.append(tuple(index.setdefault(cyc, len(index)) for cyc in cycles))
+    return tuple(index), tuple(maps), 1.0 / math.prod(graph.degrees)
+
+
 def brute_force_partition(graph: GasketGraph, conn: Connection) -> complex:
     """Sum of OCRSF weights over every successor map; equals det(L^omega).
 
     Every out-degree-1 map is automatically a disjoint union of unicyclic
-    components, so the scan is a plain product-space walk; 2-cycles survive
-    it but carry weight 0 (their holonomy is exactly 1).
+    components, so the scan is a plain product-space walk.  It is the sum of
+    `crsf_weight` over the maps in `itertools.product` order, to the bit,
+    read from the graph's `_cycle_table`:
+
+    * a map holding a 2-cycle weighs exactly 0 (the 2-cycle's holonomy is
+      phase + -phase = 0.0, so its factor is 0), and adding a zero leaves the
+      sum's bits alone, so those maps are dropped;
+    * each vertex is on a cycle or the tail of a bush edge, so every map
+      divides by each degree once; degrees are 2 or 4, so each division is an
+      exact power-of-two scaling, which commutes with every rounded product
+      and sum, and the divisions factor out as one constant, applied last;
+    * what is left of a weight is its cycles' factors, multiplied in
+      sorted-cycle order as `crsf_weight` takes them.
+
+    The one caveat is underflow: a product below ~2.2e-308 would round
+    differently before and after the scaling, and no flux of interest
+    comes near it.  The connection must be built on `graph`; the graph's
+    size is checked before its table is built.
     """
+    check_graph(graph, conn)
     _check_enumeration_size(graph)
+    cycles, maps, scale = _cycle_table(graph)
+    factors = [_loop_factor(conn.holonomy(list(cyc))) for cyc in cycles]
     total = 0.0 + 0.0j
-    for choice in itertools.product(*graph.neighbors):
-        total += crsf_weight(graph, OrientedCRSF.from_successor(choice, conn))
-    return total
+    for first, *rest in maps:
+        w = factors[first]
+        for k in rest:
+            w *= factors[k]
+        total += w
+    return total * scale
 
 
 def _flux_window_check(conn: Connection) -> None:
@@ -232,8 +285,10 @@ def sample_crsf(graph: GasketGraph, conn: Connection, seed: int) -> OrientedCRSF
     d.bit_length(), r = rng.getrandbits(k) is drawn again until r < d, and
     the step goes to neighbors[u][r].  So the ascending neighbour order is
     part of the contract.  A loop's flux is the exactly rounded sum of its
-    own edge phases, mod 1, as `Connection.holonomy` takes it.
+    own edge phases, mod 1, as `Connection.holonomy` takes it.  The
+    connection must be built on `graph`.
     """
+    check_graph(graph, conn)
     _flux_window_check(conn)
     nbrs, deg, at = graph.neighbors, graph.degrees, graph.neighbor_offsets
     phase = conn.neighbor_phases
@@ -311,8 +366,10 @@ def noloop_log_probability(
     and conductance * deg = 2 * conductance to that of Deg - W.  The value is
     log det(L^Id_aug) - log det(L^omega_aug), always <= 0 up to roundoff; the
     degrees cancel, so it is the difference of the two `gluing_log_det`
-    values.  The connection must carry a uniform flux pair.
+    values.  The connection must be built on `graph` and carry a uniform
+    flux pair.
     """
+    check_graph(graph, conn)
     if boundary_conductance <= 0:
         raise ValueError("boundary conductance must be positive")
     if conn.flux is None:

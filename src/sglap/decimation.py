@@ -135,8 +135,9 @@ def _atan2(im, re):
     # atan2 per element as arg(re + i im): glibc's clog takes its imaginary part
     # from atan2, so it is libm's atan2 to the bit, and the complex log runs
     # without the GIL; numpy's arctan2 is not bit-identical to libm.  log(0j)
-    # divides by zero in the real part, which is not read.
-    if np.ndim(im) == 0:
+    # divides by zero in the real part, which is not read.  A Python float
+    # skips np.ndim, most of a scalar call's cost; numpy 0-d arrays take libm too.
+    if isinstance(im, float) or np.ndim(im) == 0:
         return math.atan2(im, re)
     z = np.empty(im.shape, dtype=complex)
     z.real = re

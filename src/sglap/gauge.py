@@ -162,6 +162,12 @@ class Connection:
         return json.dumps(dict(zip(keys, self.neighbor_phases)), indent=1)
 
 
+def check_graph(graph: GasketGraph, conn: Connection) -> None:
+    """Refuse a connection built on another graph object than `graph`."""
+    if conn.graph is not graph:
+        raise ValueError("connection was built on a different graph")
+
+
 def face_holonomies(conn: Connection) -> np.ndarray:
     """Every face's holonomy, not reduced mod 1: the signed sum of the forward
     phases around its CCW boundary (`GasketGraph.face_edges`)."""

@@ -44,7 +44,7 @@ from .decimation import (
 # build_gasket is not called here; perfbench/selftest.py checks that its
 # tracer wraps this from-import site
 from .gasket import GasketGraph, build_gasket  # noqa: F401
-from .gauge import Connection
+from .gauge import Connection, check_graph
 
 SPECTRUM_DIM_CAP = 4000
 ZERO_EIG_TOL = 1e-9
@@ -107,8 +107,7 @@ class Spectrum:
 
 
 def assemble(graph: GasketGraph, conn: Connection) -> MagneticOperator:
-    if conn.graph is not graph:
-        raise ValueError("connection was built on a different graph")
+    check_graph(graph, conn)
     return MagneticOperator(graph, conn)
 
 

@@ -302,6 +302,17 @@ def reference_sample_crsf(graph, conn, seed):
     return OrientedCRSF.from_successor(tuple(successor), conn)
 
 
+def reference_partition(graph, conn):
+    """The partition sum one successor map at a time: each map decomposed
+    afresh and weighed by `crsf_weight`, summed in `itertools.product` order.
+    The oracle that `crsf.brute_force_partition` must match to the bit."""
+    _check_enumeration_size(graph)
+    total = 0.0 + 0.0j
+    for choice in itertools.product(*graph.neighbors):
+        total += crsf_weight(graph, OrientedCRSF.from_successor(choice, conn))
+    return total
+
+
 def brute_force_edge_marginals(graph, conn):
     """P[edge in the unoriented CRSF] for each edge, by full enumeration.
 

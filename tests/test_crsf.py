@@ -22,6 +22,7 @@ from _helpers import (
     brute_force_edge_marginals,
     gauge_transform,
     reference_flux_window_check,
+    reference_partition,
     reference_sample_crsf,
 )
 
@@ -69,9 +70,80 @@ def test_partition_level0_identity():
 
 
 def test_enumeration_size_cap():
+    # level 2 is refused before its cycle table is built
+    crsf._cycle_table.cache_clear()
     g2 = build_gasket(2)
     with pytest.raises(crsf.EnumerationSizeError):
         crsf.brute_force_partition(g2, build_connection(g2, FluxPair(0.1, 0.1)))
+    info = crsf._cycle_table.cache_info()
+    assert (info.misses, info.currsize) == (0, 0), info
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def _partition_fluxes():
+    """The four dyadic pairs (zero flux among them), (0.05, 0.05), (1/3, 1/6)
+    and 200 seeded pairs, half inside the sampler window and half anywhere in
+    [-1/2, 1/2]^2."""
+    rng = random.Random(11)
+    inside = [(rng.uniform(-0.25, 0.25), rng.uniform(-0.25, 0.25)) for _ in range(100)]
+    anywhere = [(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)) for _ in range(100)]
+    return [(0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5), (0.05, 0.05), (1 / 3, 1 / 6)] + inside + anywhere
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_partition_is_the_per_map_sum_bitwise(level):
+    # the cached cycle table drops the maps holding a 2-cycle and scales by
+    # prod 1/deg once; neither moves a bit of the per-map sum
+    g = build_gasket(level)
+    for a, b in _partition_fluxes():
+        conn = build_connection(g, FluxPair(a, b))
+        assert _bits(crsf.brute_force_partition(g, conn)) == _bits(reference_partition(g, conn)), (level, a, b)
+
+
+def test_partition_keeps_each_connection_apart(g1):
+    # the table is per graph, the factors per call: alternating two
+    # connections on one graph, each keeps its own bits
+    conns = [build_connection(g1, FluxPair(*f)) for f in [(0.13, -0.21), (0.37, 0.71)]]
+    want = [_bits(reference_partition(g1, c)) for c in conns]
+    assert want[0] != want[1]
+    for _ in range(3):
+        for conn, bits in zip(conns, want):
+            assert _bits(crsf.brute_force_partition(g1, conn)) == bits
+
+
+def test_cycle_table_is_built_once_per_graph(g1):
+    crsf._cycle_table.cache_clear()
+    g0 = build_gasket(0)
+    for flux in [(0.13, -0.21), (0.37, 0.71), (0.5, 0.5)]:
+        crsf.brute_force_partition(g1, build_connection(g1, FluxPair(*flux)))
+        crsf.brute_force_partition(g0, build_connection(g0, FluxPair(*flux)))
+    info = crsf._cycle_table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 4, 2), info
+    # 126 of level 1's 512 maps hold no 2-cycle, over 34 distinct cycles
+    cycles, maps, scale = crsf._cycle_table(g1)
+    assert (len(cycles), len(maps), scale) == (34, 126, 2.0**-9)
+
+
+def test_partition_refuses_a_connection_on_another_graph(g1):
+    g0 = build_gasket(0)
+    with pytest.raises(ValueError, match="connection was built on a different graph"):
+        crsf.brute_force_partition(g1, build_connection(g0, FluxPair(0.2, 0.1)))
+
+
+def test_sampler_refuses_a_connection_on_another_graph():
+    # the level-3 phases read on level 2 would put flux 0.6 on the 2-cycle (7, 11)
+    g2, g3 = build_gasket(2), build_gasket(3)
+    with pytest.raises(ValueError, match="connection was built on a different graph"):
+        crsf.sample_crsf(g2, build_connection(g3, FluxPair(0.2, 0.1)), 1)
+
+
+def test_noloop_refuses_a_connection_on_another_graph():
+    g2, g3 = build_gasket(2), build_gasket(3)
+    with pytest.raises(ValueError, match="connection was built on a different graph"):
+        crsf.noloop_log_probability(g2, build_connection(g3, FluxPair(0.2, 0.1)), 1.0)
 
 
 def test_sampler_refusals(g1):
